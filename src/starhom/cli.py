@@ -1,15 +1,17 @@
 """Batch command-line front end with JSON input and output.
 
 Exit codes: 0 when every requested check verified (or a value command
-succeeded), 1 when some exact identity was violated, 2 on malformed input.
-The machine-readable document goes to stdout; a short human summary goes
-to stderr.
+succeeded), 1 when some exact identity was violated, 2 on malformed input,
+3 when the program itself failed (an internal error, reported on one line
+of stderr).  The machine-readable document goes to stdout; a short human
+summary goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import charclass, fedosov, serialize, suite
@@ -24,6 +26,7 @@ from .weyl import moyal_star
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_MALFORMED = 2
+EXIT_INTERNAL = 3
 
 
 def _read_json(path: str | None):
@@ -321,6 +324,13 @@ def cmd_suite(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starhom",
@@ -331,9 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="corpus seed (u64)")
-        p.add_argument("--dim", type=int, default=1, help="dimension d")
+        p.add_argument("--dim", type=_positive_int, default=1, help="dimension d (>= 1)")
         p.add_argument("--trunc-t", dest="trunc_t", type=int, default=8, help="t-order window")
-        p.add_argument("--trunc-u", dest="trunc_u", type=int, default=3, help="u-window size")
         p.add_argument("--max-deg", dest="max_deg", type=int, default=4, help="max algebraic degree")
         p.add_argument("--fiber-trunc", dest="fiber_trunc", type=int, default=4, help="fiber degree")
         p.add_argument("--json", default=None, help="input document path, or '-' for stdin")
@@ -399,6 +408,18 @@ def main(argv=None) -> int:
     except SeriesError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception as exc:
+        # a crash must not read as "identity violated" (1) or "malformed" (2);
+        # traceback is imported here because only this path needs it
+        import traceback
+
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -489,22 +489,42 @@ def induced_chain_map(
 
     With ``check`` on, multiplicativity is spot-checked on every ordered
     pair of slots in every word, and unitality on the unit itself.
+
+    ``element_map`` is applied once per distinct value (slots, the unit
+    and the checked products alike), and each distinct ordered pair of
+    slot values is checked once: a repeat would give the same exact
+    answer.  Both tables live for this call only and are keyed on the
+    values themselves (full equality, windows included), never on
+    ``elem_key``, which ignores truncation windows.
     """
+    images: dict[Any, Any] = {}
+
+    def image(a):
+        out = images.get(a)
+        if out is None:
+            out = images[a] = h.element_map(a)
+        return out
+
     if check:
         tgt = h.target
-        if not tgt.equal(h.element_map(h.source.unit), tgt.unit):
+        if not tgt.equal(image(h.source.unit), tgt.unit):
             raise ChainError("morphism does not preserve the unit")
+        checked: set[tuple[Any, Any]] = set()
         for _, word in c.terms.values():
-            for a, b in itertools.permutations(word, 2):
-                lhs = h.element_map(h.source.multiply(a, b))
-                rhs = tgt.multiply(h.element_map(a), h.element_map(b))
+            for pair in itertools.permutations(word, 2):
+                if pair in checked:
+                    continue
+                checked.add(pair)
+                a, b = pair
+                lhs = image(h.source.multiply(a, b))
+                rhs = tgt.multiply(image(a), image(b))
                 if not tgt.equal(lhs, rhs):
                     raise ChainError(
                         "multiplicativity spot-check failed on a word pair"
                     )
     raw = []
     for coeff, word in c.terms.values():
-        raw.append((h.coeff_map(coeff), tuple(h.element_map(a) for a in word)))
+        raw.append((h.coeff_map(coeff), tuple(image(a) for a in word)))
     return HochschildChain(h.target, c.degree, raw)
 
 

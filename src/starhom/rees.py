@@ -73,12 +73,22 @@ class DiffOp:
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _raw(cls, dim: int, terms: dict) -> DiffOp:
+        """Trusted constructor for results of DiffOp's own operations:
+        ``terms`` has (x, d) tuple-pair keys of length ``dim`` and no zero
+        coefficients.  Nothing is copied or checked."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "terms", terms)
+        return op
+
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> DiffOp:
-        return cls(dim)
+        return cls._raw(int(dim), {})
 
     @classmethod
     def one(cls, dim: int) -> DiffOp:
@@ -134,10 +144,10 @@ class DiffOp:
                 out[key] = s
             elif key in out:
                 del out[key]
-        return DiffOp(self.dim, out)
+        return DiffOp._raw(self.dim, out)
 
     def __neg__(self) -> DiffOp:
-        return DiffOp(self.dim, {k: -q for k, q in self.terms.items()})
+        return DiffOp._raw(self.dim, {k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other: DiffOp) -> DiffOp:
         return self + (-other)
@@ -145,8 +155,8 @@ class DiffOp:
     def scale(self, q) -> DiffOp:
         q = as_fraction(q)
         if not q:
-            return DiffOp(self.dim)
-        return DiffOp(self.dim, {k: c * q for k, c in self.terms.items()})
+            return DiffOp._raw(self.dim, {})
+        return DiffOp._raw(self.dim, {k: c * q for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
@@ -156,7 +166,7 @@ class DiffOp:
     __rmul__ = __mul__
 
     def order_part(self, p: int) -> DiffOp:
-        return DiffOp(self.dim, {k: q for k, q in self.terms.items() if sum(k[1]) == p})
+        return DiffOp._raw(self.dim, {k: q for k, q in self.terms.items() if sum(k[1]) == p})
 
     def symbol(self, gens=None) -> Poly:
         """Full symbol: x^a d^b -> x^a xi^b over the 2d Darboux generators."""
@@ -210,7 +220,7 @@ def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
                     out[key] = s
                 elif key in out:
                     del out[key]
-    return DiffOp(dim, out)
+    return DiffOp._raw(dim, out)
 
 
 class OpSeries:
@@ -233,12 +243,22 @@ class OpSeries:
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "comps", clean)
 
+    @classmethod
+    def _raw(cls, dim: int, comps: dict) -> OpSeries:
+        """Trusted constructor for results of OpSeries's own operations:
+        ``comps`` maps int grades to nonzero DiffOps of dimension ``dim``.
+        Nothing is copied or checked."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "dim", dim)
+        object.__setattr__(s, "comps", comps)
+        return s
+
     def __setattr__(self, *_):
         raise AttributeError("OpSeries is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> OpSeries:
-        return cls(dim)
+        return cls._raw(int(dim), {})
 
     @classmethod
     def one(cls, dim: int) -> OpSeries:
@@ -267,7 +287,7 @@ class OpSeries:
             q = op.constant_term()
             if q:
                 out[p] = DiffOp.const(self.dim, q)
-        return OpSeries(self.dim, out)
+        return OpSeries._raw(self.dim, out)
 
     def key(self):
         return tuple(sorted((p, op.key()) for p, op in self.comps.items()))
@@ -286,10 +306,10 @@ class OpSeries:
                 out.pop(p, None)
             else:
                 out[p] = s
-        return OpSeries(self.dim, out)
+        return OpSeries._raw(self.dim, out)
 
     def __neg__(self) -> OpSeries:
-        return OpSeries(self.dim, {p: -op for p, op in self.comps.items()})
+        return OpSeries._raw(self.dim, {p: -op for p, op in self.comps.items()})
 
     def __sub__(self, other: OpSeries) -> OpSeries:
         return self + (-other)
@@ -310,24 +330,27 @@ class OpSeries:
                     out.pop(p + q, None)
                 else:
                     out[p + q] = s
-        return OpSeries(self.dim, out)
+        return OpSeries._raw(self.dim, out)
 
     __rmul__ = __mul__
 
     def scale(self, q) -> OpSeries:
         q = as_fraction(q)
         if not q:
-            return OpSeries(self.dim)
-        return OpSeries(self.dim, {p: op.scale(q) for p, op in self.comps.items()})
+            return OpSeries._raw(self.dim, {})
+        return OpSeries._raw(self.dim, {p: op.scale(q) for p, op in self.comps.items()})
 
     def shift(self, m: int) -> OpSeries:
-        return OpSeries(self.dim, {p + m: op for p, op in self.comps.items()})
+        return OpSeries._raw(self.dim, {p + m: op for p, op in self.comps.items()})
 
     def mul_monomial(self, q, m: int = 0) -> OpSeries:
         return self.scale(q).shift(m)
 
     def __eq__(self, other):
         return isinstance(other, OpSeries) and self.dim == other.dim and self.comps == other.comps
+
+    def __hash__(self):
+        return hash((self.dim, self.key()))
 
     def __repr__(self):
         if not self.comps:

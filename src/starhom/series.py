@@ -87,6 +87,16 @@ class Poly:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _raw(cls, gens: tuple, terms: dict) -> Poly:
+        """Trusted constructor for results of Poly's own operations:
+        ``gens`` is a tuple and ``terms`` has tuple keys of the right
+        length and no zero coefficients.  Nothing is copied or checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "gens", gens)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
@@ -94,12 +104,13 @@ class Poly:
 
     @classmethod
     def zero(cls, gens) -> Poly:
-        return cls(gens)
+        return cls._raw(tuple(gens), {})
 
     @classmethod
     def const(cls, gens, value) -> Poly:
         gens = tuple(gens)
-        return cls(gens, {(0,) * len(gens): as_fraction(value)})
+        q = as_fraction(value)
+        return cls._raw(gens, {(0,) * len(gens): q} if q else {})
 
     @classmethod
     def gen(cls, gens, name: str) -> Poly:
@@ -134,11 +145,11 @@ class Poly:
         return max(sum(exp) for exp in self.terms)
 
     def homogeneous_part(self, k: int) -> Poly:
-        return Poly(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
+        return Poly._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
 
     def truncate_degree(self, max_deg: int) -> Poly:
         """Drop all terms of total degree above ``max_deg``."""
-        return Poly(self.gens, {e: q for e, q in self.terms.items() if sum(e) <= max_deg})
+        return Poly._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) <= max_deg})
 
     def key(self):
         """Canonical hashable form (sorted term list)."""
@@ -161,12 +172,12 @@ class Poly:
                 out[exp] = s
             elif exp in out:
                 del out[exp]
-        return Poly(self.gens, out)
+        return Poly._raw(self.gens, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.gens, {e: -q for e, q in self.terms.items()})
+        return Poly._raw(self.gens, {e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -180,8 +191,8 @@ class Poly:
         if not isinstance(other, Poly):
             q = as_fraction(other)
             if not q:
-                return Poly(self.gens)
-            return Poly(self.gens, {e: c * q for e, c in self.terms.items()})
+                return Poly._raw(self.gens, {})
+            return Poly._raw(self.gens, {e: c * q for e, c in self.terms.items()})
         self._check(other)
         out: dict[tuple, Fraction] = {}
         for e1, q1 in self.terms.items():
@@ -192,7 +203,7 @@ class Poly:
                     out[exp] = s
                 elif exp in out:
                     del out[exp]
-        return Poly(self.gens, out)
+        return Poly._raw(self.gens, out)
 
     __rmul__ = __mul__
 
@@ -220,7 +231,7 @@ class Poly:
             new = list(exp)
             new[i] -= 1
             out[tuple(new)] = q * exp[i]
-        return Poly(self.gens, out)
+        return Poly._raw(self.gens, out)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> Poly:
         """Ring map sending each generator to the given image polynomial.
@@ -316,6 +327,18 @@ class TSeries:
         object.__setattr__(self, "lower", int(lower))
         object.__setattr__(self, "trunc", int(trunc))
 
+    @classmethod
+    def _raw(cls, gens: tuple, coeffs: dict, lower: int, trunc: int) -> TSeries:
+        """Trusted constructor for results of TSeries's own operations:
+        ``lower < trunc`` are ints, and ``coeffs`` holds only nonzero Polys
+        over ``gens`` at exponents inside ``[lower, trunc)``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "gens", gens)
+        object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "lower", lower)
+        object.__setattr__(s, "trunc", trunc)
+        return s
+
     def __setattr__(self, *_):
         raise AttributeError("TSeries is immutable")
 
@@ -379,10 +402,10 @@ class TSeries:
             else:
                 out[e] = s
         out = {e: p for e, p in out.items() if e < trunc}
-        return TSeries(self.gens, out, lower, trunc)
+        return TSeries._raw(self.gens, out, lower, trunc)
 
     def __neg__(self) -> TSeries:
-        return TSeries(self.gens, {e: -p for e, p in self.coeffs.items()}, self.lower, self.trunc)
+        return TSeries._raw(self.gens, {e: -p for e, p in self.coeffs.items()}, self.lower, self.trunc)
 
     def __sub__(self, other: TSeries) -> TSeries:
         return self + (-other)
@@ -406,7 +429,7 @@ class TSeries:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return TSeries(self.gens, out, lower, trunc)
+        return TSeries._raw(self.gens, out, lower, trunc)
 
     __rmul__ = __mul__
 
@@ -414,12 +437,12 @@ class TSeries:
         """Exact multiplication by a rational; the window is unchanged."""
         q = as_fraction(q)
         if not q:
-            return TSeries(self.gens, {}, self.lower, self.trunc)
-        return TSeries(self.gens, {e: p * q for e, p in self.coeffs.items()}, self.lower, self.trunc)
+            return TSeries._raw(self.gens, {}, self.lower, self.trunc)
+        return TSeries._raw(self.gens, {e: p * q for e, p in self.coeffs.items()}, self.lower, self.trunc)
 
     def shift(self, m: int) -> TSeries:
         """Exact multiplication by t^m; the window shifts with the data."""
-        return TSeries(
+        return TSeries._raw(
             self.gens,
             {e + m: p for e, p in self.coeffs.items()},
             self.lower + m,
@@ -433,7 +456,7 @@ class TSeries:
     def truncated(self, trunc: int) -> TSeries:
         if trunc <= self.lower:
             raise EmptyWindow(f"window [{self.lower}, {trunc}) is empty")
-        return TSeries(
+        return TSeries._raw(
             self.gens,
             {e: p for e, p in self.coeffs.items() if e < trunc},
             self.lower,

@@ -1,10 +1,17 @@
 """Exit codes, JSON output, and determinism of the command-line front end."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from starhom.cli import EXIT_MALFORMED, EXIT_OK, EXIT_VIOLATED, main
+import starhom
+from starhom import cli
+from starhom.cli import EXIT_INTERNAL, EXIT_MALFORMED, EXIT_OK, EXIT_VIOLATED, main
 
 
 def run_cli(capsys, *argv):
@@ -163,3 +170,62 @@ class TestFedosovPsi:
         )
         assert code == EXIT_OK
         assert json.loads(out)["status"] == "verified"
+
+
+class TestDimension:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-cycle", "--chain", "phi_E", "--dim", "0"),
+            ("verify-cycle", "--chain", "phi_A", "--dim", "0"),
+            ("fedosov", "--check", "flat", "--dim", "0"),
+        ],
+    )
+    def test_dim_below_one_is_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "--dim" in err and "Traceback" not in err
+
+
+class TestInternalError:
+    def test_crash_exits_3_with_one_line(self, capsys, monkeypatch):
+        def crash(dim):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "phi_E", crash)
+        code, out, err = run_cli(capsys, "verify-cycle", "--chain", "phi_E", "--dim", "1")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("internal error: RuntimeError: boom")
+
+
+class TestCrossProcessDeterminism:
+    def test_suite_report_ignores_hash_seed(self):
+        src = str(Path(starhom.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "starhom.cli", "suite", "--seed", "0", "--scale", "small"]
+        procs = [
+            subprocess.Popen(
+                argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            )
+            for hash_seed in ("0", "1")
+        ]
+        outs = []
+        try:
+            for proc in procs:
+                out, _ = proc.communicate(timeout=300)
+                assert proc.returncode == EXIT_OK
+                outs.append(out)
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert outs[0] == outs[1]
+        assert hashlib.md5(outs[0]).hexdigest() == "ff48212cf5b98764f02042c14f39e3d9"

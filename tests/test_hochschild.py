@@ -1,6 +1,8 @@
 """Chains, differentials, trace cycles, and induced chain maps."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -193,6 +195,55 @@ class TestInducedChainMap:
         )
         with pytest.raises(ChainError):
             induced_chain_map(shift, c)
+
+    def test_element_map_runs_once_per_distinct_value(self):
+        chain = phi_E(2)
+        base = localization_morphism(2)
+        seen = Counter()
+
+        def counting(s):
+            seen[s] += 1
+            return base.element_map(s)
+
+        morphism = AlgebraMorphism(base.source, base.target, counting, base.coeff_map)
+        slots = {a for _, word in chain.terms.values() for a in word}
+        assert induced_chain_map(morphism, chain) == phi_A(2)
+        assert set(seen.values()) == {1}
+        assert slots <= set(seen)
+        seen.clear()
+        induced_chain_map(morphism, chain, check=False)
+        assert seen == Counter(slots)
+
+    def test_slots_differing_only_in_window_are_not_conflated(self):
+        h = weyl_handle(1, trunc=5)
+        x_short = WeylElement.from_poly(Poly.gen(G1, "x1"), 1, 3)
+        x_long = WeylElement.from_poly(Poly.gen(G1, "x1"), 1, 5)
+        xi = WeylElement.from_poly(Poly.gen(G1, "xi1"), 1, 5)
+        assert x_short.key() == x_long.key() and x_short != x_long
+        chain = HochschildChain(h, 2, [(1, (h.unit, x_short, xi)), (1, (h.unit, xi, x_long))])
+        ident = AlgebraMorphism(h, h, element_map=lambda a: a, coeff_map=lambda c: c)
+        image = induced_chain_map(ident, chain)
+        assert [w for _, w in image.terms.values()] == [w for _, w in chain.terms.values()]
+
+    def test_multiplicativity_failure_on_one_pair_is_caught(self):
+        chain = phi_A(2)
+        h = chain.handle
+        slots = {a for _, word in chain.terms.values() for a in word}
+        pairs = {p for _, word in chain.terms.values() for p in itertools.permutations(word, 2)}
+        products = Counter(h.multiply(a, b) for a, b in pairs)
+        bad = next(p for p, n in products.items() if n == 1 and p not in slots)
+
+        def broken(w):
+            return w.scale(2) if w == bad else w
+
+        failing = [
+            (a, b) for a, b in pairs
+            if not h.equal(broken(h.multiply(a, b)), h.multiply(broken(a), broken(b)))
+        ]
+        assert len(failing) == 1
+        morphism = AlgebraMorphism(h, h, element_map=broken, coeff_map=lambda c: c)
+        with pytest.raises(ChainError):
+            induced_chain_map(morphism, chain)
 
     def test_symbol_map_commutes_with_b(self):
         rng = random.Random("sigma-chain")

@@ -2,8 +2,11 @@
 its structure maps."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starhom.corpus import random_diffop, random_rees
 from starhom.rees import (
@@ -181,3 +184,32 @@ class TestWeylImage:
         s = OpSeries.from_op(D)  # the bare derivative, grade 0
         got = localized_to_weyl(s, trunc=3)
         assert got.value.coefficient(-1) == Poly.gen(G1, "xi1")
+
+
+small_ops = st.builds(
+    lambda terms: DiffOp(1, {((i,), (j,)): Fraction(c) for (i, j), c in terms}),
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3)),
+        max_size=3,
+    ),
+)
+small_op_series = st.builds(
+    lambda comps: OpSeries(1, dict(comps)),
+    st.lists(st.tuples(st.integers(-1, 2), small_ops), max_size=3),
+)
+
+
+def revalidated_op_series(s):
+    """The same data passed through the validating constructors."""
+    for op in s.comps.values():
+        assert all(type(q) is Fraction for q in op.terms.values())
+        assert op == DiffOp(op.dim, op.terms)
+    return OpSeries(s.dim, s.comps)
+
+
+class TestOperationsBuildCanonicalValues:
+    @given(small_op_series, small_op_series)
+    @settings(max_examples=60, deadline=None)
+    def test_op_series_results(self, a, b):
+        for r in (a + b, a - b, a - a, a * b, a.scale(Fraction(2, 3)), a.shift(1)):
+            assert r == revalidated_op_series(r)

@@ -197,3 +197,34 @@ class TestSeriesAssociativity:
         rhs = a * (b * c)
         trunc = min(lhs.trunc, rhs.trunc)
         assert lhs.truncated(trunc).coeffs == rhs.truncated(trunc).coeffs
+
+
+def revalidated_poly(p):
+    """The same data passed through the validating constructor."""
+    assert all(type(e) is tuple and type(q) is Fraction for e, q in p.terms.items())
+    return Poly(p.gens, p.terms)
+
+
+def revalidated_series(s):
+    for p in s.coeffs.values():
+        assert p == revalidated_poly(p)
+    return TSeries(s.gens, s.coeffs, s.lower, s.trunc)
+
+
+class TestOperationsBuildCanonicalValues:
+    """Operations build their results through a trusted constructor; each
+    result must equal its data re-read by the validating one."""
+
+    @given(small_polys, small_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_poly_results(self, a, b):
+        results = [a + b, a - b, a - a, a * b, a * Fraction(-2, 3), a * 0, -a]
+        results += [a.partial(g) for g in GENS]
+        for r in results:
+            assert r == revalidated_poly(r)
+
+    @given(small_series, small_series)
+    @settings(max_examples=60, deadline=None)
+    def test_series_results(self, a, b):
+        for r in (a + b, a - a, a * b, a.scale(Fraction(1, 2)), a.shift(-1)):
+            assert r == revalidated_series(r)

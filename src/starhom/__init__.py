@@ -7,7 +7,8 @@ window.  See the ``suite`` module for the batch checks and ``cli`` for the
 command-line front end.
 """
 
-from .series import EmptyWindow, GeneratorMismatch, NegativeTPowers, Poly, SeriesError, TSeries
+from .series import EmptyWindow, GeneratorMismatch, NegativeTPowers, SeriesError
+from .series import Laurent, Poly, TSeries
 from .weyl import (
     LieElement,
     WeylElement,

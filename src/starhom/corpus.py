@@ -113,7 +113,7 @@ def random_chain(
     terms = []
     for _ in range(words):
         word = tuple(element_maker(rng) for _ in range(degree + 1))
-        if any(handle.is_zero(a) for a in word):
+        if any(a.is_zero() for a in word):
             continue
         coeff = Fraction(rng.randint(-3, 3) or 1)
         terms.append((coeff, word))

@@ -198,22 +198,13 @@ def i_map(v: FormalVectorField, t_trunc: int = 8) -> LieElement:
     return LieElement(acc)
 
 
-def lie_weight_part(a: LieElement, k: int) -> LieElement:
-    """Graded piece of weight k (generator degree plus twice the t-power)."""
+def _lie_filter(a: LieElement, keep) -> LieElement:
+    """The monomials q t^e w^exp of a Lie value with ``keep(e, exp)``; the
+    window is unchanged."""
     w = a.value
     out = {}
     for e, p in w.value.coeffs.items():
-        kept = Poly(p.gens, {exp: q for exp, q in p.terms.items() if sum(exp) + 2 * e == k})
-        if not kept.is_zero():
-            out[e] = kept
-    return LieElement(WeylElement(TSeries(w.gens, out, w.value.lower, w.value.trunc), w.dim))
-
-
-def _lie_weight_truncate(a: LieElement, k: int) -> LieElement:
-    w = a.value
-    out = {}
-    for e, p in w.value.coeffs.items():
-        kept = Poly(p.gens, {exp: q for exp, q in p.terms.items() if sum(exp) + 2 * e <= k})
+        kept = Poly(p.gens, {exp: q for exp, q in p.terms.items() if keep(e, exp)})
         if not kept.is_zero():
             out[e] = kept
     return LieElement(WeylElement(TSeries(w.gens, out, w.value.lower, w.value.trunc), w.dim))
@@ -365,7 +356,8 @@ class LieValuedForm:
     def fiber_part(self, k: int) -> LieValuedForm:
         if self.kind == "vf":
             return self.map_values(lambda v: v.fiber_part(k))
-        return self.map_values(lambda v: lie_weight_part(v, k))
+        # weight: generator degree plus twice the t-power
+        return self.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) + 2 * e == k))
 
     def fiber_truncate(self, k: int) -> LieValuedForm:
         """Drop all graded pieces of fiber degree above k."""
@@ -373,7 +365,7 @@ class LieValuedForm:
             return self.map_values(
                 lambda v: v.map_components(lambda p: p.truncate_degree(k + 1))
             )
-        return self.map_values(lambda v: _lie_weight_truncate(v, k))
+        return self.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) + 2 * e <= k))
 
     def __eq__(self, other):
         if not isinstance(other, LieValuedForm):
@@ -622,7 +614,7 @@ def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int = 10)
     dh = h.exterior_d()
     gauge = _ad_series(h, dh, lambda n: Fraction(-1, math.factorial(n + 1)))
     out = transformed + gauge
-    return out.map_values(lambda v: _lie_fiber_truncate(v, fiber_deg))
+    return out.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) <= fiber_deg))
 
 
 def psi_apply(a: LieValuedForm, dim: int, t_trunc: int = 10, inverse: bool = False) -> LieValuedForm:
@@ -631,16 +623,6 @@ def psi_apply(a: LieValuedForm, dim: int, t_trunc: int = 10, inverse: bool = Fal
     if inverse:
         h = h.scale(-1)
     return _ad_series(h, a, lambda n: Fraction(1, math.factorial(n)))
-
-
-def _lie_fiber_truncate(v: LieElement, max_deg: int) -> LieElement:
-    w = v.value
-    out = {}
-    for e, p in w.value.coeffs.items():
-        kept = p.truncate_degree(max_deg)
-        if not kept.is_zero():
-            out[e] = kept
-    return LieElement(WeylElement(TSeries(w.gens, out, w.value.lower, w.value.trunc), w.dim))
 
 
 # -- transition data and the gauge identity -------------------------------------
@@ -697,19 +679,22 @@ class TransitionDatum:
         return out
 
 
+def _per_monomial(matrix, dim: int) -> dict[tuple, list]:
+    """A matrix of base Polys as {base exponent: constant matrix}."""
+    out: dict[tuple, list] = {}
+    for i in range(dim):
+        for j in range(dim):
+            for bexp, q in matrix[i][j].terms.items():
+                out.setdefault(bexp, [[Fraction(0)] * dim for _ in range(dim)])[i][j] += q
+    return out
+
+
 def matrix_form_to_vf(mform: dict, base, dim: int, fiber_trunc: int) -> LieValuedForm:
     """{widx: matrix of base Polys} -> gl-valued (linear fields) form."""
     base = tuple(base)
     entries = []
-    bexps: dict = {}
     for widx, matrix in mform.items():
-        per_monomial: dict[tuple, list] = {}
-        for i in range(dim):
-            for j in range(dim):
-                for bexp, q in matrix[i][j].terms.items():
-                    per_monomial.setdefault(bexp, [[Fraction(0)] * dim for _ in range(dim)])
-                    per_monomial[bexp][i][j] += q
-        for bexp, const_matrix in per_monomial.items():
+        for bexp, const_matrix in _per_monomial(matrix, dim).items():
             entries.append(
                 (tuple(widx), Poly.monomial(base, bexp, 1), gl_to_vf(const_matrix, dim, fiber_trunc))
             )
@@ -722,13 +707,7 @@ def matrix_form_quadratic_embed(mform: dict, base, dim: int, t_trunc: int = 8) -
     gens = fiber_weyl_names(dim)
     entries = []
     for widx, matrix in mform.items():
-        per_monomial: dict[tuple, list] = {}
-        for i in range(dim):
-            for j in range(dim):
-                for bexp, q in matrix[i][j].terms.items():
-                    per_monomial.setdefault(bexp, [[Fraction(0)] * dim for _ in range(dim)])
-                    per_monomial[bexp][i][j] += q
-        for bexp, const_matrix in per_monomial.items():
+        for bexp, const_matrix in _per_monomial(matrix, dim).items():
             quad = Poly.zero(gens)
             for i in range(dim):
                 for j in range(dim):

@@ -190,7 +190,7 @@ def hkr_map(c: HochschildChain) -> DForm:
     factor = Fraction(1, math.factorial(p))
     out = DForm.zero(variables)
     for coeff, word in c.terms.values():
-        form = DForm.from_poly(word[0] * (coeff * factor))
+        form = DForm.from_poly(word[0] * (coeff.coefficient(0) * factor))
         for slot in word[1:]:
             form = wedge(form, de_rham(DForm.from_poly(slot)))
             if form.is_zero():

@@ -278,9 +278,6 @@ class OpSeries:
     def is_zero(self) -> bool:
         return not self.comps
 
-    def is_scalar(self) -> bool:
-        return all(op.is_constant() for op in self.comps.values())
-
     def scalar_part(self) -> OpSeries:
         out = {}
         for p, op in self.comps.items():
@@ -288,6 +285,17 @@ class OpSeries:
             if q:
                 out[p] = DiffOp.const(self.dim, q)
         return OpSeries._raw(self.dim, out)
+
+    def lowest_term(self) -> tuple[Fraction, int]:
+        """(q, m): the least grade m and, inside it, the coefficient of the
+        least normal monomial; defined on nonzero elements."""
+        m = min(self.comps)
+        op = self.comps[m]
+        return op.terms[min(op.terms)], m
+
+    def monomials(self) -> list:
+        """The terms as (q, t-power, basis key) triples."""
+        return [(q, p, key) for p, op in self.comps.items() for key, q in op.terms.items()]
 
     def key(self):
         return tuple(sorted((p, op.key()) for p, op in self.comps.items()))

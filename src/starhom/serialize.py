@@ -2,7 +2,10 @@
 
 Rationals travel as "p/q" strings so nothing is ever rounded.  Chain
 documents carry an "algebra" discriminator ("poly" | "weyl" | "rees" |
-"weyl-loc") that selects the coefficient algebra.
+"weyl-loc") that selects the coefficient algebra.  A word coefficient is a
+"p/q" string, or a scalar series in that algebra's own format: a t-series
+document over weyl and weyl-loc, an operator series over rees.  A series
+that is not constant in x, xi and d is rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .hochschild import (
     weyl_handle,
 )
 from .rees import DiffOp, OpSeries, ReesElement
-from .series import Poly, SeriesError, TSeries, as_fraction, format_fraction
+from .series import Laurent, Poly, SeriesError, TSeries, as_fraction, format_fraction
 from .weyl import WeylElement, weyl_gens
 
 
@@ -31,6 +34,20 @@ def _need(doc: dict, field: str):
     if not isinstance(doc, dict) or field not in doc:
         raise DecodeError(f"missing field {field!r}")
     return doc[field]
+
+
+def _need_objects(doc: dict, field: str) -> list:
+    items = _need(doc, field)
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise DecodeError(f"field {field!r} must be a list of objects")
+    return items
+
+
+def _int_from(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DecodeError(f"bad {what} {value!r}") from None
 
 
 def _fraction_from(text) -> Fraction:
@@ -209,23 +226,33 @@ def _element_from_json(algebra: str, doc: dict, handle: AlgebraHandle, dim: int,
     return opseries_from_json(doc, dim)
 
 
-def _coeff_to_json(algebra: str, coeff) -> object:
-    if algebra == "poly":
-        return format_fraction(coeff)
-    if algebra in ("weyl", "weyl-loc"):
-        return tseries_to_json(coeff.value)
-    return opseries_to_json(coeff)
+def _coeff_to_json(handle: AlgebraHandle, coeff: Laurent) -> object:
+    if handle.kind == "poly":
+        return format_fraction(coeff.coefficient(0))
+    if handle.kind == "rees":
+        dim = handle.unit.dim
+        return opseries_to_json(
+            OpSeries(dim, {e: DiffOp.const(dim, q) for e, q in coeff.terms.items()})
+        )
+    gens = handle.unit.gens
+    consts = {e: Poly.const(gens, q) for e, q in coeff.terms.items()}
+    return tseries_to_json(TSeries(gens, consts, coeff.lower, coeff.trunc))
 
 
-def _coeff_from_json(algebra: str, doc, handle: AlgebraHandle, dim: int):
+def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> Laurent:
     if isinstance(doc, str):
-        return handle.coeff_scale(handle.coeff_unit(), _fraction_from(doc), 0)
-    if algebra in ("weyl", "weyl-loc"):
-        series = tseries_from_json(doc, weyl_gens(dim))
-        return WeylElement(series, dim)
-    if algebra == "rees":
-        return opseries_from_json(doc, dim)
-    raise DecodeError("polynomial chains take rational coefficients only")
+        return handle.coerce_coeff(_fraction_from(doc))
+    if handle.kind == "rees":
+        series = opseries_from_json(doc, dim)
+        parts, window = series.comps, (None, None)
+    elif handle.kind != "poly":
+        series = tseries_from_json(doc, handle.unit.gens)
+        parts, window = series.coeffs, (series.lower, series.trunc)
+    else:
+        raise DecodeError("polynomial chains take rational coefficients only")
+    if not all(v.is_constant() for v in parts.values()):
+        raise DecodeError("a chain coefficient must be constant in x, xi and d")
+    return Laurent({e: v.constant_term() for e, v in parts.items()}, *window)
 
 
 def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
@@ -235,7 +262,7 @@ def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
         "degree": c.degree,
         "terms": [
             {
-                "coef": _coeff_to_json(algebra, coeff),
+                "coef": _coeff_to_json(c.handle, coeff),
                 "word": [_element_to_json(algebra, a) for a in word],
             }
             for coeff, word in c.items()
@@ -245,24 +272,18 @@ def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
 
 def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8, gens=None) -> HochschildChain:
     algebra = _need(doc, "algebra")
-    dim = int(doc.get("dim", dim))
+    dim = _int_from(doc.get("dim", dim), "dimension")
+    items = _need_objects(doc, "terms")
+    words = [_need_objects(item, "word") for item in items]
     if algebra == "poly" and gens is None:
         # polynomial chains carry their own generator tuple
-        for item in _need(doc, "terms"):
-            for elem in item.get("word", ()):
-                if "gens" in elem:
-                    gens = tuple(elem["gens"])
-                    break
-            if gens is not None:
-                break
+        gens = next((tuple(e["gens"]) for w in words for e in w if "gens" in e), None)
     handle = handle_for(algebra, dim=dim, trunc=trunc, gens=gens)
-    degree = int(_need(doc, "degree"))
+    degree = _int_from(_need(doc, "degree"), "degree")
     terms = []
-    for item in _need(doc, "terms"):
-        coeff = _coeff_from_json(algebra, _need(item, "coef"), handle, dim)
-        word = tuple(
-            _element_from_json(algebra, e, handle, dim, trunc) for e in _need(item, "word")
-        )
+    for item, slots in zip(items, words):
+        coeff = _coeff_from_json(_need(item, "coef"), handle, dim)
+        word = tuple(_element_from_json(algebra, e, handle, dim, trunc) for e in slots)
         if len(word) != degree + 1:
             raise DecodeError(
                 f"word length {len(word)} does not match degree {degree}"

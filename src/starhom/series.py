@@ -11,6 +11,9 @@ characteristic classes) is built on two types:
   window ``[lower, trunc)``; binary operations intersect windows so that a
   truncated tail can never masquerade as an exact zero.
 
+A third, ``Laurent``, is the scalar ring of the chain complexes: a sparse
+Laurent polynomial in t over Q, with a window of the same kind or none.
+
 Values are immutable after construction and all operations are pure, so
 they can be shared freely between workers.
 """
@@ -135,8 +138,16 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.gens), Fraction(0))
 
-    def constant_part(self) -> Poly:
+    def scalar_part(self) -> Poly:
         return Poly.const(self.gens, self.constant_term())
+
+    def lowest_term(self) -> tuple[Fraction, int]:
+        """(q, 0) for the coefficient q of the least exponent; nonzero only."""
+        return self.terms[min(self.terms)], 0
+
+    def monomials(self) -> list:
+        """The terms as (q, t-power, basis key) triples."""
+        return [(q, 0, exp) for exp, q in self.terms.items()]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -505,6 +516,88 @@ class TSeries:
             else:
                 bits.append(f"{body}*t^{e}")
         return " + ".join(bits) + f" (mod t^{self.trunc})"
+
+
+class Laurent:
+    """Sparse Laurent polynomial in t over Q: the coefficient of a chain word.
+
+    ``terms`` maps t-exponents to nonzero Fractions.  A windowed value keeps
+    ``[lower, trunc)`` with the meaning it has on TSeries: ``lower`` bounds
+    the support, nothing at or above ``trunc`` is stored or known.  An
+    exact value has ``lower = trunc = None``.  Multiplying by q t^m shifts
+    the window by m; a sum takes the smaller of each bound and drops what
+    lies at or above the new ``trunc``.
+    """
+
+    __slots__ = ("terms", "lower", "trunc")
+
+    def __init__(self, terms: Mapping[int, object] | None = None,
+                 lower: int | None = None, trunc: int | None = None):
+        if (lower is None) != (trunc is None) or (trunc is not None and trunc <= lower):
+            raise EmptyWindow(f"window [{lower}, {trunc}) is empty or half open")
+        clean = {int(e): as_fraction(q) for e, q in (terms or {}).items()}
+        if lower is not None and any(e < lower for e in clean):
+            raise SeriesError(f"stored exponent below declared lower {lower}")
+        clean = {e: q for e, q in clean.items() if q and (trunc is None or e < trunc)}
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "trunc", trunc)
+
+    @classmethod
+    def _raw(cls, terms: dict, lower: int | None, trunc: int | None) -> Laurent:
+        """Trusted constructor for results of Laurent's own operations."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "terms", terms)
+        object.__setattr__(c, "lower", lower)
+        object.__setattr__(c, "trunc", trunc)
+        return c
+
+    def __setattr__(self, *_):
+        raise AttributeError("Laurent is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, e: int) -> Fraction:
+        return self.terms.get(e, Fraction(0))
+
+    def mul_monomial(self, q, m: int = 0) -> Laurent:
+        """Exact multiplication by q * t^m; a window shifts by m."""
+        terms = {e + m: c * q for e, c in self.terms.items()} if q else {}
+        if self.trunc is None:
+            return Laurent._raw(terms, None, None)
+        return Laurent._raw(terms, self.lower + m, self.trunc + m)
+
+    def __neg__(self) -> Laurent:
+        return Laurent._raw({e: -c for e, c in self.terms.items()}, self.lower, self.trunc)
+
+    def __add__(self, other: Laurent) -> Laurent:
+        if (self.trunc is None) != (other.trunc is None):
+            raise SeriesError("exact and windowed scalars do not mix")
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            s = c if s is None else s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        if self.trunc is None:
+            return Laurent._raw(out, None, None)
+        trunc = min(self.trunc, other.trunc)
+        out = {e: c for e, c in out.items() if e < trunc}
+        return Laurent._raw(out, min(self.lower, other.lower), trunc)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Laurent)
+            and (self.lower, self.trunc) == (other.lower, other.trunc)
+            and self.terms == other.terms
+        )
+
+    def __repr__(self):
+        body = " + ".join(f"{q}*t^{e}" for e, q in sorted(self.terms.items())) or "0"
+        return body if self.trunc is None else f"{body} (window [{self.lower}, {self.trunc}))"
 
 
 def factorial_of_multi_index(alpha: tuple) -> int:

@@ -34,7 +34,6 @@ from .hochschild import (
     weyl_handle,
 )
 from .rees import (
-    OpSeries,
     localized_to_weyl,
     rees_from_localized,
     rees_iota,
@@ -204,20 +203,13 @@ def check_trace_cycles(seed: int, scale: str) -> CheckResult:
     return _result(cid, name, failures, {"dims": [1, 2], "words_d2": 24})
 
 
-def _weyl_loc_coeff_from_ops(c: OpSeries, dim: int, trunc: int) -> WeylElement:
-    gens = weyl_gens(dim)
-    coeffs = {p: Poly.const(gens, op.constant_term()) for p, op in c.comps.items()}
-    lower = min([0] + list(c.comps))
-    return WeylElement(TSeries(gens, coeffs, lower, trunc), dim)
-
-
 def localization_morphism(dim: int, trunc: int = 3) -> AlgebraMorphism:
-    """The algebra map x -> x, t d -> xi on the Laurent model, as a chain map."""
+    """The algebra map x -> x, t d -> xi, t -> t on the Laurent model, as a
+    chain map; scalars keep their t-powers below ``trunc``."""
     return AlgebraMorphism(
         source=rees_handle(dim),
         target=weyl_handle(dim, trunc=trunc, localized=True),
         element_map=lambda s: localized_to_weyl(s, trunc=trunc),
-        coeff_map=lambda c: _weyl_loc_coeff_from_ops(c, dim, trunc),
     )
 
 

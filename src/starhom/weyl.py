@@ -82,6 +82,22 @@ class WeylElement:
     def key(self):
         return self.value.key()
 
+    def scalar_part(self) -> WeylElement:
+        return WeylElement(self.value.map_coeffs(lambda p: p.scalar_part()), self.dim)
+
+    def lowest_term(self) -> tuple[Fraction, int]:
+        """(q, m): the least t-power m and, inside it, the coefficient of
+        the least exponent; defined on nonzero elements."""
+        m = min(self.value.coeffs)
+        p = self.value.coeffs[m]
+        return p.terms[min(p.terms)], m
+
+    def monomials(self) -> list:
+        """The terms as (q, t-power, basis key) triples."""
+        return [
+            (q, e, exp) for e, p in self.value.coeffs.items() for exp, q in p.terms.items()
+        ]
+
     def _check(self, other: WeylElement):
         if self.dim != other.dim:
             raise SeriesError(f"dimension mismatch: {self.dim} vs {other.dim}")

@@ -1,6 +1,7 @@
 """Exit codes, JSON output, and determinism of the command-line front end."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -229,3 +230,48 @@ class TestCrossProcessDeterminism:
                     proc.wait()
         assert outs[0] == outs[1]
         assert hashlib.md5(outs[0]).hexdigest() == "ff48212cf5b98764f02042c14f39e3d9"
+
+
+class TestChainDocumentShape:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"algebra": "poly", "degree": 1, "terms": [{"coef": "1/1", "word": [5, 6]}]},
+            {"algebra": "poly", "degree": 1, "terms": 5},
+            {"algebra": "poly", "degree": 1, "terms": [7]},
+            {"algebra": "weyl", "degree": 1, "dim": 1, "terms": [{"coef": "1/1", "word": 5}]},
+            {"algebra": "weyl", "degree": "one", "dim": 1, "terms": []},
+        ],
+    )
+    def test_wrong_shapes_exit_2(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_MALFORMED
+        assert out == "" and err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "algebra,coef",
+        [
+            (
+                "weyl",
+                {"lower": 0, "trunc": 8, "coeffs": {
+                    "0": {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}}},
+            ),
+            (
+                "rees",
+                {"dim": 1, "coeffs": {
+                    "0": {"dim": 1, "terms": [{"x": [0], "d": [1], "coef": "1/1"}]}}},
+            ),
+        ],
+    )
+    def test_non_scalar_coefficient_exits_2(self, capsys, monkeypatch, algebra, coef):
+        slot = (
+            {"gens": ["x1", "xi1"], "terms": [{"exp": [0, 1], "coef": "1/1"}]}
+            if algebra == "weyl"
+            else {"dim": 1, "coeffs": {"0": {"dim": 1, "terms": [{"x": [1], "d": [0], "coef": "1/1"}]}}}
+        )
+        doc = {"algebra": algebra, "degree": 1, "dim": 1, "terms": [{"coef": coef, "word": [slot, slot]}]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_MALFORMED
+        assert "constant" in err

@@ -117,7 +117,7 @@ class ChernRootSeries:
                     exp = [0] * d
                     exp[i] = k
                     factor = factor + Poly.monomial(roots, exp, q)
-            out = (out * factor).truncate_degree(trunc)
+            out = out.mul_truncated(factor, trunc)
         return cls(roots, trunc, out)
 
     @property
@@ -132,7 +132,7 @@ class ChernRootSeries:
             raise SeriesError("root mismatch")
         trunc = min(self.trunc, other.trunc)
         return ChernRootSeries(
-            self.roots, trunc, (self.poly * other.poly).truncate_degree(trunc),
+            self.roots, trunc, self.poly.mul_truncated(other.poly, trunc),
             check_symmetry=False,
         )
 
@@ -261,7 +261,7 @@ def exp_class(theta: ChernClassExpr, trunc: int | None = None) -> ChernRootSerie
     out = Poly.const(base.gens, 1)
     power = Poly.const(base.gens, 1)
     for k in range(1, trunc + 1):
-        power = (power * base).truncate_degree(trunc)
+        power = power.mul_truncated(base, trunc)
         if power.is_zero():
             break
         out = out + power * Fraction(1, math.factorial(k))
@@ -273,13 +273,16 @@ def to_chern_basis(s: ChernRootSeries) -> ChernClassExpr:
 
     Classical leading-term subtraction: peel the lex-greatest monomial
     x^lambda (lambda must be a partition, or the input was not symmetric)
-    against e_1^(l1-l2) e_2^(l2-l3) ... ; exact and terminating.
+    against e_1^(l1-l2) e_2^(l2-l3) ... ; exact and terminating.  The
+    powers e_i^k come from one table per call, grown on demand as
+    e_i^k = e_i^(k-1) * e_i, so no power is built twice.
     """
     d = s.dim
     cgens = chern_names(d)
     remainder = s.poly
     out = Poly.zero(cgens)
-    elems = [elementary_symmetric(d, i) for i in range(1, d + 1)]
+    # powers[i][k] = e_(i+1)^k
+    powers = [[Poly.const(s.roots, 1), elementary_symmetric(d, i)] for i in range(1, d + 1)]
     while not remainder.is_zero():
         lam = max(remainder.terms)
         q = remainder.terms[lam]
@@ -293,7 +296,10 @@ def to_chern_basis(s: ChernRootSeries) -> ChernClassExpr:
             power = lam[i] - (lam[i + 1] if i + 1 < d else 0)
             cexp[i] = power
             if power:
-                prod = prod * elems[i] ** power
+                table = powers[i]
+                while len(table) <= power:
+                    table.append(table[-1] * table[1])
+                prod = prod * table[power]
         out = out + Poly.monomial(cgens, cexp, q)
         remainder = remainder - prod
     return ChernClassExpr(d, s.trunc, out)

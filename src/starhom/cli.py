@@ -3,8 +3,9 @@
 Exit codes: 0 when every requested check verified (or a value command
 succeeded), 1 when some exact identity was violated, 2 on malformed input,
 3 when the program itself failed (an internal error, reported on one line
-of stderr).  The machine-readable document goes to stdout; a short human
-summary goes to stderr.
+of stderr, or a suite criterion that raised and so has status "error").
+The machine-readable document goes to stdout; a short human summary goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .hkr import hkr_map
 from .rees import rees_from_localized, rees_iota, rees_sigma
 from .series import Poly, SeriesError
 from .serialize import DecodeError
-from .suite import VERIFIED, VIOLATED, CheckResult, Report
+from .suite import ERROR, VERIFIED, VIOLATED, CheckResult, Report
 from .weyl import moyal_star
 
 EXIT_OK = 0
@@ -60,6 +61,8 @@ def _report_exit(report: Report) -> int:
     for c in sorted(report.checks, key=lambda c: c.id):
         print(f"{c.id} {c.name}: {c.status}", file=sys.stderr)
     print(f"overall: {report.status}", file=sys.stderr)
+    if any(c.status == ERROR for c in report.checks):
+        return EXIT_INTERNAL
     return EXIT_OK if report.status == VERIFIED else EXIT_VIOLATED
 
 
@@ -74,11 +77,10 @@ def _single_check_report(args, check: CheckResult) -> int:
 
 def cmd_star(args) -> int:
     doc = _read_json(args.json)
-    dim = args.dim
-    f = serialize.weyl_from_json(doc["f"], dim=dim, trunc=args.trunc_t) if "f" in doc else None
-    g = serialize.weyl_from_json(doc["g"], dim=dim, trunc=args.trunc_t) if "g" in doc else None
-    if f is None or g is None:
+    if not isinstance(doc, dict) or "f" not in doc or "g" not in doc:
         raise DecodeError("expected fields 'f' and 'g'")
+    f = serialize.weyl_from_json(doc["f"], dim=args.dim, trunc=args.trunc_t)
+    g = serialize.weyl_from_json(doc["g"], dim=args.dim, trunc=args.trunc_t)
     product = moyal_star(f, g)
     _emit(serialize.weyl_to_json(product), f"star product computed (trunc {product.value.trunc})")
     return EXIT_OK

@@ -43,11 +43,44 @@ def _need_objects(doc: dict, field: str) -> list:
     return items
 
 
+def _need_mapping(doc: dict, field: str) -> dict:
+    items = _need(doc, field)
+    if not isinstance(items, dict):
+        raise DecodeError(f"field {field!r} must be an object")
+    return items
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise DecodeError(f"{what} must be an object, got {doc!r}")
+    return doc
+
+
 def _int_from(value, what: str) -> int:
     try:
         return int(value)
     except (TypeError, ValueError):
         raise DecodeError(f"bad {what} {value!r}") from None
+
+
+def _ints_from(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise DecodeError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int_from(e, what) for e in value)
+
+
+def _names_from(value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
+        raise DecodeError(f"generators must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def _dim_from(doc: dict, dim: int | None) -> int | None:
+    """The document's own nonzero "dim", else the one passed in."""
+    value = _int_from(doc.get("dim", dim) or 0, "dimension")
+    if value < 0:
+        raise DecodeError(f"bad dimension {value}")
+    return value or dim
 
 
 def _fraction_from(text) -> Fraction:
@@ -71,15 +104,16 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(doc: dict, gens=None) -> Poly:
-    got = tuple(_need(doc, "gens")) if "gens" in doc else None
+    doc = _object(doc, "a polynomial")
+    got = _names_from(doc["gens"]) if "gens" in doc else None
     gens = got if gens is None else tuple(gens)
     if got is not None and got != gens:
         raise DecodeError(f"generator mismatch: {got} vs {gens}")
     if gens is None:
         raise DecodeError("no generators given")
     terms = {}
-    for item in _need(doc, "terms"):
-        exp = tuple(int(e) for e in _need(item, "exp"))
+    for item in _need_objects(doc, "terms"):
+        exp = _ints_from(_need(item, "exp"), "exponent")
         terms[exp] = terms.get(exp, Fraction(0)) + _fraction_from(_need(item, "coef"))
     try:
         return Poly(gens, terms)
@@ -99,7 +133,7 @@ def tseries_to_json(s: TSeries) -> dict:
 
 
 def tseries_from_json(doc: dict, gens=None) -> TSeries:
-    coeffs_doc = _need(doc, "coeffs")
+    coeffs_doc = _need_mapping(doc, "coeffs")
     coeffs = {}
     for e_str, p_doc in coeffs_doc.items():
         p = poly_from_json(p_doc, gens)
@@ -121,11 +155,11 @@ def weyl_to_json(w: WeylElement) -> dict:
 
 
 def weyl_from_json(doc: dict, dim: int | None = None, trunc: int | None = None) -> WeylElement:
-    dim = int(doc.get("dim", dim) or 0) or dim
+    dim = _dim_from(_object(doc, "a Weyl element"), dim)
     if dim is None:
         raise DecodeError("dimension required")
     gens = weyl_gens(dim)
-    body = doc.get("value", doc)
+    body = _object(doc.get("value", doc), "a Weyl element value")
     if "coeffs" in body:
         series = tseries_from_json(body, gens)
     else:
@@ -150,13 +184,13 @@ def diffop_to_json(op: DiffOp) -> dict:
 
 
 def diffop_from_json(doc: dict, dim: int | None = None) -> DiffOp:
-    dim = int(doc.get("dim", dim) or 0) or dim
+    dim = _dim_from(_object(doc, "an operator"), dim)
     if dim is None:
         raise DecodeError("dimension required for operators")
     terms = {}
-    for item in _need(doc, "terms"):
-        xe = tuple(int(e) for e in _need(item, "x"))
-        de = tuple(int(e) for e in _need(item, "d"))
+    for item in _need_objects(doc, "terms"):
+        xe = _ints_from(_need(item, "x"), "x multi-index")
+        de = _ints_from(_need(item, "d"), "d multi-index")
         key = (xe, de)
         terms[key] = terms.get(key, Fraction(0)) + _fraction_from(_need(item, "coef"))
     try:
@@ -173,9 +207,9 @@ def opseries_to_json(s: OpSeries) -> dict:
 
 
 def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
-    dim = int(doc.get("dim", dim) or 0) or dim
+    dim = _dim_from(_object(doc, "an operator series"), dim)
     comps = {}
-    for p_str, op_doc in _need(doc, "coeffs").items():
+    for p_str, op_doc in _need_mapping(doc, "coeffs").items():
         op = diffop_from_json(op_doc, dim)
         dim = op.dim
         try:
@@ -273,11 +307,13 @@ def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
 def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8, gens=None) -> HochschildChain:
     algebra = _need(doc, "algebra")
     dim = _int_from(doc.get("dim", dim), "dimension")
+    if dim < 1:
+        raise DecodeError(f"bad dimension {dim}")
     items = _need_objects(doc, "terms")
     words = [_need_objects(item, "word") for item in items]
     if algebra == "poly" and gens is None:
         # polynomial chains carry their own generator tuple
-        gens = next((tuple(e["gens"]) for w in words for e in w if "gens" in e), None)
+        gens = next((_names_from(e["gens"]) for w in words for e in w if "gens" in e), None)
     handle = handle_for(algebra, dim=dim, trunc=trunc, gens=gens)
     degree = _int_from(_need(doc, "degree"), "degree")
     terms = []

@@ -21,7 +21,9 @@ they can be shared freely between workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -204,19 +206,38 @@ class Poly:
             if not q:
                 return Poly._raw(self.gens, {})
             return Poly._raw(self.gens, {e: c * q for e, c in self.terms.items()})
+        return self._product(other, None)
+
+    __rmul__ = __mul__
+
+    def mul_truncated(self, other: Poly, max_deg: int) -> Poly:
+        """``(self * other).truncate_degree(max_deg)``, without building the
+        terms of total degree above ``max_deg``."""
+        return self._product(other, max_deg)
+
+    def _product(self, other: Poly, max_deg: int | None) -> Poly:
+        """The one accumulate-and-cancel loop of Poly products.  Under a
+        degree cap the right operand's terms are sorted by degree, and each
+        left term meets only the prefix that keeps the sum within the cap."""
         self._check(other)
+        right = other.terms.items()
+        if max_deg is not None:
+            right = sorted(right, key=lambda t: sum(t[0]))
+            degrees = [sum(e) for e, _ in right]
         out: dict[tuple, Fraction] = {}
         for e1, q1 in self.terms.items():
-            for e2, q2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+            if max_deg is None:
+                partners = right
+            else:
+                partners = right[: bisect_right(degrees, max_deg - sum(e1))]
+            for e2, q2 in partners:
+                exp = tuple(map(add, e1, e2))
                 s = out.get(exp, Fraction(0)) + q1 * q2
                 if s:
                     out[exp] = s
                 elif exp in out:
                     del out[exp]
         return Poly._raw(self.gens, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -226,8 +247,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def partial(self, name: str) -> Poly:

@@ -9,6 +9,9 @@ The last criterion guards against vacuous checks: it reruns the battery to
 confirm byte-stable output, then flips the sign in the star-product kernel
 and demands that the bracket normalization (or associativity) check fails
 under the mutation.
+
+A criterion that raises does not end the run: it gets status "error" with
+the exception's type and message, and the report status is "error".
 """
 
 from __future__ import annotations
@@ -412,8 +415,22 @@ BATTERY = [
 ]
 
 
+def _guarded(cid: str, fn, *args, **kwargs) -> CheckResult:
+    """Run one criterion.  An exception becomes an ``error`` result that
+    names its type and message, so the rest of the report is still built."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return CheckResult(
+            id=cid,
+            name=fn.__name__,
+            status=ERROR,
+            details=[{"exception": type(exc).__name__, "message": str(exc)}],
+        )
+
+
 def _run_battery(seed: int, scale: str) -> list[CheckResult]:
-    return [fn(seed, scale) for fn in BATTERY]
+    return [_guarded(f"C{n:02d}", fn, seed, scale) for n, fn in enumerate(BATTERY, 1)]
 
 
 def check_determinism_and_controls(seed: int, scale: str, first_pass: list | None = None) -> CheckResult:
@@ -441,6 +458,7 @@ def run_suite(seed: int = 0, scale: str = "small") -> Report:
     if scale not in ("small", "full"):
         raise ValueError(f"unknown scale {scale!r}")
     checks = _run_battery(seed, scale)
-    checks.append(check_determinism_and_controls(seed, scale, first_pass=checks))
-    status = VERIFIED if all(c.status == VERIFIED for c in checks) else VIOLATED
+    checks.append(_guarded("C12", check_determinism_and_controls, seed, scale, first_pass=checks))
+    statuses = {c.status for c in checks}
+    status = ERROR if ERROR in statuses else VIOLATED if VIOLATED in statuses else VERIFIED
     return Report(status=status, seed=seed, scale=scale, checks=checks)

@@ -1,6 +1,7 @@
 """Characteristic-class series and the multiplicative identity."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from starhom.charclass import (
     a_hat,
     a_hat_root_series,
     chern_names,
+    elementary_symmetric,
     exp_class,
     root_names,
     rr_identity_check,
@@ -168,6 +170,14 @@ class TestChernBasis:
         with pytest.raises(SymmetryError):
             ChernRootSeries(r, 3, Poly.gen(r, "r1"))
 
+    def test_todd_d5_degree8_round_trip(self):
+        # substitute c_i = e_i(roots) back and compare with todd in the roots
+        todd58 = todd(5, 8)
+        converted = to_chern_basis(todd58)
+        images = {f"c{i}": elementary_symmetric(5, i) for i in range(1, 6)}
+        assert converted.poly.substitute(images).truncate_degree(8) == todd58.poly
+        assert converted.to_roots(8) == todd58
+
 
 class TestIdentity:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -180,6 +190,35 @@ class TestIdentity:
         report = rr_identity_check(1, 2, theta=ChernClassExpr.zero(1, 2))
         assert not report.equal
         assert report.mismatches[0][0] == 1
+
+    def test_capped_products_drop_nothing_up_to_trunc(self):
+        # reference: the same series from untruncated products, cut once at the end
+        d, trunc = 3, 8
+        roots = root_names(d)
+        theta = ChernClassExpr(d, trunc, Poly.gen(chern_names(d), "c1") * Fraction(1, 3))
+
+        def root_product(coeffs):
+            out = Poly.const(roots, 1)
+            for i in range(d):
+                out = out * Poly(roots, {
+                    tuple(k if j == i else 0 for j in range(d)): q
+                    for k, q in enumerate(coeffs[: trunc + 1])
+                })
+            return out
+
+        base = theta.to_roots(trunc).poly
+        exp_full = Poly.zero(roots)
+        for k in range(trunc + 1):
+            exp_full = exp_full + base ** k * Fraction(1, math.factorial(k))
+        lhs = (root_product(a_hat_root_series(trunc)) * exp_full).truncate_degree(trunc)
+        rhs = root_product(todd_root_series(trunc)).truncate_degree(trunc)
+        want = []
+        for k in range(trunc + 1):
+            diff = lhs.homogeneous_part(k) - rhs.homogeneous_part(k)
+            if not diff.is_zero():
+                want.append((k, diff))
+        report = rr_identity_check(d, trunc, theta=theta)
+        assert want and report.mismatches == want
 
     def test_report_shape(self):
         doc = rr_identity_check(2, 3).to_json_dict()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import starhom
-from starhom import cli
+from starhom import cli, suite
 from starhom.cli import EXIT_INTERNAL, EXIT_MALFORMED, EXIT_OK, EXIT_VIOLATED, main
 
 
@@ -204,6 +204,34 @@ class TestInternalError:
         assert lines[0].startswith("internal error: RuntimeError: boom")
 
 
+class TestCriterionErrors:
+    def test_raising_criterion_is_reported_and_exits_3(self, capsys, monkeypatch):
+        def boom(seed, scale):
+            raise RuntimeError("criterion exploded")
+
+        def control_boom(seed, scale, mutate=False):
+            raise ZeroDivisionError("control exploded")
+
+        # C03 in the battery; C12 through the negative control it calls by name
+        monkeypatch.setattr(suite, "BATTERY", [*suite.BATTERY[:2], boom, *suite.BATTERY[3:]])
+        monkeypatch.setattr(suite, "check_bracket_normalization", control_boom)
+        code, out, err = run_cli(capsys, "suite", "--seed", "0", "--scale", "small")
+        assert code == EXIT_INTERNAL
+        report = json.loads(out)
+        assert report["status"] == "error"
+        checks = {c["id"]: c for c in report["checks"]}
+        assert sorted(checks) == [f"C{n:02d}" for n in range(1, 13)]
+        assert checks["C03"]["status"] == "error"
+        assert checks["C03"]["details"] == [
+            {"exception": "RuntimeError", "message": "criterion exploded"}
+        ]
+        assert checks["C12"]["status"] == "error"
+        assert checks["C12"]["details"][0]["exception"] == "ZeroDivisionError"
+        others = [c["status"] for cid, c in checks.items() if cid not in ("C03", "C12")]
+        assert others == ["verified"] * 10
+        assert "C03 boom: error" in err and "overall: error" in err
+
+
 class TestCrossProcessDeterminism:
     def test_suite_report_ignores_hash_seed(self):
         src = str(Path(starhom.__file__).resolve().parent.parent)
@@ -275,3 +303,44 @@ class TestChainDocumentShape:
         code, out, err = run_cli(capsys, "hb", "--json", "-")
         assert code == EXIT_MALFORMED
         assert "constant" in err
+
+
+WEYL_SLOT = {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}
+REES_SLOT = {"dim": 1, "coeffs": {"0": {"dim": 1, "terms": [{"x": [1], "d": [0], "coef": "1/1"}]}}}
+
+
+def _chain(algebra, first, second=None, coef="1/1"):
+    return {
+        "algebra": algebra,
+        "degree": 1,
+        "dim": 1,
+        "terms": [{"coef": coef, "word": [first, first if second is None else second]}],
+    }
+
+
+class TestSlotDocumentTypes:
+    """A wrongly typed field inside a slot, a coefficient or a star operand
+    is malformed input (exit 2), not an internal error (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("hb", _chain("poly", {"gens": ["x1", "xi1"], "terms": 5})),
+            ("hb", _chain("poly", {"gens": 5, "terms": []})),
+            ("hb", _chain("weyl", {"gens": ["x1", "xi1"], "terms": [{"exp": "ab", "coef": "1/1"}]},
+                          WEYL_SLOT)),
+            ("hb", _chain("rees", {"dim": 1, "coeffs": [1]}, REES_SLOT)),
+            ("hb", _chain("weyl", WEYL_SLOT, coef={"lower": 0, "trunc": 8, "coeffs": []})),
+            ("star", {"f": 5, "g": WEYL_SLOT}),
+            ("star", 5),
+            ("hb", {**_chain("weyl", WEYL_SLOT), "dim": -1}),
+            ("hb", _chain("weyl", {"dim": "two", "value": WEYL_SLOT}, WEYL_SLOT)),
+            ("hb", _chain("rees", {"dim": 1, "coeffs": {"0": {"dim": 1, "terms": [
+                {"x": 5, "d": [0], "coef": "1/1"}]}}}, REES_SLOT)),
+        ],
+    )
+    def test_mistyped_field_exits_2(self, capsys, monkeypatch, command, doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--json", "-")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error:")

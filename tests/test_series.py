@@ -228,3 +228,35 @@ class TestOperationsBuildCanonicalValues:
     def test_series_results(self, a, b):
         for r in (a + b, a - a, a * b, a.scale(Fraction(1, 2)), a.shift(-1)):
             assert r == revalidated_series(r)
+
+
+capped_operands = st.one_of(
+    small_polys,
+    st.just(Poly.zero(GENS)),
+    st.integers(-5, 5).map(lambda c: Poly.const(GENS, c)),
+)
+
+
+class TestDegreeCappedProduct:
+    @given(capped_operands, capped_operands, st.integers(-1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_truncated_full_product(self, a, b, k):
+        assert a.mul_truncated(b, k) == (a * b).truncate_degree(k)
+
+    def test_cap_below_every_pair_gives_zero(self):
+        assert (x + 1).mul_truncated(xi + 1, -1).is_zero()
+        assert (x + 1).mul_truncated(xi + 1, 0) == one
+
+    def test_generator_mismatch(self):
+        with pytest.raises(GeneratorMismatch):
+            x.mul_truncated(Poly.gen(("x",), "x"), 3)
+
+
+class TestPower:
+    @given(capped_operands, st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_repeated_product(self, p, n):
+        product = one
+        for _ in range(n):
+            product = product * p
+        assert p ** n == product

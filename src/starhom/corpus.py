@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .hochschild import AlgebraHandle, HochschildChain
 from .rees import DiffOp, ReesElement, rees_embed
-from .series import Poly
+from .series import Poly, accumulate
 from .weyl import WeylElement, weyl_gens
 
 
@@ -56,14 +56,10 @@ def random_weyl(
     coeffs = {}
     for _ in range(terms):
         e = rng.randint(min_t, max_t)
-        p = random_poly(rng, gens, max_degree, 1)
-        if p.is_zero():
-            continue
-        coeffs[e] = coeffs.get(e, Poly.zero(gens)) + p
+        accumulate(coeffs, e, random_poly(rng, gens, max_degree, 1))
     w = WeylElement.from_poly(Poly.zero(gens), dim, trunc)
     for e, p in coeffs.items():
-        if not p.is_zero():
-            w = w + WeylElement.from_poly(p, dim, trunc, t_exp=e)
+        w = w + WeylElement.from_poly(p, dim, trunc, t_exp=e)
     if nonzero and w.is_zero():
         w = WeylElement.from_poly(
             Poly.gen(gens, gens[rng.randrange(len(gens))]), dim, trunc
@@ -83,9 +79,7 @@ def random_diffop(
     for _ in range(terms):
         xe = tuple(rng.randint(0, max_x) for _ in range(dim))
         de = tuple(rng.randint(0, max_d) for _ in range(dim))
-        q = random_fraction(rng)
-        if q:
-            table[(xe, de)] = table.get((xe, de), Fraction(0)) + q
+        accumulate(table, (xe, de), random_fraction(rng))
     op = DiffOp(dim, table)
     if nonzero and op.is_zero():
         op = DiffOp.x(dim, 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hkr import _merge_sign
-from .series import Poly, SeriesError, TSeries, as_fraction
+from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
 from .weyl import LieElement, WeylElement, moyal_star, weyl_gens
 
 
@@ -82,6 +82,9 @@ class FormalVectorField:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.comps)
+
+    def __bool__(self) -> bool:
+        return any(self.comps)
 
     def key(self):
         return tuple(p.key() for p in self.comps)
@@ -234,17 +237,7 @@ class LieValuedForm:
                 raise SeriesError(f"wedge index out of range: {widx}")
             if len(bexp) != len(base):
                 raise SeriesError("base exponent length mismatch")
-            if val.is_zero():
-                continue
-            key = (widx, bexp)
-            if key in clean:
-                s = clean[key] + val
-                if s.is_zero():
-                    del clean[key]
-                else:
-                    clean[key] = s
-            else:
-                clean[key] = val
+            accumulate(clean, (widx, bexp), val)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "terms", clean)
@@ -266,11 +259,7 @@ class LieValuedForm:
             if bpoly.gens != base:
                 raise SeriesError("base polynomial over the wrong chart")
             for bexp, q in bpoly.terms.items():
-                key = (tuple(widx), bexp)
-                add = val.scale(q)
-                if key in terms:
-                    add = terms[key] + add
-                terms[key] = add
+                accumulate(terms, (tuple(widx), bexp), val.scale(q))
         return cls(base, kind, terms)
 
     def _check(self, other: LieValuedForm):
@@ -287,12 +276,7 @@ class LieValuedForm:
         self._check(other)
         out = dict(self.terms)
         for key, val in other.terms.items():
-            s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, val)
         return LieValuedForm(self.base, self.kind, out)
 
     def __neg__(self) -> LieValuedForm:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hochschild import ChainError, HochschildChain, UChain
-from .series import Poly, SeriesError
+from .series import Poly, SeriesError, accumulate
 
 
 class FormError(SeriesError):
@@ -60,16 +60,7 @@ class DForm:
                     raise FormError(f"wedge index out of range: {idx}")
                 if coef.gens != variables:
                     raise FormError("coefficient generators do not match form variables")
-                if coef.is_zero():
-                    continue
-                if idx in clean:
-                    s = clean[idx] + coef
-                    if s.is_zero():
-                        del clean[idx]
-                    else:
-                        clean[idx] = s
-                else:
-                    clean[idx] = coef
+                accumulate(clean, idx, coef)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -106,12 +97,7 @@ class DForm:
         self._check(other)
         out = dict(self.terms)
         for idx, p in other.terms.items():
-            s = out.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            accumulate(out, idx, p)
         return DForm(self.vars, out)
 
     def __neg__(self) -> DForm:
@@ -154,13 +140,7 @@ def wedge(a: DForm, b: DForm) -> DForm:
             if merged is None:
                 continue
             sign, idx = merged
-            p = p1 * p2 * sign
-            s = out.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            accumulate(out, idx, p1 * p2 * sign)
     return DForm(a.vars, out)
 
 

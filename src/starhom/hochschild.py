@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .series import Laurent, Poly, SeriesError, as_fraction
+from .series import Laurent, Poly, SeriesError, accumulate, as_fraction
 from .rees import DiffOp, OpSeries
 from .weyl import WeylElement, weyl_gens
 
@@ -177,13 +177,7 @@ class HochschildChain:
                     q *= mono_q
                     m += mono_m
                 key = tuple(mono_key for _, _, mono_key in combo)
-                c = coeff.mul_monomial(q, m)
-                hit = table.get(key)
-                c = c if hit is None else hit + c
-                if c.is_zero():
-                    table.pop(key, None)
-                else:
-                    table[key] = c
+                accumulate(table, key, coeff.mul_monomial(q, m))
         return not table
 
     def term_count(self) -> int:

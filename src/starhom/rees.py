@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .series import Poly, SeriesError, TSeries, as_fraction
+from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
 from .weyl import WeylElement, moyal_star, weyl_gens
 
 
@@ -61,15 +61,7 @@ class DiffOp:
                     raise SeriesError(f"multi-index length mismatch for dim {dim}")
                 if any(e < 0 for e in xe + de):
                     raise SeriesError("negative multi-index entry")
-                q = as_fraction(coef)
-                if q:
-                    key = (xe, de)
-                    q0 = clean.get(key)
-                    q = q if q0 is None else q0 + q
-                    if q:
-                        clean[key] = q
-                    elif key in clean:
-                        del clean[key]
+                accumulate(clean, (xe, de), as_fraction(coef))
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "terms", clean)
 
@@ -121,6 +113,9 @@ class DiffOp:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(not any(xe) and not any(de) for xe, de in self.terms)
 
@@ -139,11 +134,7 @@ class DiffOp:
         self._check(other)
         out = dict(self.terms)
         for key, q in other.terms.items():
-            s = out.get(key, Fraction(0)) + q
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            accumulate(out, key, q)
         return DiffOp._raw(self.dim, out)
 
     def __neg__(self) -> DiffOp:
@@ -210,16 +201,9 @@ def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
                 for i, k in enumerate(kvec):
                     if k:
                         coef *= _binom(ad[i], k) * _falling(bx[i], k)
-                if not coef:
-                    continue
                 xe = tuple(ax[i] + bx[i] - kvec[i] for i in range(dim))
                 de = tuple(ad[i] + bd[i] - kvec[i] for i in range(dim))
-                key = (xe, de)
-                s = out.get(key, Fraction(0)) + coef
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                accumulate(out, (xe, de), coef)
     return DiffOp._raw(dim, out)
 
 
@@ -278,6 +262,9 @@ class OpSeries:
     def is_zero(self) -> bool:
         return not self.comps
 
+    def __bool__(self) -> bool:
+        return bool(self.comps)
+
     def scalar_part(self) -> OpSeries:
         out = {}
         for p, op in self.comps.items():
@@ -308,12 +295,7 @@ class OpSeries:
         self._check(other)
         out = dict(self.comps)
         for p, op in other.comps.items():
-            s = out.get(p)
-            s = op if s is None else s + op
-            if s.is_zero():
-                out.pop(p, None)
-            else:
-                out[p] = s
+            accumulate(out, p, op)
         return OpSeries._raw(self.dim, out)
 
     def __neg__(self) -> OpSeries:
@@ -329,15 +311,7 @@ class OpSeries:
         out: dict[int, DiffOp] = {}
         for p, a in self.comps.items():
             for q, b in other.comps.items():
-                prod = diffop_mul(a, b)
-                if prod.is_zero():
-                    continue
-                s = out.get(p + q)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(p + q, None)
-                else:
-                    out[p + q] = s
+                accumulate(out, p + q, diffop_mul(a, b))
         return OpSeries._raw(self.dim, out)
 
     __rmul__ = __mul__

@@ -6,10 +6,15 @@ documents carry an "algebra" discriminator ("poly" | "weyl" | "rees" |
 "p/q" string, or a scalar series in that algebra's own format: a t-series
 document over weyl and weyl-loc, an operator series over rees.  A series
 that is not constant in x, xi and d is rejected.
+
+Every integer field must be a JSON integer: a float, a boolean or a
+numeric string is malformed input, never truncated into some other value.
+An integer used as an object key is written in decimal digits.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .charclass import ChernClassExpr, ChernRootSeries
@@ -57,10 +62,16 @@ def _object(doc, what: str) -> dict:
 
 
 def _int_from(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DecodeError(f"bad {what} {value!r}") from None
+    # bool is a subclass of int, and JSON true is not the number 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DecodeError(f"bad {what} {value!r}")
+    return value
+
+
+def _int_key(text: str, what: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise DecodeError(f"bad {what} {text!r}")
+    return int(text)
 
 
 def _ints_from(value, what: str) -> tuple:
@@ -77,13 +88,18 @@ def _names_from(value) -> tuple:
 
 def _dim_from(doc: dict, dim: int | None) -> int | None:
     """The document's own nonzero "dim", else the one passed in."""
-    value = _int_from(doc.get("dim", dim) or 0, "dimension")
+    value = doc.get("dim")
+    if value is None:
+        return dim
+    value = _int_from(value, "dimension")
     if value < 0:
         raise DecodeError(f"bad dimension {value}")
     return value or dim
 
 
 def _fraction_from(text) -> Fraction:
+    if isinstance(text, bool):
+        raise DecodeError(f"bad rational {text!r}")
     try:
         return as_fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -138,15 +154,14 @@ def tseries_from_json(doc: dict, gens=None) -> TSeries:
     for e_str, p_doc in coeffs_doc.items():
         p = poly_from_json(p_doc, gens)
         gens = p.gens
-        try:
-            coeffs[int(e_str)] = p
-        except ValueError:
-            raise DecodeError(f"bad t-exponent key {e_str!r}") from None
+        coeffs[_int_key(e_str, "t-exponent key")] = p
     if gens is None:
         raise DecodeError("empty series requires explicit generators")
+    lower = _int_from(_need(doc, "lower"), "lower bound")
+    trunc = _int_from(_need(doc, "trunc"), "truncation")
     try:
-        return TSeries(gens, coeffs, int(_need(doc, "lower")), int(_need(doc, "trunc")))
-    except (SeriesError, ValueError, TypeError) as exc:
+        return TSeries(gens, coeffs, lower, trunc)
+    except SeriesError as exc:
         raise DecodeError(str(exc)) from None
 
 
@@ -212,10 +227,7 @@ def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
     for p_str, op_doc in _need_mapping(doc, "coeffs").items():
         op = diffop_from_json(op_doc, dim)
         dim = op.dim
-        try:
-            comps[int(p_str)] = op
-        except ValueError:
-            raise DecodeError(f"bad grade key {p_str!r}") from None
+        comps[_int_key(p_str, "grade key")] = op
     if dim is None:
         raise DecodeError("dimension required for operators")
     return OpSeries(dim, comps)
@@ -329,6 +341,47 @@ def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8, gens=None) -> Hochs
         return HochschildChain(handle, degree, terms)
     except SeriesError as exc:
         raise DecodeError(str(exc)) from None
+
+
+# -- chart data of the fedosov checks ----------------------------------------------
+
+
+def _matrix_from_json(rows, base: tuple) -> list:
+    """A d x d matrix of polynomial documents over the chart, d = len(base)."""
+    d = len(base)
+    if not isinstance(rows, list) or len(rows) != d or not all(
+        isinstance(row, list) and len(row) == d for row in rows
+    ):
+        raise DecodeError(f"expected a {d}x{d} matrix of polynomials, got {rows!r}")
+    return [[poly_from_json(e, base) for e in row] for row in rows]
+
+
+def _wedge_from_key(key: str, d: int) -> tuple:
+    widx = tuple(_int_key(part, "wedge index") for part in key.split(",")) if key else ()
+    if any(i < 0 or i >= d for i in widx) or list(widx) != sorted(set(widx)):
+        raise DecodeError(f"wedge key {key!r} must list increasing indices below {d}")
+    return widx
+
+
+def chart_from_json(doc, base) -> tuple[dict | None, tuple[list, list] | None]:
+    """The optional fields of a fedosov document: the connection form "a0",
+    {"i,j,...": matrix} with wedge indices into ``base``, and the overlap
+    frame "g", "g_inv".  A field that is absent comes back as None."""
+    doc = _object(doc, "a fedosov document")
+    base = tuple(base)
+    mform = None
+    if "a0" in doc:
+        mform = {
+            _wedge_from_key(key, len(base)): _matrix_from_json(rows, base)
+            for key, rows in _need_mapping(doc, "a0").items()
+        }
+    frame = None
+    if "g" in doc or "g_inv" in doc:
+        frame = (
+            _matrix_from_json(_need(doc, "g"), base),
+            _matrix_from_json(_need(doc, "g_inv"), base),
+        )
+    return mform, frame
 
 
 # -- forms and class series -------------------------------------------------------

@@ -14,8 +14,12 @@ characteristic classes) is built on two types:
 A third, ``Laurent``, is the scalar ring of the chain complexes: a sparse
 Laurent polynomial in t over Q, with a window of the same kind or none.
 
-Values are immutable after construction and all operations are pure, so
-they can be shared freely between workers.
+Values are immutable after construction and all operations are pure.
+
+Every sparse sum in the package goes through ``accumulate``: add a value
+into a dict entry and drop the entry when the sum is zero.  Its zero test
+is truthiness, so each ring type here and downstream defines ``__bool__``
+as ``not is_zero()``, the convention ``Fraction`` already follows.
 """
 
 from __future__ import annotations
@@ -58,6 +62,19 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def accumulate(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``; a zero sum removes the key.
+
+    A key that cancels and comes back is stored at the end of the dict, and
+    a zero added to an absent key stores nothing."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
@@ -81,14 +98,7 @@ class Poly:
                     )
                 if any(e < 0 for e in exp):
                     raise SeriesError(f"negative exponent in {exp}")
-                q = as_fraction(coef)
-                if q:
-                    q0 = clean.get(exp)
-                    q = q if q0 is None else q0 + q
-                    if q:
-                        clean[exp] = q
-                    elif exp in clean:
-                        del clean[exp]
+                accumulate(clean, exp, as_fraction(coef))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "terms", clean)
 
@@ -133,6 +143,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(not any(exp) for exp in self.terms)
@@ -180,11 +193,7 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for exp, q in other.terms.items():
-            s = out.get(exp, Fraction(0)) + q
-            if s:
-                out[exp] = s
-            elif exp in out:
-                del out[exp]
+            accumulate(out, exp, q)
         return Poly._raw(self.gens, out)
 
     __radd__ = __add__
@@ -216,9 +225,9 @@ class Poly:
         return self._product(other, max_deg)
 
     def _product(self, other: Poly, max_deg: int | None) -> Poly:
-        """The one accumulate-and-cancel loop of Poly products.  Under a
-        degree cap the right operand's terms are sorted by degree, and each
-        left term meets only the prefix that keeps the sum within the cap."""
+        """The one loop of Poly products.  Under a degree cap the right
+        operand's terms are sorted by degree, and each left term meets only
+        the prefix that keeps the sum within the cap."""
         self._check(other)
         right = other.terms.items()
         if max_deg is not None:
@@ -231,12 +240,7 @@ class Poly:
             else:
                 partners = right[: bisect_right(degrees, max_deg - sum(e1))]
             for e2, q2 in partners:
-                exp = tuple(map(add, e1, e2))
-                s = out.get(exp, Fraction(0)) + q1 * q2
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
+                accumulate(out, tuple(map(add, e1, e2)), q1 * q2)
         return Poly._raw(self.gens, out)
 
     def __pow__(self, n: int):
@@ -399,6 +403,9 @@ class TSeries:
         """True when nothing is stored inside the validity window."""
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def min_exponent(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
 
@@ -428,12 +435,7 @@ class TSeries:
         trunc = min(self.trunc, other.trunc)
         out: dict[int, Poly] = dict(self.coeffs)
         for e, p in other.coeffs.items():
-            s = out.get(e)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            accumulate(out, e, p)
         out = {e: p for e, p in out.items() if e < trunc}
         return TSeries._raw(self.gens, out, lower, trunc)
 
@@ -453,15 +455,8 @@ class TSeries:
         for e1, p1 in self.coeffs.items():
             for e2, p2 in other.coeffs.items():
                 e = e1 + e2
-                if e >= trunc:
-                    continue
-                prod = p1 * p2
-                s = out.get(e)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                if e < trunc:
+                    accumulate(out, e, p1 * p2)
         return TSeries._raw(self.gens, out, lower, trunc)
 
     __rmul__ = __mul__
@@ -580,6 +575,9 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def coefficient(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
@@ -598,12 +596,7 @@ class Laurent:
             raise SeriesError("exact and windowed scalars do not mix")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            accumulate(out, e, c)
         if self.trunc is None:
             return Laurent._raw(out, None, None)
         trunc = min(self.trunc, other.trunc)

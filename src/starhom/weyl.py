@@ -29,6 +29,7 @@ from .series import (
     Poly,
     SeriesError,
     TSeries,
+    accumulate,
     as_fraction,
     factorial_of_multi_index,
 )
@@ -78,6 +79,9 @@ class WeylElement:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
 
     def key(self):
         return self.value.key()
@@ -168,6 +172,9 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return self.value.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.value)
 
     def key(self):
         return self.value.key()
@@ -273,16 +280,7 @@ def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = Fal
                     * half ** k
                     / (factorial_of_multi_index(alpha) * factorial_of_multi_index(beta))
                 )
-                contrib = p1 * p2 * coef
-                if contrib.is_zero():
-                    continue
-                e = m + n + k
-                s = out.get(e)
-                s = contrib if s is None else s + contrib
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                accumulate(out, m + n + k, p1 * p2 * coef)
     return WeylElement(TSeries(gens, out, lower, trunc), d)
 
 

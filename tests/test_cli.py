@@ -344,3 +344,91 @@ class TestSlotDocumentTypes:
         code, out, err = run_cli(capsys, command, "--json", "-")
         assert code == EXIT_MALFORMED, err
         assert out == "" and err.startswith("input error:")
+
+
+POLY_SLOT = {"gens": ["x", "y"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}
+
+
+def _poly_chain(first, degree=1):
+    return {"algebra": "poly", "degree": degree, "terms": [{"coef": "1/1", "word": [first, POLY_SLOT]}]}
+
+
+def _weyl_coef_chain(coef):
+    return _chain("weyl", WEYL_SLOT, {"gens": ["x1", "xi1"], "terms": [{"exp": [0, 1], "coef": "1/1"}]}, coef)
+
+
+class TestStrictIntegers:
+    """An integer field holding a float, a boolean or a numeric string is
+    malformed input; it is never truncated into a different value."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _poly_chain({"gens": ["x", "y"], "terms": [{"exp": [1.7, True], "coef": "1/1"}]}),
+            _poly_chain({"gens": ["x", "y"], "terms": [{"exp": ["2", 0], "coef": "1/1"}]}),
+            _poly_chain(POLY_SLOT, degree=1.9),
+            _poly_chain(POLY_SLOT, degree=True),
+            {**_chain("weyl", WEYL_SLOT), "dim": 1.0},
+            _chain("weyl", {"dim": True, "value": WEYL_SLOT}, WEYL_SLOT),
+            _weyl_coef_chain({"lower": 0.5, "trunc": 8, "coeffs": {}}),
+            _weyl_coef_chain({"lower": 0, "trunc": "8", "coeffs": {}}),
+            _weyl_coef_chain({"lower": 0, "trunc": 8, "coeffs": {
+                "+0": {"gens": ["x1", "xi1"], "terms": [{"exp": [0, 0], "coef": "1/1"}]}}}),
+            _chain("rees", {"dim": 1, "coeffs": {"0_0": {"dim": 1, "terms": [
+                {"x": [1], "d": [0], "coef": "1/1"}]}}}, REES_SLOT),
+            _poly_chain({"gens": ["x", "y"], "terms": [{"exp": [1, 0], "coef": True}]}),
+        ],
+    )
+    def test_mistyped_integer_exits_2(self, capsys, monkeypatch, doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error:")
+
+
+ZERO_ENTRY = {"terms": []}
+UNIT_ENTRY = {"terms": [{"exp": [0, 0], "coef": "1/1"}]}
+
+
+class TestFedosovDocument:
+    @pytest.mark.parametrize(
+        "check,doc",
+        [
+            ("flat", [1, 2]),
+            ("flat", {"a0": 5}),
+            ("flat", {"a0": {"0": 5}}),
+            ("flat", {"a0": {"x": [[ZERO_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}),
+            ("flat", {"a0": {"0": [[ZERO_ENTRY]]}}),
+            ("flat", {"a0": {"0": [[ZERO_ENTRY], [ZERO_ENTRY]]}}),
+            ("flat", {"a0": {"2": [[ZERO_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}),
+            ("flat", {"a0": {"1,0": [[ZERO_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}),
+            ("transition", {"g": 5, "g_inv": 5}),
+            ("transition", {"g": [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, UNIT_ENTRY]]}),
+        ],
+    )
+    def test_malformed_document_exits_2(self, capsys, monkeypatch, check, doc):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "fedosov", "--check", check, "--dim", "2", "--json", "-")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error:")
+
+    def test_well_formed_document_runs(self, capsys, monkeypatch):
+        entry = {"terms": [{"exp": [0, 1], "coef": "1/1"}]}
+        identity = [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, UNIT_ENTRY]]
+        doc = {"a0": {"0": [[entry, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}, "g": identity, "g_inv": identity}
+        for check in ("flat", "transition"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            code, out, err = run_cli(capsys, "fedosov", "--check", check, "--dim", "2", "--json", "-")
+            assert code == EXIT_OK, err
+            assert json.loads(out)["status"] == "verified"
+
+
+class TestKeyErrorIsInternal:
+    def test_internal_key_error_exits_3(self, capsys, monkeypatch):
+        def crash(dim):
+            raise KeyError("slot")
+
+        monkeypatch.setattr(cli, "phi_E", crash)
+        code, out, err = run_cli(capsys, "verify-cycle", "--chain", "phi_E", "--dim", "1")
+        assert code == EXIT_INTERNAL
+        assert out == "" and err.startswith("internal error: KeyError")

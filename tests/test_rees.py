@@ -213,3 +213,16 @@ class TestOperationsBuildCanonicalValues:
     def test_op_series_results(self, a, b):
         for r in (a + b, a - b, a - a, a * b, a.scale(Fraction(2, 3)), a.shift(1)):
             assert r == revalidated_op_series(r)
+
+    @given(small_ops, small_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_diffop_results(self, a, b):
+        for r in (diffop_mul(a, b), diffop_mul(a, b) - diffop_mul(b, a), a + b, a - a):
+            assert all(type(q) is Fraction and q for q in r.terms.values())
+            assert r == DiffOp(r.dim, r.terms)
+
+    def test_diffop_product_that_cancels(self):
+        # (x + D)(x - D) = x^2 - xD + (xD + 1) - D^2: the xD terms cancel
+        r = diffop_mul(X + D, X - D)
+        assert r.terms == {((2,), (0,)): 1, ((0,), (0,)): 1, ((0,), (2,)): -1}
+        assert all(type(q) is Fraction for q in r.terms.values())

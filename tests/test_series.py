@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starhom.fedosov import FormalVectorField
+from starhom.hkr import DForm, wedge
+from starhom.rees import DiffOp, OpSeries
 from starhom.series import (
     EmptyWindow,
     GeneratorMismatch,
+    Laurent,
     NegativeTPowers,
     Poly,
     SeriesError,
     TSeries,
+    accumulate,
 )
+from starhom.weyl import LieElement, WeylElement, weyl_gens
 
 GENS = ("x", "xi")
 
@@ -228,6 +234,88 @@ class TestOperationsBuildCanonicalValues:
     def test_series_results(self, a, b):
         for r in (a + b, a - a, a * b, a.scale(Fraction(1, 2)), a.shift(-1)):
             assert r == revalidated_series(r)
+
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_wedge_results_cancel(self, p, q, r):
+        # a ^ a of a 1-form cancels term by term; a ^ b need not
+        a = DForm(GENS, {(0,): p, (1,): q})
+        b = DForm(GENS, {(): r, (1,): p})
+        assert wedge(a, a).terms == {}
+        for form in (wedge(a, a), wedge(a, b), wedge(b, a), wedge(a, b) + wedge(b, a)):
+            assert all(form.terms.values())
+            for coef in form.terms.values():
+                assert coef == revalidated_poly(coef)
+            assert form == DForm(form.vars, form.terms)
+
+
+additions = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(-2, 2).map(Fraction)), max_size=40
+)
+
+
+class TestAccumulate:
+    @given(additions)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_sum_without_zeros(self, adds):
+        out, reference = {}, {}
+        for key, q in adds:
+            accumulate(out, key, q)
+            assert all(out.values())
+            reference[key] = reference.get(key, Fraction(0)) + q
+        assert out == {k: q for k, q in reference.items() if q}
+
+    def test_dict_order(self):
+        out = {}
+        accumulate(out, "a", Fraction(1))
+        accumulate(out, "b", Fraction(2))
+        accumulate(out, "a", Fraction(0))
+        accumulate(out, "c", Fraction(0))
+        assert list(out.items()) == [("a", 1), ("b", 2)]
+        accumulate(out, "a", Fraction(-1))
+        assert list(out) == ["b"]
+        accumulate(out, "a", Fraction(3))
+        assert list(out.items()) == [("b", 2), ("a", 3)]
+
+    def test_ring_values_cancel(self):
+        out = {0: x + one}
+        accumulate(out, 0, -x)
+        assert out == {0: one}
+        accumulate(out, 0, -one)
+        assert out == {}
+
+
+W1 = weyl_gens(1)
+RING_VALUES = [
+    Poly.zero(GENS),
+    x - 2,
+    TSeries.zero(GENS, 4),
+    TSeries.from_poly(xi, 4, t_exp=1),
+    Laurent(),
+    Laurent({-1: 2}),
+    Laurent({}, 0, 4),
+    Laurent({3: 1}, 0, 4),
+    DiffOp.zero(1),
+    DiffOp.x(1, 1),
+    OpSeries.zero(1),
+    OpSeries.const(1, 3, t_exp=2),
+    WeylElement(TSeries.zero(W1, 4), 1),
+    WeylElement.const(1, Fraction(1, 2), 4),
+    LieElement(WeylElement(TSeries.zero(W1, 4), 1)),
+    LieElement(WeylElement.from_poly(Poly.gen(W1, "x1"), 1, 4, t_exp=-1)),
+    FormalVectorField.zero(2, 4),
+    FormalVectorField.d_zh(2, 2, 4),
+]
+
+
+class TestTruthiness:
+    """The ring types are false exactly when they are zero, as Fraction is."""
+
+    @pytest.mark.parametrize("value", RING_VALUES, ids=lambda v: type(v).__name__)
+    def test_bool_is_not_is_zero(self, value):
+        assert bool(value) == (not value.is_zero())
+        cancelled = value + (-value)
+        assert cancelled.is_zero() and not cancelled
 
 
 capped_operands = st.one_of(

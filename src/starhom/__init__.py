@@ -50,14 +50,12 @@ from .charclass import (
 from .fedosov import (
     FormalVectorField,
     LieValuedForm,
-    TransitionDatum,
     curvature,
     gl_to_vf,
     i_map,
     kazhdan_assemble,
     lift_connection,
     psi_conjugate,
-    transition_check,
     vf_bracket,
 )
 from .rees import (

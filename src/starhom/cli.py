@@ -15,11 +15,10 @@ import json
 import os
 import sys
 
-from . import charclass, fedosov, serialize, suite
+from . import charclass, serialize, suite
 from .hochschild import diff_B, diff_b, phi_A, phi_E
 from .hkr import hkr_map
-from .rees import rees_from_localized, rees_iota, rees_sigma
-from .series import Poly, SeriesError
+from .series import SeriesError
 from .serialize import DecodeError
 from .suite import ERROR, VERIFIED, VIOLATED, CheckResult, Report
 from .weyl import moyal_star
@@ -163,75 +162,25 @@ def cmd_charclass(args) -> int:
     return EXIT_OK
 
 
-def _default_a0_matrix(base, d: int):
-    zero = Poly.zero(base)
-    mat = [[zero for _ in range(d)] for _ in range(d)]
-    coord = Poly.gen(base, base[min(1, d - 1)])
-    mat[0][0] = coord
-    return {(0,): mat}
-
-
 def cmd_fedosov(args) -> int:
-    d = args.dim
+    d, k = args.dim, args.fiber_trunc
     base = tuple(f"z{i}" for i in range(1, d + 1))
-    a0, frame = serialize.chart_from_json(_read_json(args.json), base) if args.json else (None, None)
-    mform = _default_a0_matrix(base, d) if a0 is None else a0
-    k = args.fiber_trunc
-    failures = []
-    if args.check == "flat":
-        assembled = fedosov.kazhdan_assemble(
-            fedosov.matrix_form_to_vf(mform, base, d, k + 4), k
-        )
-        residue = fedosov.curvature(assembled.total()).fiber_truncate(k)
-        if not residue.is_zero():
-            failures.append({"residue": repr(residue)})
-        name = f"kazhdan flatness to fiber degree {k}"
-    elif args.check == "lift-curvature":
-        assembled = fedosov.kazhdan_assemble(
-            fedosov.matrix_form_to_vf(mform, base, d, k + 4), k
-        )
-        lifted = fedosov.lift_connection(
-            assembled.total(),
-            fedosov.half_trace_form(mform, base, d, t_trunc=args.trunc_t),
-            t_trunc=args.trunc_t,
-        )
-        got = fedosov.curvature(lifted).fiber_truncate(k)
-        half_tr_sq = _half_trace_curvature(mform, base, d, args.trunc_t)
-        if got != half_tr_sq:
-            failures.append({"got": repr(got), "want": repr(half_tr_sq)})
-        name = "lifted curvature equals half-trace curvature"
-    elif args.check == "transition":
-        g, g_inv = _default_transition(base, d) if frame is None else frame
-        datum = fedosov.TransitionDatum(base, g, g_inv)
-        rep = fedosov.transition_check(datum, mform, t_trunc=args.trunc_t)
-        if not rep.ok:
-            failures.append({"lift_identity": rep.lift_identity, "trace_identity": rep.trace_identity})
-        name = "overlap gauge identity for lifted forms"
-    elif args.check == "psi":
+    a0 = serialize.chart_from_json(_read_json(args.json), base) if args.json else None
+    if a0 is not None:
+        chart = (base, a0)
+    elif args.check == "psi" and d > 1:
         # the invariance is exact when the curvature is exactly central,
         # so the default data is exactly flat: any connection on a
         # one-dimensional chart, the zero connection above that
-        if a0 is None and d > 1:
-            mform = {}
-        cotangent = base + tuple(f"xi{i}" for i in range(1, d + 1))
-        assembled = fedosov.kazhdan_assemble(
-            fedosov.matrix_form_to_vf(mform, base, d, k + 4), k
-        )
-        lifted = fedosov.lift_connection(
-            assembled.total(),
-            fedosov.half_trace_form(mform, base, d, t_trunc=args.trunc_t),
-            t_trunc=args.trunc_t,
-        )
-        extended = fedosov.extend_base(lifted, cotangent)
-        before = fedosov.curvature(extended)
-        after = fedosov.curvature(
-            fedosov.psi_conjugate(extended, k, d, t_trunc=args.trunc_t)
-        )
-        if before != after:
-            failures.append({"before": repr(before), "after": repr(after)})
-        name = "psi conjugation preserves central curvature"
+        chart = (base, {})
     else:
-        raise DecodeError(f"unknown fedosov check {args.check!r}")
+        chart = suite.default_chart(d)
+    identity, name = {
+        "flat": (suite.kazhdan_flatness, f"kazhdan flatness to fiber degree {k}"),
+        "lift-curvature": (suite.lift_curvature, "lifted curvature equals half-trace curvature"),
+        "psi": (suite.psi_invariance, "psi conjugation preserves central curvature"),
+    }[args.check]
+    failures = identity(suite.ChartConnection(chart, k, args.trunc_t))
     check = CheckResult(
         id="FEDOSOV",
         name=name,
@@ -242,53 +191,18 @@ def cmd_fedosov(args) -> int:
     return _single_check_report(args, check)
 
 
-def _half_trace_curvature(mform, base, d, t_trunc):
-    ht = fedosov.half_trace_form(mform, base, d, t_trunc=t_trunc)
-    return ht.exterior_d()
-
-
-def _default_transition(base, d):
-    one = Poly.const(base, 1)
-    zero = Poly.zero(base)
-    coord = Poly.gen(base, base[0])
-    g = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    g_inv = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    if d >= 2:
-        g[0][1] = coord
-        g_inv[0][1] = -coord
-    return g, g_inv
+# the rows of suite.REES_IDENTITIES that each ``rees --check`` mode runs
+REES_ROWS = {
+    "sigma": ("sigma multiplicative",),
+    "iota": ("iota multiplicative", "iota round trip"),
+    "to-weyl": ("to-weyl",),
+}
 
 
 def cmd_rees(args) -> int:
-    from .corpus import random_rees
-    import random as _random
-
-    rng = _random.Random(f"{args.seed}:cli-rees")
-    failures = []
     if args.check == "phi-compat":
-        image = suite.check_chain_map_compatibility(args.seed, "small")
-        return _single_check_report(args, image)
-    for n in range(50):
-        d = rng.choice((1, 2))
-        a, b = random_rees(rng, d), random_rees(rng, d)
-        if args.check == "sigma":
-            if rees_sigma(a * b) != rees_sigma(a) * rees_sigma(b):
-                failures.append({"case": n})
-        elif args.check == "iota":
-            if rees_iota(a * b) != rees_iota(a) * rees_iota(b):
-                failures.append({"case": n, "identity": "multiplicative"})
-            if rees_from_localized(rees_iota(a)) != a:
-                failures.append({"case": n, "identity": "round trip"})
-        elif args.check == "to-weyl":
-            from .rees import rees_to_weyl
-            from .weyl import moyal_star as _star
-
-            lhs = rees_to_weyl(a * b, trunc=10)
-            rhs = _star(rees_to_weyl(a, trunc=10), rees_to_weyl(b, trunc=10))
-            if not (lhs - rhs).is_zero():
-                failures.append({"case": n})
-        else:
-            raise DecodeError(f"unknown rees check {args.check!r}")
+        return _single_check_report(args, suite.check_chain_map_compatibility(args.seed, "small"))
+    failures = suite.rees_failures(args.seed, "cli-rees", 50, REES_ROWS[args.check])
     check = CheckResult(
         id="REES",
         name=f"rees-{args.check}",
@@ -301,10 +215,7 @@ def cmd_rees(args) -> int:
 
 def cmd_suite(args) -> int:
     if args.mutate_moyal_sign:
-        checks = [
-            suite.check_moyal_associativity(args.seed, args.scale, mutate=True),
-            suite.check_bracket_normalization(args.seed, args.scale, mutate=True),
-        ]
+        checks = suite.mutated_controls(args.seed, args.scale)
         status = VERIFIED if all(c.status == VERIFIED for c in checks) else VIOLATED
         report = Report(status=status, seed=args.seed, scale=args.scale, checks=checks)
         return _report_exit(report)
@@ -314,11 +225,19 @@ def cmd_suite(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer that is at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,10 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="corpus seed (u64)")
-        p.add_argument("--dim", type=_positive_int, default=1, help="dimension d (>= 1)")
-        p.add_argument("--trunc-t", dest="trunc_t", type=int, default=8, help="t-order window")
-        p.add_argument("--max-deg", dest="max_deg", type=int, default=4, help="max algebraic degree")
-        p.add_argument("--fiber-trunc", dest="fiber_trunc", type=int, default=4, help="fiber degree")
+        p.add_argument("--dim", type=_int_at_least(1), default=1, help="dimension d (>= 1)")
+        p.add_argument("--trunc-t", dest="trunc_t", type=_int_at_least(1), default=8,
+                       help="t-order window (>= 1)")
+        p.add_argument("--max-deg", dest="max_deg", type=_int_at_least(0), default=4,
+                       help="max algebraic degree (>= 0)")
+        p.add_argument("--fiber-trunc", dest="fiber_trunc", type=_int_at_least(0), default=4,
+                       help="fiber degree (>= 0)")
         p.add_argument("--json", default=None, help="input document path, or '-' for stdin")
 
     p = sub.add_parser("star", help="star product of two values")
@@ -368,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fedosov", help="connection and curvature checks")
     common(p)
     p.add_argument("--check", required=True,
-                   choices=("flat", "lift-curvature", "transition", "psi"))
+                   choices=("flat", "lift-curvature", "psi"))
     p.set_defaults(fn=cmd_fedosov)
 
     p = sub.add_parser("rees", help="filtration structure checks")

@@ -609,58 +609,7 @@ def psi_apply(a: LieValuedForm, dim: int, t_trunc: int = 10, inverse: bool = Fal
     return _ad_series(h, a, lambda n: Fraction(1, math.factorial(n)))
 
 
-# -- transition data and the gauge identity -------------------------------------
-
-
-def _mat_mul(a, b, base):
-    d = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(d)), Poly.zero(base))
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-
-
-def _mat_trace(a, base):
-    return sum((a[i][i] for i in range(len(a))), Poly.zero(base))
-
-
-@dataclass(frozen=True)
-class TransitionDatum:
-    """Polynomially invertible change of frame on a chart overlap."""
-
-    base: tuple
-    g: list
-    g_inv: list
-
-    def __post_init__(self):
-        d = len(self.g)
-        base = tuple(self.base)
-        prod = _mat_mul(self.g, self.g_inv, base)
-        for i in range(d):
-            for j in range(d):
-                expected = Poly.const(base, 1 if i == j else 0)
-                if prod[i][j] != expected:
-                    raise SeriesError("g * g_inv is not the identity")
-
-    @property
-    def dim(self) -> int:
-        return len(self.g)
-
-    def d_g(self) -> dict:
-        """Entrywise exterior derivative as {dz-index: matrix of Polys}."""
-        base = tuple(self.base)
-        out: dict[int, list] = {}
-        for i in range(len(base)):
-            mat = [
-                [self.g[r][c].partial(base[i]) for c in range(self.dim)]
-                for r in range(self.dim)
-            ]
-            if any(not mat[r][c].is_zero() for r in range(self.dim) for c in range(self.dim)):
-                out[i] = mat
-        return out
+# -- matrix forms ---------------------------------------------------------------
 
 
 def _per_monomial(matrix, dim: int) -> dict[tuple, list]:
@@ -683,98 +632,6 @@ def matrix_form_to_vf(mform: dict, base, dim: int, fiber_trunc: int) -> LieValue
                 (tuple(widx), Poly.monomial(base, bexp, 1), gl_to_vf(const_matrix, dim, fiber_trunc))
             )
     return LieValuedForm.from_entries(base, "vf", entries)
-
-
-def matrix_form_quadratic_embed(mform: dict, base, dim: int, t_trunc: int = 8) -> LieValuedForm:
-    """Standard quadratic embedding sum a_ij zh_i xih_j / t, no trace term."""
-    base = tuple(base)
-    gens = fiber_weyl_names(dim)
-    entries = []
-    for widx, matrix in mform.items():
-        for bexp, const_matrix in _per_monomial(matrix, dim).items():
-            quad = Poly.zero(gens)
-            for i in range(dim):
-                for j in range(dim):
-                    if const_matrix[i][j]:
-                        exp = [0] * (2 * dim)
-                        exp[i] += 1
-                        exp[dim + j] += 1
-                        quad = quad + Poly.monomial(gens, exp, const_matrix[i][j])
-            val = LieElement(WeylElement.from_poly(quad, dim, t_trunc, t_exp=-1))
-            entries.append((tuple(widx), Poly.monomial(base, bexp, 1), val))
-    return LieValuedForm.from_entries(base, "lie", entries)
-
-
-def matrix_form_gl_embed(mform: dict, base, dim: int, t_trunc: int = 8) -> LieValuedForm:
-    """Weyl-ordered gl embedding per base monomial (quadratic minus tr/2)."""
-    quad = matrix_form_quadratic_embed(mform, base, dim, t_trunc=t_trunc)
-    entries = []
-    base = tuple(base)
-    for widx, matrix in mform.items():
-        tr = _mat_trace(matrix, base)
-        if not tr.is_zero():
-            entries.append((tuple(widx), tr * Fraction(-1, 2)))
-    return quad + central_scalar_form(base, dim, entries, t_trunc=t_trunc)
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    lift_identity: bool
-    trace_identity: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.lift_identity and self.trace_identity
-
-
-def transition_check(datum: TransitionDatum, a_beta: dict, t_trunc: int = 8) -> TransitionReport:
-    """Machine check of the overlap identities for lifted gl-valued forms.
-
-    With A_alpha = dg g^-1 + g A_beta g^-1:
-
-      i(A_alpha) = quad(dg g^-1) - tr(dg g^-1)/2 + [g i(A_beta) g^-1]
-      tr(A_alpha) = tr(dg g^-1) + tr(A_beta)
-
-    where the transported value g i(A_beta) g^-1 has quadratic part
-    conjugated and central part untouched.
-    """
-    base = tuple(datum.base)
-    d = datum.dim
-    dg = datum.d_g()
-    dg_ginv = {(i,): _mat_mul(dg[i], datum.g_inv, base) for i in dg}
-    g_ab_ginv = {
-        tuple(widx): _mat_mul(_mat_mul(datum.g, m, base), datum.g_inv, base)
-        for widx, m in a_beta.items()
-    }
-    a_alpha: dict = dict(dg_ginv)
-    for widx, m in g_ab_ginv.items():
-        if widx in a_alpha:
-            a_alpha[widx] = [
-                [a_alpha[widx][i][j] + m[i][j] for j in range(d)] for i in range(d)
-            ]
-        else:
-            a_alpha[widx] = m
-
-    lhs = matrix_form_gl_embed(a_alpha, base, d, t_trunc=t_trunc)
-    transported = matrix_form_quadratic_embed(g_ab_ginv, base, d, t_trunc=t_trunc)
-    beta_trace = [
-        (tuple(widx), _mat_trace(m, base) * Fraction(-1, 2)) for widx, m in a_beta.items()
-    ]
-    transported = transported + central_scalar_form(base, d, beta_trace, t_trunc=t_trunc)
-    gauge = matrix_form_gl_embed(dg_ginv, base, d, t_trunc=t_trunc)
-    lift_ok = lhs == gauge + transported
-
-    tr_alpha = {w: _mat_trace(m, base) for w, m in a_alpha.items()}
-    tr_expected: dict = {w: _mat_trace(m, base) for w, m in dg_ginv.items()}
-    for widx, m in a_beta.items():
-        widx = tuple(widx)
-        tr_expected[widx] = tr_expected.get(widx, Poly.zero(base)) + _mat_trace(m, base)
-    keys = set(tr_alpha) | set(tr_expected)
-    trace_ok = all(
-        tr_alpha.get(k, Poly.zero(base)) == tr_expected.get(k, Poly.zero(base))
-        for k in keys
-    )
-    return TransitionReport(lift_identity=lift_ok, trace_identity=trace_ok)
 
 
 def extend_base(form: LieValuedForm, new_base) -> LieValuedForm:

@@ -169,7 +169,7 @@ def weyl_to_json(w: WeylElement) -> dict:
     return {"dim": w.dim, "trunc": w.value.trunc, "value": tseries_to_json(w.value)}
 
 
-def weyl_from_json(doc: dict, dim: int | None = None, trunc: int | None = None) -> WeylElement:
+def weyl_from_json(doc: dict, dim: int | None = None, trunc: int = 8) -> WeylElement:
     dim = _dim_from(_object(doc, "a Weyl element"), dim)
     if dim is None:
         raise DecodeError("dimension required")
@@ -178,7 +178,7 @@ def weyl_from_json(doc: dict, dim: int | None = None, trunc: int | None = None) 
     if "coeffs" in body:
         series = tseries_from_json(body, gens)
     else:
-        series = TSeries.from_poly(poly_from_json(body, gens), trunc if trunc else 8)
+        series = TSeries.from_poly(poly_from_json(body, gens), trunc)
     try:
         return WeylElement(series, dim)
     except SeriesError as exc:
@@ -363,25 +363,21 @@ def _wedge_from_key(key: str, d: int) -> tuple:
     return widx
 
 
-def chart_from_json(doc, base) -> tuple[dict | None, tuple[list, list] | None]:
-    """The optional fields of a fedosov document: the connection form "a0",
-    {"i,j,...": matrix} with wedge indices into ``base``, and the overlap
-    frame "g", "g_inv".  A field that is absent comes back as None."""
+def chart_from_json(doc, base) -> dict | None:
+    """The connection form "a0" of a fedosov document, {"i,j,...": matrix}
+    with wedge indices into ``base``, or None when it is absent.  Any other
+    field is malformed input."""
     doc = _object(doc, "a fedosov document")
     base = tuple(base)
-    mform = None
-    if "a0" in doc:
-        mform = {
-            _wedge_from_key(key, len(base)): _matrix_from_json(rows, base)
-            for key, rows in _need_mapping(doc, "a0").items()
-        }
-    frame = None
-    if "g" in doc or "g_inv" in doc:
-        frame = (
-            _matrix_from_json(_need(doc, "g"), base),
-            _matrix_from_json(_need(doc, "g_inv"), base),
-        )
-    return mform, frame
+    extra = sorted(set(doc) - {"a0"})
+    if extra:
+        raise DecodeError(f"unknown field(s) in a fedosov document: {', '.join(extra)}")
+    if "a0" not in doc:
+        return None
+    return {
+        _wedge_from_key(key, len(base)): _matrix_from_json(rows, base)
+        for key, rows in _need_mapping(doc, "a0").items()
+    }
 
 
 # -- forms and class series -------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import starhom
-from starhom import cli, suite
+from starhom import cli, fedosov, suite
 from starhom.cli import EXIT_INTERNAL, EXIT_MALFORMED, EXIT_OK, EXIT_VIOLATED, main
 
 
@@ -188,6 +189,130 @@ class TestDimension:
         assert exc.value.code == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "--dim" in err and "Traceback" not in err
+
+
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (("star", "--dim", "1", "--trunc-t", "0"), "--trunc-t"),
+            (("star", "--dim", "1", "--trunc-t", "-3"), "--trunc-t"),
+            (("fedosov", "--check", "flat", "--dim", "2", "--fiber-trunc", "-2"), "--fiber-trunc"),
+            (("charclass", "--class", "todd", "--max-deg", "-1"), "--max-deg"),
+            (("charclass", "--class", "todd", "--max-deg", "two"), "--max-deg"),
+            (("fedosov", "--check", "transition", "--dim", "2"), "--check"),
+        ],
+    )
+    def test_out_of_range_option_is_rejected_by_the_parser(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("charclass", "--class", "todd", "--dim", "2", "--max-deg", "0"),
+            ("charclass", "--class", "rr-check", "--dim", "2", "--max-deg", "0"),
+            ("fedosov", "--check", "flat", "--dim", "2", "--fiber-trunc", "0"),
+            ("fedosov", "--check", "lift-curvature", "--dim", "2", "--fiber-trunc", "0"),
+        ],
+    )
+    def test_lowest_allowed_value_runs(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+
+
+def _violated(*_):
+    return [{"case": "patched"}]
+
+
+class TestOneDefinitionPerCheck:
+    """Each CLI check calls the suite's definition of its identity, so a
+    fault there shows in the CLI verdict and in the battery criterion."""
+
+    @pytest.mark.parametrize(
+        "check,identity,criterion",
+        [
+            ("flat", "kazhdan_flatness", suite.check_fedosov_curvature),
+            ("lift-curvature", "lift_curvature", suite.check_fedosov_curvature),
+            ("psi", "psi_invariance", suite.check_psi_invariance),
+        ],
+    )
+    def test_fedosov_identity(self, capsys, monkeypatch, check, identity, criterion):
+        monkeypatch.setattr(suite, identity, _violated)
+        code, out, _ = run_cli(capsys, "fedosov", "--check", check, "--dim", "2")
+        assert code == EXIT_VIOLATED
+        assert json.loads(out)["checks"][0]["details"] == [{"case": "patched"}]
+        assert criterion(0, "small").status == "violated"
+
+    @pytest.mark.parametrize(
+        "check,row,in_c11",
+        [
+            ("sigma", "sigma multiplicative", True),
+            ("iota", "iota multiplicative", True),
+            ("iota", "iota round trip", True),
+            ("to-weyl", "to-weyl", False),
+        ],
+    )
+    def test_rees_identity(self, capsys, monkeypatch, check, row, in_c11):
+        monkeypatch.setitem(suite.REES_IDENTITIES, row, lambda a, b, ab: False)
+        code, out, _ = run_cli(capsys, "rees", "--check", check)
+        assert code == EXIT_VIOLATED
+        details = json.loads(out)["checks"][0]["details"]
+        assert len(details) == 50 and {d["identity"] for d in details} == {row}
+        status = suite.check_rees_structure(0, "small").status
+        assert status == ("violated" if in_c11 else "verified")
+
+    def test_mutation_controls(self, capsys, monkeypatch):
+        calls = []
+
+        def controls(seed, scale):
+            calls.append((seed, scale))
+            return []
+
+        monkeypatch.setattr(suite, "mutated_controls", controls)
+        run_cli(capsys, "suite", "--mutate-moyal-sign", "--seed", "5")
+        suite.check_determinism_and_controls(5, "small", first_pass=[])
+        assert calls[0] == (5, "small") and len(calls) == 2
+
+
+class TestHalfTraceNormalization:
+    """The lift identity's expected value does not come from the half-trace
+    form, so a wrong factor there is seen by C09 and by the CLI."""
+
+    def test_doubled_half_trace_is_violated(self, capsys, monkeypatch):
+        original = fedosov.half_trace_form
+
+        def doubled(*args, **kwargs):
+            return original(*args, **kwargs).scale(2)
+
+        monkeypatch.setattr(fedosov, "half_trace_form", doubled)
+        assert suite.check_fedosov_curvature(0, "small").status == "violated"
+        code, out, _ = run_cli(
+            capsys, "fedosov", "--check", "lift-curvature", "--dim", "2", "--fiber-trunc", "4"
+        )
+        assert code == EXIT_VIOLATED
+        assert json.loads(out)["status"] == "violated"
+
+
+def _readme_commands():
+    """The lines of README's one-off command block that need no input document."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## One-off commands", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("starhom ") and "--json" not in line]
+
+
+class TestReadmeExamples:
+    def test_block_is_found(self):
+        assert len(_readme_commands()) >= 9
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_example_exits_0(self, capsys, line):
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == EXIT_OK, err
 
 
 class TestInternalError:
@@ -388,6 +513,7 @@ class TestStrictIntegers:
 
 ZERO_ENTRY = {"terms": []}
 UNIT_ENTRY = {"terms": [{"exp": [0, 0], "coef": "1/1"}]}
+IDENTITY = [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, UNIT_ENTRY]]
 
 
 class TestFedosovDocument:
@@ -402,8 +528,9 @@ class TestFedosovDocument:
             ("flat", {"a0": {"0": [[ZERO_ENTRY], [ZERO_ENTRY]]}}),
             ("flat", {"a0": {"2": [[ZERO_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}),
             ("flat", {"a0": {"1,0": [[ZERO_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}),
-            ("transition", {"g": 5, "g_inv": 5}),
-            ("transition", {"g": [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, UNIT_ENTRY]]}),
+            ("flat", {"a0": {"0": [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]},
+                      "g": IDENTITY, "g_inv": IDENTITY}),
+            ("psi", {"g": IDENTITY, "g_inv": IDENTITY}),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, monkeypatch, check, doc):
@@ -414,13 +541,11 @@ class TestFedosovDocument:
 
     def test_well_formed_document_runs(self, capsys, monkeypatch):
         entry = {"terms": [{"exp": [0, 1], "coef": "1/1"}]}
-        identity = [[UNIT_ENTRY, ZERO_ENTRY], [ZERO_ENTRY, UNIT_ENTRY]]
-        doc = {"a0": {"0": [[entry, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}, "g": identity, "g_inv": identity}
-        for check in ("flat", "transition"):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
-            code, out, err = run_cli(capsys, "fedosov", "--check", check, "--dim", "2", "--json", "-")
-            assert code == EXIT_OK, err
-            assert json.loads(out)["status"] == "verified"
+        doc = {"a0": {"0": [[entry, ZERO_ENTRY], [ZERO_ENTRY, ZERO_ENTRY]]}}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "fedosov", "--check", "flat", "--dim", "2", "--json", "-")
+        assert code == EXIT_OK, err
+        assert json.loads(out)["status"] == "verified"
 
 
 class TestKeyErrorIsInternal:

@@ -9,7 +9,6 @@ from starhom.fedosov import (
     FormalVectorField,
     LieValuedForm,
     TorsionError,
-    TransitionDatum,
     central_scalar_form,
     curvature,
     extend_base,
@@ -24,7 +23,6 @@ from starhom.fedosov import (
     psi_apply,
     psi_conjugate,
     tautological_shift_form,
-    transition_check,
     vf_bracket,
 )
 from starhom.series import Poly, SeriesError
@@ -224,32 +222,6 @@ class TestLift:
             BASE2, 2, [((0, 1), Poly.const(BASE2, Fraction(-1, 2)))], t_trunc=8
         )
         assert got == want
-
-
-class TestTransition:
-    def make_datum(self):
-        one = Poly.const(BASE2, 1)
-        zero = Poly.zero(BASE2)
-        z1 = Poly.gen(BASE2, "z1")
-        g = [[one, z1], [zero, one]]
-        g_inv = [[one, -z1], [zero, one]]
-        return TransitionDatum(BASE2, g, g_inv)
-
-    def test_identities_hold(self):
-        datum = self.make_datum()
-        z1, z2 = Poly.gen(BASE2, "z1"), Poly.gen(BASE2, "z2")
-        a_beta = {
-            (0,): [[z2, z1], [Poly.const(BASE2, 2), Poly.zero(BASE2)]],
-            (1,): [[Poly.zero(BASE2), Poly.const(BASE2, 3)], [z2, z2]],
-        }
-        report = transition_check(datum, a_beta)
-        assert report.lift_identity and report.trace_identity
-
-    def test_bad_inverse_rejected(self):
-        one = Poly.const(BASE2, 1)
-        zero = Poly.zero(BASE2)
-        with pytest.raises(SeriesError):
-            TransitionDatum(BASE2, [[one, one], [zero, one]], [[one, one], [zero, one]])
 
 
 class TestPsi:

@@ -65,9 +65,7 @@ from .rees import (
     diffop_mul,
     localized_to_weyl,
     rees_embed,
-    rees_iota,
     rees_sigma,
-    rees_to_weyl,
 )
 from .suite import Report, run_suite
 

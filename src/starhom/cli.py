@@ -194,7 +194,7 @@ def cmd_fedosov(args) -> int:
 # the rows of suite.REES_IDENTITIES that each ``rees --check`` mode runs
 REES_ROWS = {
     "sigma": ("sigma multiplicative",),
-    "iota": ("iota multiplicative", "iota round trip"),
+    "iota": ("order bound",),
     "to-weyl": ("to-weyl",),
 }
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .hochschild import AlgebraHandle, HochschildChain
-from .rees import DiffOp, ReesElement, rees_embed
+from .rees import DiffOp, OpSeries, ReesElement
 from .series import Poly, accumulate
 from .weyl import WeylElement, weyl_gens
 
@@ -88,12 +88,11 @@ def random_diffop(
 
 def random_rees(rng: random.Random, dim: int, extra_grades: int = 1) -> ReesElement:
     """Random graded element: a few operators placed at admissible grades."""
-    out = ReesElement.zero(dim)
+    out = OpSeries.zero(dim)
     for _ in range(rng.randint(1, 2)):
         op = random_diffop(rng, dim)
-        grade = max(op.order(), 0) + rng.randint(0, extra_grades)
-        out = out + rees_embed(op, grade)
-    return out
+        out = out + OpSeries.from_op(op, max(op.order(), 0) + rng.randint(0, extra_grades))
+    return ReesElement(dim, out.comps)
 
 
 def random_chain(

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .hkr import _merge_sign
 from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
-from .weyl import LieElement, WeylElement, moyal_star, weyl_gens
+from .weyl import LieElement, WeylElement, weyl_gens, weyl_ordered
 
 
 class TorsionError(SeriesError):
@@ -188,17 +188,9 @@ def i_map(v: FormalVectorField, t_trunc: int = 8) -> LieElement:
     correction; in general it is a morphism of Lie algebras into (1/t)W.
     """
     d = v.dim
-    gens = fiber_weyl_names(d)
-    acc = WeylElement(TSeries.zero(gens, t_trunc, lower=-1), d)
-    for j in range(d):
-        p = v.comps[j]
-        if p.is_zero():
-            continue
-        ext = Poly(gens, {exp + (0,) * d: q for exp, q in p.terms.items()})
-        left = WeylElement.from_poly(ext, d, t_trunc + 1)
-        right = WeylElement.from_poly(Poly.gen(gens, gens[d + j]), d, t_trunc + 1, t_exp=-1)
-        acc = acc + WeylElement(moyal_star(left, right).value.truncated(t_trunc), d)
-    return LieElement(acc)
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    terms = [(exp, unit[j], -1, q) for j in range(d) for exp, q in v.comps[j].terms.items()]
+    return LieElement(weyl_ordered(terms, d, -1, t_trunc, fiber_weyl_names(d)))
 
 
 def _lie_filter(a: LieElement, keep) -> LieElement:
@@ -593,6 +585,9 @@ def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int = 10)
     """
     if a.kind != "lie":
         raise SeriesError("expected a Lie-algebra-valued form")
+    if fiber_deg < 2:
+        # the cut would drop i(A^0), the quadratic gl(d) part of every lift
+        raise SeriesError("psi conjugation needs fiber degree >= 2")
     h = shift_conjugator(a.base, dim, t_trunc=t_trunc)
     transformed = _ad_series(h, a, lambda n: Fraction(1, math.factorial(n)))
     dh = h.exterior_d()

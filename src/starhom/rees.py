@@ -12,8 +12,8 @@ structure maps are
 
 * ``rees_sigma``: t -> 0, sending a_p t^p to its order-p principal symbol
   with d^b replaced by xi^b;
-* ``rees_iota``: localization, embedding the Rees ring into Laurent
-  polynomials in t with operator coefficients (``OpSeries``).
+* localization, the inclusion of the Rees ring into Laurent polynomials in
+  t with operator coefficients: a ``ReesElement`` is an ``OpSeries``.
 
 The Darboux-ordered Weyl image of a Rees element evaluates each normal
 monomial x^a (t d)^b as the star product x^a * xi^b in that written order.
@@ -25,8 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
-from .weyl import WeylElement, moyal_star, weyl_gens
+from .series import Poly, SeriesError, accumulate, as_fraction
+from .weyl import WeylElement, weyl_gens, weyl_ordered
 
 
 class FiltrationError(SeriesError):
@@ -340,82 +340,29 @@ class OpSeries:
         return " + ".join(f"({self.comps[p]!r})*t^{p}" for p in sorted(self.comps))
 
 
-class ReesElement:
-    """Graded element of the Rees ring: components a_p t^p with order(a_p) <= p.
+class ReesElement(OpSeries):
+    """Element of the Rees ring: an OpSeries whose components a_p t^p have
+    p >= 0 and order(a_p) <= p.
 
-    The order bound in every grade witnesses t-torsion-freeness.
+    The ring operations are those of the localized model, so sums and
+    products are plain OpSeries; the constructor brings a value back into
+    the Rees ring and raises FiltrationError when it is not there.
     """
 
-    __slots__ = ("dim", "comps")
+    __slots__ = ()
 
     def __init__(self, dim: int, comps=None):
-        clean: dict[int, DiffOp] = {}
-        if comps:
-            for p, op in comps.items():
-                p = int(p)
-                if op.dim != dim:
-                    raise SeriesError("component dimension mismatch")
-                if op.is_zero():
-                    continue
-                if p < 0:
-                    raise FiltrationError("Rees grades are nonnegative")
-                if op.order() > p:
-                    raise FiltrationError(
-                        f"operator of order {op.order()} placed in grade {p}"
-                    )
-                clean[p] = op
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ReesElement is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> ReesElement:
-        return cls(dim)
-
-    @classmethod
-    def one(cls, dim: int) -> ReesElement:
-        return cls(dim, {0: DiffOp.one(dim)})
-
-    def component(self, p: int) -> DiffOp:
-        return self.comps.get(p, DiffOp.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def key(self):
-        return tuple(sorted((p, op.key()) for p, op in self.comps.items()))
-
-    def __add__(self, other: ReesElement) -> ReesElement:
-        return rees_from_localized(rees_iota(self) + rees_iota(other))
-
-    def __neg__(self) -> ReesElement:
-        return ReesElement(self.dim, {p: -op for p, op in self.comps.items()})
-
-    def __sub__(self, other: ReesElement) -> ReesElement:
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ReesElement):
-            return rees_from_localized(rees_iota(self) * rees_iota(other))
-        return rees_from_localized(rees_iota(self).scale(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, ReesElement) and self.dim == other.dim and self.comps == other.comps
-
-    def __repr__(self):
-        return repr(rees_iota(self))
+        super().__init__(dim, comps)
+        for p, op in self.comps.items():
+            if p < 0:
+                raise FiltrationError("Rees grades are nonnegative")
+            if op.order() > p:
+                raise FiltrationError(f"operator of order {op.order()} placed in grade {p}")
 
 
 def rees_embed(a: DiffOp, p: int) -> ReesElement:
-    """Place an operator of order <= p in grade p (the class a t^p)."""
-    if a.order() > p:
-        raise FiltrationError(
-            f"operator of order {a.order()} is not in filtration level {p}"
-        )
+    """Place an operator of order <= p in grade p (the class a t^p); raises
+    FiltrationError otherwise."""
     return ReesElement(a.dim, {p: a})
 
 
@@ -428,16 +375,6 @@ def rees_sigma(r: ReesElement, gens=None) -> Poly:
     return out
 
 
-def rees_iota(r: ReesElement) -> OpSeries:
-    """Localization map into E[t, t^-1]; injective and multiplicative."""
-    return OpSeries(r.dim, dict(r.comps))
-
-
-def rees_from_localized(s: OpSeries) -> ReesElement:
-    """Inverse of iota on its image; raises when s is not a Rees element."""
-    return ReesElement(s.dim, dict(s.comps))
-
-
 def localized_to_weyl(s: OpSeries, trunc: int | None = None, gens=None) -> WeylElement:
     """Algebra map x_i -> x_i, t d_i -> xi_i, t -> t on the localized model.
 
@@ -445,32 +382,12 @@ def localized_to_weyl(s: OpSeries, trunc: int | None = None, gens=None) -> WeylE
     and sent to t^(p-|b|) x^a * xi^b, the star product taken in the written
     order.  The default window is wide enough that nothing real is cut.
     """
-    dim = s.dim
-    gens = weyl_gens(dim) if gens is None else tuple(gens)
-    if trunc is None:
-        top = 0
-        for p, op in s.comps.items():
-            for (xe, de), _ in op.terms.items():
-                top = max(top, p - sum(de) + min(sum(xe), sum(de)))
-        trunc = top + 1
-    lower = 0
-    for p, op in s.comps.items():
-        for (_, de), _ in op.terms.items():
-            lower = min(lower, p - sum(de))
-    acc = WeylElement(TSeries.zero(gens, trunc, lower=lower), dim)
+    terms = []
+    top = lower = 0
     for p, op in s.comps.items():
         for (xe, de), q in op.terms.items():
-            x_part = WeylElement.from_poly(
-                Poly.monomial(gens, tuple(xe) + (0,) * dim, q), dim, trunc + sum(de) + 1
-            )
-            xi_part = WeylElement.from_poly(
-                Poly.monomial(gens, (0,) * dim + tuple(de), 1), dim, trunc + sum(de) + 1
-            )
-            word = moyal_star(x_part, xi_part).shift(p - sum(de))
-            acc = acc + WeylElement(word.value.truncated(trunc).with_lower(lower), dim)
-    return acc
-
-
-def rees_to_weyl(r: ReesElement, trunc: int | None = None, gens=None) -> WeylElement:
-    """Weyl image of a Rees element; lands in nonnegative t-powers."""
-    return localized_to_weyl(rees_iota(r), trunc=trunc, gens=gens)
+            m = p - sum(de)
+            terms.append((xe, de, m, q))
+            top = max(top, m + min(sum(xe), sum(de)))
+            lower = min(lower, m)
+    return weyl_ordered(terms, s.dim, lower, top + 1 if trunc is None else trunc, gens)

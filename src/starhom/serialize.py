@@ -26,7 +26,7 @@ from .hochschild import (
     rees_handle,
     weyl_handle,
 )
-from .rees import DiffOp, OpSeries, ReesElement
+from .rees import DiffOp, OpSeries
 from .series import Laurent, Poly, SeriesError, TSeries, as_fraction, format_fraction
 from .weyl import WeylElement, weyl_gens
 
@@ -231,14 +231,6 @@ def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
     if dim is None:
         raise DecodeError("dimension required for operators")
     return OpSeries(dim, comps)
-
-
-def rees_from_json(doc: dict, dim: int | None = None) -> ReesElement:
-    s = opseries_from_json(doc, dim)
-    try:
-        return ReesElement(s.dim, dict(s.comps))
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
 
 
 # -- chains ----------------------------------------------------------------------

@@ -41,13 +41,7 @@ from .hochschild import (
     rees_handle,
     weyl_handle,
 )
-from .rees import (
-    localized_to_weyl,
-    rees_from_localized,
-    rees_iota,
-    rees_sigma,
-    rees_to_weyl,
-)
+from .rees import DiffOp, OpSeries, localized_to_weyl, rees_sigma
 from .series import Poly, TSeries
 from .weyl import (
     WeylElement,
@@ -428,19 +422,21 @@ def check_psi_invariance(seed: int, scale: str) -> CheckResult:
     return _result(cid, name, failures, {"fiber_trunc": 3, "trunc_t": 10})
 
 
+def _associates_with_x1(a, b, ab) -> bool:
+    """(ab) x1 == a (b x1), with x1 the grade-0 generator: this sees a wrong
+    Leibniz coefficient in ``diffop_mul`` that the other rows miss."""
+    x1 = OpSeries.from_op(DiffOp.x(a.dim, 1))
+    return ab * x1 == a * (b * x1)
+
+
 # one row per identity on a pair (a, b) of Rees elements, given ab = a * b
 REES_IDENTITIES = {
     "sigma multiplicative": lambda a, b, ab: rees_sigma(ab) == rees_sigma(a) * rees_sigma(b),
-    "iota multiplicative": lambda a, b, ab: rees_iota(ab) == rees_iota(a) * rees_iota(b),
-    "order bound": lambda a, b, ab: all(op.order() <= p for p, op in ab.comps.items()),
-    "iota round trip": lambda a, b, ab: rees_from_localized(rees_iota(a)) == a,
-    "iota injective": lambda a, b, ab: a.is_zero() or not rees_iota(a).is_zero(),
-    "localization shift round trip": lambda a, b, ab: (
-        rees_iota(a).shift(-2).shift(2) == rees_iota(a)
-    ),
+    "order bound": lambda a, b, ab: all(p >= 0 and op.order() <= p for p, op in ab.comps.items()),
+    "associative": _associates_with_x1,
     "to-weyl": lambda a, b, ab: (
-        rees_to_weyl(ab, trunc=10)
-        - moyal_star(rees_to_weyl(a, trunc=10), rees_to_weyl(b, trunc=10))
+        localized_to_weyl(ab, trunc=10)
+        - moyal_star(localized_to_weyl(a, trunc=10), localized_to_weyl(b, trunc=10))
     ).is_zero(),
 }
 

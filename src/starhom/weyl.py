@@ -350,28 +350,46 @@ def sp_embed(q_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
     return LieElement(WeylElement(TSeries.from_poly(quad, trunc, t_exp=-1), dim))
 
 
+def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElement:
+    """The Weyl-ordered realization sum q t^m x^a * xi^b over terms (a, b, m, q),
+    the star product taken in the written order, in the window [lower, trunc).
+    ``a`` and ``b`` are exponent tuples of length ``dim`` and ``q`` is a
+    nonzero Fraction.
+
+    Terms sharing (m, b) make one star product: their x-monomials are summed
+    into one polynomial first.  Both factors carry the window trunc + |b| + 1,
+    so the product is exact before it is shifted by t^m and cut to the window.
+    """
+    gens = weyl_gens(dim) if gens is None else tuple(gens)
+    groups: dict[tuple, dict] = {}
+    for a, b, m, q in terms:
+        accumulate(groups.setdefault((m, b), {}), a + (0,) * dim, q)
+    acc = TSeries.zero(gens, trunc, lower=lower)
+    for (m, b), x_terms in groups.items():
+        window = trunc + sum(b) + 1
+        x_part = WeylElement(TSeries.from_poly(Poly._raw(gens, x_terms), window), dim)
+        xi_part = WeylElement(
+            TSeries.from_poly(Poly._raw(gens, {(0,) * dim + b: Fraction(1)}), window), dim
+        )
+        word = moyal_star(x_part, xi_part).value.shift(m)
+        acc = acc + word.truncated(trunc).with_lower(lower)
+    return WeylElement(acc, dim)
+
+
 def gl_embed(a_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
     """gl(d) into (1/t)W via Weyl-ordered products.
 
     (a_ij) maps to sum_ij a_ij x_i * (xi_j / t), which expands to the
     standard quadratic embedding minus the central scalar tr(a)/2.
     """
-    gens = weyl_gens(dim) if gens is None else tuple(gens)
     rows = [[as_fraction(e) for e in row] for row in a_matrix]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise SeriesError(f"expected a {dim}x{dim} matrix")
-    acc = WeylElement(TSeries.zero(gens, trunc, lower=-1), dim)
-    for i in range(dim):
-        xi_poly = Poly.gen(gens, gens[i])
-        lift_x = WeylElement(TSeries.from_poly(xi_poly, trunc + 1), dim)
-        for j in range(dim):
-            if not rows[i][j]:
-                continue
-            xi_over_t = WeylElement(
-                TSeries.from_poly(Poly.gen(gens, gens[dim + j]), trunc + 1, t_exp=-1), dim
-            )
-            acc = acc + moyal_star(lift_x, xi_over_t).scale(rows[i][j])
-    return LieElement(WeylElement(acc.value.truncated(trunc), dim))
+    unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    terms = [
+        (unit[i], unit[j], -1, rows[i][j]) for i in range(dim) for j in range(dim) if rows[i][j]
+    ]
+    return LieElement(weyl_ordered(terms, dim, -1, trunc, gens))
 
 
 def graded_weight(m: WeylElement) -> int:

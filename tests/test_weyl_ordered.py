@@ -1,0 +1,165 @@
+"""The one Weyl-ordered realization against the three loops it replaced.
+
+``localized_to_weyl``, ``gl_embed`` and ``i_map`` all build their values
+through ``weyl.weyl_ordered``.  The reference implementations below are the
+former per-monomial and per-entry loops, kept here to pin values, windows
+and exceptions on random inputs, negative grades included.
+"""
+
+import random
+
+import pytest
+
+from starhom.corpus import random_diffop, random_fraction, random_rees
+from starhom.fedosov import FormalVectorField, fiber_weyl_names, fiber_z_names, i_map
+from starhom.rees import (
+    DiffOp,
+    FiltrationError,
+    OpSeries,
+    ReesElement,
+    diffop_mul,
+    localized_to_weyl,
+)
+from starhom.series import Poly, SeriesError, TSeries, accumulate
+from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gens
+
+
+def reference_localized_to_weyl(s, trunc=None, gens=None):
+    dim = s.dim
+    gens = weyl_gens(dim) if gens is None else tuple(gens)
+    if trunc is None:
+        top = 0
+        for p, op in s.comps.items():
+            for (xe, de), _ in op.terms.items():
+                top = max(top, p - sum(de) + min(sum(xe), sum(de)))
+        trunc = top + 1
+    lower = 0
+    for p, op in s.comps.items():
+        for (_, de), _ in op.terms.items():
+            lower = min(lower, p - sum(de))
+    acc = WeylElement(TSeries.zero(gens, trunc, lower=lower), dim)
+    for p, op in s.comps.items():
+        for (xe, de), q in op.terms.items():
+            x_part = WeylElement.from_poly(
+                Poly.monomial(gens, tuple(xe) + (0,) * dim, q), dim, trunc + sum(de) + 1
+            )
+            xi_part = WeylElement.from_poly(
+                Poly.monomial(gens, (0,) * dim + tuple(de), 1), dim, trunc + sum(de) + 1
+            )
+            word = moyal_star(x_part, xi_part).shift(p - sum(de))
+            acc = acc + WeylElement(word.value.truncated(trunc).with_lower(lower), dim)
+    return acc
+
+
+def reference_gl_embed(rows, dim, trunc=8):
+    gens = weyl_gens(dim)
+    acc = WeylElement(TSeries.zero(gens, trunc, lower=-1), dim)
+    for i in range(dim):
+        lift_x = WeylElement(TSeries.from_poly(Poly.gen(gens, gens[i]), trunc + 1), dim)
+        for j in range(dim):
+            if not rows[i][j]:
+                continue
+            xi_over_t = WeylElement(
+                TSeries.from_poly(Poly.gen(gens, gens[dim + j]), trunc + 1, t_exp=-1), dim
+            )
+            acc = acc + moyal_star(lift_x, xi_over_t).scale(rows[i][j])
+    return LieElement(WeylElement(acc.value.truncated(trunc), dim))
+
+
+def reference_i_map(v, t_trunc=8):
+    d = v.dim
+    gens = fiber_weyl_names(d)
+    acc = WeylElement(TSeries.zero(gens, t_trunc, lower=-1), d)
+    for j in range(d):
+        p = v.comps[j]
+        if p.is_zero():
+            continue
+        ext = Poly(gens, {exp + (0,) * d: q for exp, q in p.terms.items()})
+        left = WeylElement.from_poly(ext, d, t_trunc + 1)
+        right = WeylElement.from_poly(Poly.gen(gens, gens[d + j]), d, t_trunc + 1, t_exp=-1)
+        acc = acc + WeylElement(moyal_star(left, right).value.truncated(t_trunc), d)
+    return LieElement(acc)
+
+
+def outcome(fn, *args, **kwargs):
+    """The value with its window, or the exception's type and message."""
+    try:
+        w = fn(*args, **kwargs)
+    except SeriesError as exc:
+        return type(exc), str(exc)
+    w = w.value if isinstance(w, LieElement) else w
+    return w.value.lower, w.value.trunc, w.value.coeffs
+
+
+def random_op_series(rng, dim):
+    comps = {}
+    for _ in range(rng.randint(0, 3)):
+        comps[rng.randint(-3, 3)] = random_diffop(rng, dim)
+    return OpSeries(dim, comps)
+
+
+@pytest.mark.parametrize("trunc", [None, 2, 5, 9])
+def test_localized_to_weyl_matches_reference(trunc):
+    rng = random.Random(f"weyl-ordered:{trunc}")
+    raised = 0
+    for _ in range(60):
+        s = random_op_series(rng, rng.choice((1, 2)))
+        want = outcome(reference_localized_to_weyl, s, trunc=trunc)
+        assert outcome(localized_to_weyl, s, trunc=trunc) == want
+        raised += isinstance(want[0], type)
+    # the default window never raises; a window of 2 cuts some grades away
+    if trunc is None:
+        assert raised == 0
+    if trunc == 2:
+        assert raised > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gl_embed_matches_reference(dim):
+    rng = random.Random(f"gl-ordered:{dim}")
+    for trunc in (0, 1, 4, 6):
+        for _ in range(10):
+            rows = [[random_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+            want = outcome(reference_gl_embed, rows, dim, trunc)
+            assert outcome(gl_embed, rows, dim, trunc) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_i_map_matches_reference(dim):
+    rng = random.Random(f"i-ordered:{dim}")
+    names = fiber_z_names(dim)
+    for t_trunc in (0, 3, 8):
+        for _ in range(10):
+            comps = []
+            for _ in range(dim):
+                p = Poly.zero(names)
+                for _ in range(rng.randint(0, 3)):
+                    exp = tuple(rng.randint(0, 2) for _ in range(dim))
+                    p = p + Poly.monomial(names, exp, random_fraction(rng))
+                comps.append(p)
+            v = FormalVectorField(dim, comps, 6)
+            assert outcome(i_map, v, t_trunc) == outcome(reference_i_map, v, t_trunc)
+
+
+class TestReesElementIsAnOpSeries:
+    def test_negative_grade_rejected(self):
+        with pytest.raises(FiltrationError):
+            ReesElement(1, {-1: DiffOp.x(1, 1)})
+
+    def test_order_above_grade_rejected(self):
+        with pytest.raises(FiltrationError):
+            ReesElement(1, {0: DiffOp.d(1, 1)})
+
+    def test_product_is_the_localized_product(self):
+        rng = random.Random("rees-product")
+        for _ in range(30):
+            d = rng.choice((1, 2))
+            a, b = random_rees(rng, d), random_rees(rng, d)
+            ab = a * b
+            want = {}
+            for p, x in a.comps.items():
+                for q, y in b.comps.items():
+                    accumulate(want, p + q, diffop_mul(x, y))
+            assert type(ab) is OpSeries
+            assert ab == OpSeries(d, want)
+            assert ReesElement(d, ab.comps) == ab

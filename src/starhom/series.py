@@ -24,7 +24,6 @@ as ``not is_zero()``, the convention ``Fraction`` already follows.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import add
@@ -614,9 +613,3 @@ class Laurent:
         body = " + ".join(f"{q}*t^{e}" for e, q in sorted(self.terms.items())) or "0"
         return body if self.trunc is None else f"{body} (window [{self.lower}, {self.trunc}))"
 
-
-def factorial_of_multi_index(alpha: tuple) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out

@@ -5,10 +5,19 @@ The product on polynomials in Darboux coordinates x_1..x_d, xi_1..xi_d is
     f * g = exp( (t/2) sum_i (d/dxi_i d/dy_i - d/deta_i d/dx_i) ) f(x,xi) g(y,eta)
 
 restricted to the diagonal y = x, eta = xi.  Expanding the exponential and
-collecting mixed partials gives the closed form used here:
+collecting mixed partials gives
 
     f * g = sum_{alpha,beta} (t/2)^{|a|+|b|} (-1)^{|b|} / (a! b!)
             (d_xi^a d_x^b f) (d_x^a d_xi^b g)
+
+On monomials f = x^a xi^b, g = x^c xi^e the partials are falling factorials
+and the sum factors over the Darboux pairs.  Pair i contributes, for each
+alpha_i <= min(b_i, c_i) and beta_i <= min(a_i, e_i), the integer weight
+C(b_i, alpha_i) c_i^(alpha_i falling) C(e_i, beta_i) a_i^(beta_i falling)
+(-1)^beta_i on x_i^(a_i+c_i-s_i) xi_i^(b_i+e_i-s_i), s_i = alpha_i + beta_i;
+the product over the pairs lands at t^k, k = |alpha| + |beta|, times 2^-k.
+``moyal_star`` evaluates this in integers over one common denominator per
+operand, and builds one Fraction per output coefficient.
 
 With this sign convention [x_i, xi_j] = -t delta_ij; the induced bracket on
 symbols is therefore {x, xi} = -1, and every downstream identity is derived
@@ -23,6 +32,7 @@ correction coming from Weyl ordering.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm, perm
 
 from .series import (
     GeneratorMismatch,
@@ -31,7 +41,6 @@ from .series import (
     TSeries,
     accumulate,
     as_fraction,
-    factorial_of_multi_index,
 )
 
 
@@ -204,47 +213,33 @@ class LieElement:
 # -- the star product ---------------------------------------------------------
 
 
-def _derivative_table(p: Poly, names: tuple[str, ...]) -> dict[tuple, Poly]:
-    """All nonzero iterated partials d^alpha p over the given variables.
-
-    Each multi-index is generated along a single canonical path (increment
-    position i only when all later positions are still zero), so no
-    derivative is computed twice.
-    """
-    zero = (0,) * len(names)
-    table = {zero: p}
-    frontier = {zero: p}
-    while frontier:
-        nxt: dict[tuple, Poly] = {}
-        for alpha, q in frontier.items():
-            top = 0
-            for j in range(len(names) - 1, -1, -1):
-                if alpha[j]:
-                    top = j
-                    break
-            for i in range(top, len(names)):
-                dq = q.partial(names[i])
-                if dq.is_zero():
-                    continue
-                beta = list(alpha)
-                beta[i] += 1
-                nxt[tuple(beta)] = dq
-        table.update(nxt)
-        frontier = nxt
-    return table
+def _axis_weights(a: int, b: int, c: int, e: int, sign: int) -> list[tuple]:
+    """The kernel on one Darboux pair for x^a xi^b * x^c xi^e: entries
+    (s, weight, x-exponent, xi-exponent) by s = alpha + beta, sorted by s."""
+    weights: dict[int, int] = {}
+    for alpha in range(min(b, c) + 1):
+        left = comb(b, alpha) * perm(c, alpha)
+        for beta in range(min(a, e) + 1):
+            accumulate(weights, alpha + beta, left * comb(e, beta) * perm(a, beta) * sign ** beta)
+    return [(s, w, a + c - s, b + e - s) for s, w in sorted(weights.items())]
 
 
-def _bidiff_table(p: Poly, first: tuple[str, ...], second: tuple[str, ...]):
-    """dict (alpha, beta) -> d_first^alpha d_second^beta p, nonzero only."""
-    out: dict[tuple, Poly] = {}
-    for alpha, q in _derivative_table(p, first).items():
-        for beta, r in _derivative_table(q, second).items():
-            out[(alpha, beta)] = r
-    return out
+def _numerators(s: TSeries) -> tuple[int, list]:
+    """One common denominator for all coefficients of ``s``, and the terms
+    as (t-power, [(exponent, integer numerator), ...])."""
+    den = lcm(*(q.denominator for p in s.coeffs.values() for q in p.terms.values()))
+    return den, [
+        (m, [(exp, q.numerator * (den // q.denominator)) for exp, q in p.terms.items()])
+        for m, p in s.coeffs.items()
+    ]
 
 
 def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
     """Star product of two Weyl elements, exact within the common window.
+
+    Each pair of monomials combines one weight table per Darboux pair (the
+    closed form above) while |alpha| + |beta| fits the t-window.  Sums are
+    ints scaled by D_f D_g 2^top; one Fraction is built per output term.
 
     ``mutate_kernel_sign`` flips the minus sign in the bidifferential
     kernel; it exists purely so the verification suite can prove its own
@@ -252,36 +247,42 @@ def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = Fal
     """
     f._check(g)
     d = f.dim
-    gens = f.gens
-    xs, xis = gens[:d], gens[d:]
     fv, gv = f.value, g.value
     lower = fv.lower + gv.lower
     trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
-    out: dict[int, Poly] = {}
-    half = Fraction(1, 2)
-    g_tables = {n: _bidiff_table(gn, xs, xis) for n, gn in gv.coeffs.items()}
-    for m, fm in fv.coeffs.items():
-        f_table = _bidiff_table(fm, xis, xs)
-        for n, gn in gv.coeffs.items():
-            if m + n >= trunc:
+    sign = 1 if mutate_kernel_sign else -1
+    f_den, f_terms = _numerators(fv)
+    g_den, g_terms = _numerators(gv)
+    top = trunc - 1 - lower
+    tables: dict[tuple, list] = {}
+    sums: dict[int, dict] = {}
+    for m, fm in f_terms:
+        for n, gn in g_terms:
+            budget = trunc - 1 - m - n
+            if budget < 0:
                 continue
-            g_table = g_tables[n]
-            budget = trunc - 1 - (m + n)
-            for (alpha, beta), p1 in f_table.items():
-                k = sum(alpha) + sum(beta)
-                if k > budget:
-                    continue
-                p2 = g_table.get((alpha, beta))
-                if p2 is None:
-                    continue
-                sign = 1 if (mutate_kernel_sign or sum(beta) % 2 == 0) else -1
-                coef = (
-                    Fraction(sign)
-                    * half ** k
-                    / (factorial_of_multi_index(alpha) * factorial_of_multi_index(beta))
-                )
-                accumulate(out, m + n + k, p1 * p2 * coef)
-    return WeylElement(TSeries(gens, out, lower, trunc), d)
+            for fe, fq in fm:
+                for ge, gq in gn:
+                    combos = [(0, fq * gq, (), ())]
+                    for i in range(d):
+                        key = (fe[i], fe[d + i], ge[i], ge[d + i])
+                        axis = tables.get(key)
+                        if axis is None:
+                            axis = tables[key] = _axis_weights(*key, sign)
+                        combos = [
+                            (k + s, w * ws, xs + (xe,), xis + (xie,))
+                            for k, w, xs, xis in combos
+                            for s, ws, xe, xie in axis
+                            if k + s <= budget
+                        ]
+                    for k, w, xs, xis in combos:
+                        row = sums.setdefault(m + n + k, {})
+                        exp = xs + xis
+                        row[exp] = row.get(exp, 0) + (w << (top - k))
+    den = (f_den * g_den) << top
+    terms = {p: {exp: Fraction(v, den) for exp, v in row.items() if v} for p, row in sums.items()}
+    out = {p: Poly._raw(f.gens, row) for p, row in terms.items() if row}
+    return WeylElement(TSeries._raw(f.gens, out, lower, trunc), d)
 
 
 def star_commutator(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
@@ -357,8 +358,10 @@ def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElem
     nonzero Fraction.
 
     Terms sharing (m, b) make one star product: their x-monomials are summed
-    into one polynomial first.  Both factors carry the window trunc + |b| + 1,
-    so the product is exact before it is shifted by t^m and cut to the window.
+    into one polynomial first.  Both factors carry the window trunc - m, so
+    the product shifted by t^m is exact in [m, trunc); a group with m >= trunc
+    lies wholly above the window and is skipped.  The result declares the
+    requested window whatever the grades.
     """
     gens = weyl_gens(dim) if gens is None else tuple(gens)
     groups: dict[tuple, dict] = {}
@@ -366,13 +369,15 @@ def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElem
         accumulate(groups.setdefault((m, b), {}), a + (0,) * dim, q)
     acc = TSeries.zero(gens, trunc, lower=lower)
     for (m, b), x_terms in groups.items():
-        window = trunc + sum(b) + 1
+        if m >= trunc:
+            continue
+        window = trunc - m
         x_part = WeylElement(TSeries.from_poly(Poly._raw(gens, x_terms), window), dim)
         xi_part = WeylElement(
             TSeries.from_poly(Poly._raw(gens, {(0,) * dim + b: Fraction(1)}), window), dim
         )
         word = moyal_star(x_part, xi_part).value.shift(m)
-        acc = acc + word.truncated(trunc).with_lower(lower)
+        acc = acc + word.with_lower(lower)
     return WeylElement(acc, dim)
 
 

@@ -1,0 +1,112 @@
+"""The closed-form Moyal kernel against the derivative-table kernel it replaced.
+
+``reference_moyal_star`` is the former body of ``weyl.moyal_star``: tables of
+iterated partials of each t-coefficient, multiplied pairwise with the weight
+(-1)^|beta| 2^-k / (alpha! beta!).  The tests pin the value and the window
+[lower, trunc) on random operands with several t-powers, negative ones
+included, and non-unit denominators, with the kernel sign both ways.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from starhom.corpus import random_fraction
+from starhom.series import Poly, TSeries, accumulate
+from starhom.weyl import WeylElement, moyal_star, weyl_gens
+
+
+def derivative_table(p, names):
+    """All nonzero iterated partials d^alpha p, each multi-index reached once."""
+    zero = (0,) * len(names)
+    table = {zero: p}
+    frontier = {zero: p}
+    while frontier:
+        nxt = {}
+        for alpha, q in frontier.items():
+            top = max((j for j in range(len(names)) if alpha[j]), default=0)
+            for i in range(top, len(names)):
+                dq = q.partial(names[i])
+                if dq.is_zero():
+                    continue
+                beta = list(alpha)
+                beta[i] += 1
+                nxt[tuple(beta)] = dq
+        table.update(nxt)
+        frontier = nxt
+    return table
+
+
+def bidiff_table(p, first, second):
+    out = {}
+    for alpha, q in derivative_table(p, first).items():
+        for beta, r in derivative_table(q, second).items():
+            out[(alpha, beta)] = r
+    return out
+
+
+def multi_factorial(alpha):
+    return math.prod(math.factorial(a) for a in alpha)
+
+
+def reference_moyal_star(f, g, mutate_kernel_sign=False):
+    d = f.dim
+    gens = f.gens
+    xs, xis = gens[:d], gens[d:]
+    fv, gv = f.value, g.value
+    lower = fv.lower + gv.lower
+    trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
+    out = {}
+    g_tables = {n: bidiff_table(gn, xs, xis) for n, gn in gv.coeffs.items()}
+    for m, fm in fv.coeffs.items():
+        f_table = bidiff_table(fm, xis, xs)
+        for n in gv.coeffs:
+            if m + n >= trunc:
+                continue
+            budget = trunc - 1 - (m + n)
+            for (alpha, beta), p1 in f_table.items():
+                k = sum(alpha) + sum(beta)
+                p2 = g_tables[n].get((alpha, beta))
+                if k > budget or p2 is None:
+                    continue
+                sign = 1 if (mutate_kernel_sign or sum(beta) % 2 == 0) else -1
+                coef = Fraction(sign, 2**k * multi_factorial(alpha) * multi_factorial(beta))
+                accumulate(out, m + n + k, p1 * p2 * coef)
+    return WeylElement(TSeries(gens, out, lower, trunc), d)
+
+
+def random_operand(rng, d, trunc):
+    """A few t-powers from [lower, trunc), lower in {-1, 0}, each a sparse
+    polynomial with rational coefficients of degree up to 3 per generator."""
+    gens = weyl_gens(d)
+    lower = rng.choice((-1, 0))
+    coeffs = {}
+    for m in rng.sample(range(lower, trunc), min(3, trunc - lower)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.randint(0, 3) for _ in gens)
+            accumulate(terms, exp, random_fraction(rng))
+        coeffs[m] = Poly(gens, terms)
+    return WeylElement(TSeries(gens, coeffs, lower, trunc), d)
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_matches_reference(d, mutate):
+    rng = random.Random(f"moyal-kernel:{d}:{mutate}")
+    negative = fractional = 0
+    for trunc in range(1, 10):
+        for _ in range(4 if d == 3 else 8):
+            f = random_operand(rng, d, trunc)
+            g = random_operand(rng, d, rng.randint(1, 9))
+            got = moyal_star(f, g, mutate_kernel_sign=mutate)
+            want = reference_moyal_star(f, g, mutate_kernel_sign=mutate)
+            assert got.dim == want.dim
+            assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
+            assert got.value.coeffs == want.value.coeffs
+            negative += -1 in f.value.coeffs
+            fractional += any(q.denominator > 1 for q, _, _ in f.monomials())
+    assert negative and fractional
+

@@ -42,6 +42,22 @@ MUTANTS = [
         "check_gl_embedding",
         "E11",
     ),
+    (
+        "moyal-order-two-dropped",
+        "weyl.py",
+        "row[exp] = row.get(exp, 0) + (w << (top - k))",
+        "row[exp] = row.get(exp, 0) + (k != 2) * (w << (top - k))",
+        "check_moyal_associativity",
+        None,
+    ),
+    (
+        "moyal-binomial-falling",
+        "weyl.py",
+        "left = comb(b, alpha) * perm(c, alpha)",
+        "left = perm(b, alpha) * perm(c, alpha)",
+        "check_moyal_associativity",
+        None,
+    ),
 ]
 
 

@@ -4,6 +4,11 @@
 through ``weyl.weyl_ordered``.  The reference implementations below are the
 former per-monomial and per-entry loops, kept here to pin values, windows
 and exceptions on random inputs, negative grades included.
+
+With an explicit ``trunc`` the realization departs from its reference in two
+ways.  A term whose t-power p - |b| is at or above ``trunc`` is dropped, where
+the reference raises EmptyWindow.  The declared window is the requested one,
+where the reference cuts it short for grades p <= -2.
 """
 
 import random
@@ -20,19 +25,23 @@ from starhom.rees import (
     diffop_mul,
     localized_to_weyl,
 )
-from starhom.series import Poly, SeriesError, TSeries, accumulate
+from starhom.series import EmptyWindow, Poly, SeriesError, TSeries, accumulate
 from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gens
+
+
+def default_trunc(s):
+    top = 0
+    for p, op in s.comps.items():
+        for (xe, de), _ in op.terms.items():
+            top = max(top, p - sum(de) + min(sum(xe), sum(de)))
+    return top + 1
 
 
 def reference_localized_to_weyl(s, trunc=None, gens=None):
     dim = s.dim
     gens = weyl_gens(dim) if gens is None else tuple(gens)
     if trunc is None:
-        top = 0
-        for p, op in s.comps.items():
-            for (xe, de), _ in op.terms.items():
-                top = max(top, p - sum(de) + min(sum(xe), sum(de)))
-        trunc = top + 1
+        trunc = default_trunc(s)
     lower = 0
     for p, op in s.comps.items():
         for (_, de), _ in op.terms.items():
@@ -98,20 +107,48 @@ def random_op_series(rng, dim):
     return OpSeries(dim, comps)
 
 
+def below_window(s, trunc):
+    """``s`` without its terms x^a d^b in grade p with p - |b| >= trunc."""
+    comps = {}
+    for p, op in s.comps.items():
+        comps[p] = DiffOp(s.dim, {k: q for k, q in op.terms.items() if p - sum(k[1]) < trunc})
+    return OpSeries(s.dim, comps)
+
+
 @pytest.mark.parametrize("trunc", [None, 2, 5, 9])
 def test_localized_to_weyl_matches_reference(trunc):
     rng = random.Random(f"weyl-ordered:{trunc}")
-    raised = 0
+    cut = shrunk = 0
     for _ in range(60):
         s = random_op_series(rng, rng.choice((1, 2)))
-        want = outcome(reference_localized_to_weyl, s, trunc=trunc)
-        assert outcome(localized_to_weyl, s, trunc=trunc) == want
-        raised += isinstance(want[0], type)
-    # the default window never raises; a window of 2 cuts some grades away
+        got = outcome(localized_to_weyl, s, trunc=trunc)
+        want_trunc = default_trunc(s) if trunc is None else trunc
+        kept = below_window(s, want_trunc)
+        if kept != s:
+            cut += 1
+            assert outcome(reference_localized_to_weyl, s, trunc=trunc)[0] is EmptyWindow
+        lower, top, coeffs = outcome(reference_localized_to_weyl, kept, trunc=want_trunc)
+        shrunk += top < want_trunc
+        assert got[:2] == (lower, want_trunc)
+        assert {e: p for e, p in got[2].items() if e < top} == coeffs
+        # a reference window wide enough for every grade agrees on all of [lower, trunc)
+        wide = reference_localized_to_weyl(kept, trunc=want_trunc + 9).value
+        wide = wide.truncated(want_trunc)
+        assert got == (wide.lower, wide.trunc, wide.coeffs)
+    assert shrunk > 0
+    # the default window never cuts a term; a window of 2 cuts some grades away
     if trunc is None:
-        assert raised == 0
+        assert cut == 0
     if trunc == 2:
-        assert raised > 0
+        assert cut > 0
+
+
+def test_window_rule_examples():
+    x = DiffOp.x(1, 1)
+    cut = localized_to_weyl(OpSeries.from_op(x, 5) + OpSeries.from_op(x, 0), trunc=2)
+    assert cut == localized_to_weyl(OpSeries.from_op(x, 0), trunc=2)
+    deep = localized_to_weyl(OpSeries.from_op(x, -3), trunc=5).value
+    assert (deep.lower, deep.trunc) == (-3, 5)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

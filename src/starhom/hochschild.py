@@ -34,6 +34,15 @@ splittings and scalar factors alike) exactly.  Slot windows are ignored by
 the merge keys, so data computed under different truncations cancels
 wherever the stored values agree; all claims are exact within the
 narrowest window used.
+
+Slot work is done once per distinct slot within one call, in dicts that
+live for that call only: the constructor normalizes each slot object once
+(the key records whether it sits in slot 0, which keeps its scalar part),
+``diff_b`` multiplies each ordered pair of slot objects once, and
+``induced_chain_map`` maps each distinct value once and checks each pair
+of slot objects once.  The image table is keyed on values, the others on
+identity, holding the keyed objects so that no ``id`` is reused; none is
+keyed on ``key()``, which ignores truncation windows.
 """
 
 from __future__ import annotations
@@ -131,6 +140,7 @@ class HochschildChain:
         object.__setattr__(self, "handle", handle)
         object.__setattr__(self, "degree", int(degree))
         merged: dict[Any, tuple[Laurent, tuple]] = {}
+        slots: dict[tuple[int, bool], Any] = {}
         for coeff, word in terms or ():
             coeff = handle.coerce_coeff(coeff)
             word = tuple(word)
@@ -138,9 +148,17 @@ class HochschildChain:
                 raise ChainError(
                     f"word length {len(word)} does not match degree {degree}"
                 )
-            normalized = _normalize_term(handle, coeff, word)
-            if normalized is not None:
-                _merge_term(merged, *normalized)
+            parts = [
+                _once(slots, (id(a), i == 0), lambda a: _normal_slot(handle, a, i == 0), a)
+                for i, a in enumerate(word)
+            ]
+            if None in parts:
+                continue
+            for q, m, _, _ in parts:
+                if q != 1 or m:
+                    coeff = handle.scale_coeff(coeff, q, m)
+            _, _, stored, keys = zip(*parts)
+            _merge_term(merged, keys, coeff, stored)
         object.__setattr__(self, "terms", merged)
 
     def __setattr__(self, *_):
@@ -193,10 +211,12 @@ class HochschildChain:
 
     def __add__(self, other: HochschildChain) -> HochschildChain:
         self._check(other)
-        degree = other.degree if self.is_zero() else self.degree
+        degree = self.degree
+        if other.degree != degree and self.is_zero():
+            degree = other.degree
         out = dict(self.terms)
-        for coeff, word in other.terms.values():
-            _merge_term(out, coeff, word)
+        for key, (coeff, word) in other.terms.items():
+            _merge_term(out, key, coeff, word)
         chain = HochschildChain(self.handle, degree)
         object.__setattr__(chain, "terms", out)
         return chain
@@ -234,28 +254,34 @@ class HochschildChain:
         return f"<{n} word{'s' if n != 1 else ''}, degree {self.degree}, over {self.handle.kind}>"
 
 
-def _normalize_term(handle: AlgebraHandle, coeff: Laurent, word: tuple):
-    slots = list(word)
-    for i in range(1, len(slots)):
-        sp = slots[i].scalar_part()
+def _once(table: dict, key, compute: Callable, arg):
+    """``compute(arg)``, computed once per ``key`` of ``table``, a dict that
+    lives for one call.  The entry holds ``arg``, so an ``id`` inside
+    ``key`` is not reused while the table lives."""
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = (compute(arg), arg)
+    return hit[0]
+
+
+def _normal_slot(handle: AlgebraHandle, a, first: bool):
+    """(q, m, a', a'.key()) with a = q * t^m * a' in the stored form, or
+    None when the word vanishes: a is zero, or a pure scalar off slot 0."""
+    if not first:
+        sp = a.scalar_part()
         if not sp.is_zero():
-            slots[i] = slots[i] - sp
-        if slots[i].is_zero():
-            return None
-    if slots[0].is_zero():
+            a = a - sp
+    if a.is_zero():
         return None
-    for i, a in enumerate(slots):
-        q, m = a.lowest_term()
-        if handle.strict:
-            m = 0
-        if q != 1 or m:
-            coeff = handle.scale_coeff(coeff, q, m)
-            slots[i] = a.mul_monomial(1 / q, -m) if m else a * (1 / q)
-    return coeff, tuple(slots)
+    q, m = a.lowest_term()
+    if handle.strict:
+        m = 0
+    if q != 1 or m:
+        a = a.mul_monomial(1 / q, -m) if m else a * (1 / q)
+    return q, m, a, a.key()
 
 
-def _merge_term(table: dict, coeff: Laurent, word: tuple):
-    key = tuple(a.key() for a in word)
+def _merge_term(table: dict, key, coeff: Laurent, word: tuple):
     hit = table.get(key)
     if hit is not None:
         coeff, word = hit[0] + coeff, hit[1]
@@ -272,12 +298,17 @@ def diff_b(c: HochschildChain) -> HochschildChain:
     h = c.handle
     if p == 0:
         return HochschildChain.zero(h, 0)
+    products: dict[tuple[int, int], Any] = {}
+
+    def mul(a, b):
+        return _once(products, (id(a), id(b)), lambda _: a * b, (a, b))
+
     raw = []
     for coeff, word in c.terms.values():
         signed = (coeff, -coeff)
-        raw.append((signed[p % 2], (word[p] * word[0],) + word[1:p]))
+        raw.append((signed[p % 2], (mul(word[p], word[0]),) + word[1:p]))
         for i in range(p):
-            merged = word[:i] + (word[i] * word[i + 1],) + word[i + 2 :]
+            merged = word[:i] + (mul(word[i], word[i + 1]),) + word[i + 2 :]
             raw.append((signed[i % 2], merged))
     return HochschildChain(h, p - 1, raw)
 
@@ -368,35 +399,30 @@ def induced_chain_map(
     pair of slots in every word, and unitality on the unit itself.
 
     ``element_map`` is applied once per distinct value (slots, the unit
-    and the checked products alike), and each distinct ordered pair of
-    slot values is checked once: a repeat would give the same exact
-    answer.  Both tables live for this call only and are keyed on the
-    values themselves (full equality, windows included), never on
-    ``key()``, which ignores truncation windows.
+    and the checked products alike): that table is keyed on the values
+    themselves (full equality, windows included).  Each ordered pair of
+    slot objects is checked once, keyed on identity: a repeat would give
+    the same exact answer.  Both tables live for this call only and are
+    never keyed on ``key()``, which ignores truncation windows.
     """
     images: dict[Any, Any] = {}
 
     def image(a):
-        out = images.get(a)
-        if out is None:
-            out = images[a] = h.element_map(a)
-        return out
+        return _once(images, a, h.element_map, a)
+
+    def check_pair(pair):
+        a, b = pair
+        if not (image(a * b) - image(a) * image(b)).is_zero():
+            raise ChainError("multiplicativity spot-check failed on a word pair")
 
     tgt = h.target
     if check:
         if not (image(h.source.unit) - tgt.unit).is_zero():
             raise ChainError("morphism does not preserve the unit")
-        checked: set[tuple[Any, Any]] = set()
+        checked: dict[tuple[int, int], Any] = {}
         for _, word in c.terms.values():
             for pair in itertools.permutations(word, 2):
-                if pair in checked:
-                    continue
-                checked.add(pair)
-                a, b = pair
-                if not (image(a * b) - image(a) * image(b)).is_zero():
-                    raise ChainError(
-                        "multiplicativity spot-check failed on a word pair"
-                    )
+                _once(checked, tuple(map(id, pair)), check_pair, pair)
     raw = []
     for coeff, word in c.terms.values():
         raw.append((tgt.coeff_into(coeff), tuple(image(a) for a in word)))

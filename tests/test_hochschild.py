@@ -107,6 +107,17 @@ class TestIdentities:
             assert diff_B(diff_B(c)).is_zero()
             assert (diff_b(diff_B(c)) + diff_B(diff_b(c))).is_zero()
 
+    def test_sum_with_a_zero_chain_takes_the_other_degree(self):
+        # zero by expansion, yet three stored words of degree 1
+        zero = HochschildChain(
+            PH, 1, [(1, (pone, px + py)), (-1, (pone, px)), (-1, (pone, py))]
+        )
+        assert zero.term_count() == 3 and zero.is_zero()
+        other = HochschildChain.single(PH, (px, py, pz))
+        assert (zero + other).degree == 2
+        assert (other + zero).degree == 2
+        assert zero + other == other
+
     def test_normalization_consistency(self):
         # a representative with monomial scalar junk in an interior slot
         t2 = TSeries.from_poly(Poly.const(G1, 3), 9, t_exp=2)
@@ -116,6 +127,67 @@ class TestIdentities:
         norm = HochschildChain(WH, 2, [(1, (wxi, perturbed, wxi))])
         assert diff_b(raw) == diff_b(norm)
         assert diff_B(raw) == diff_B(norm)
+
+
+class TestOneCallTables:
+    """Each distinct slot is normalized once per constructor call and each
+    ordered pair of slot objects multiplied once per ``diff_b`` call; the
+    tables are keyed on identity, so the stored chain is the same as
+    without them."""
+
+    def test_diff_b_multiplies_each_slot_pair_once(self, monkeypatch):
+        import starhom.weyl
+
+        calls = Counter()
+        star = starhom.weyl.moyal_star
+
+        def counting(*args, **kwargs):
+            calls["star"] += 1
+            return star(*args, **kwargs)
+
+        chain = phi_A(2)
+        monkeypatch.setattr(starhom.weyl, "moyal_star", counting)
+        assert diff_b(chain).is_zero()
+        assert 0 < calls["star"] <= (2 * 2 + 1) ** 2
+
+    def test_fresh_equal_slots_store_like_shared_ones(self):
+        h = weyl_handle(1, trunc=5, localized=True)
+
+        def slots():
+            x = WeylElement.from_poly(Poly.gen(G1, "x1"), 1, 5)
+            return {
+                "x": x,
+                "x_short": WeylElement.from_poly(Poly.gen(G1, "x1"), 1, 3),
+                "xi": WeylElement.from_poly(Poly.gen(G1, "xi1"), 1, 5, t_exp=-1).scale(3),
+                "one_x": x + h.unit,
+            }
+
+        words = [
+            ("x", "xi", "x_short"),
+            ("x_short", "x", "xi"),
+            ("one_x", "one_x", "xi"),
+            ("xi", "x_short", "one_x"),
+        ]
+        shared = slots()
+        chains = [
+            HochschildChain(h, 2, [(k + 1, tuple(pool()[n] for n in w)) for k, w in enumerate(words)])
+            for pool in (slots, lambda: shared)
+        ]
+        fresh, kept = (list(c.terms.items()) for c in chains)
+        assert [key for key, _ in fresh] == [key for key, _ in kept]
+        assert len(kept) == len(words)
+        for (_, (c1, w1)), (_, (c2, w2)) in zip(fresh, kept):
+            assert c1 == c2 and (c1.lower, c1.trunc) == (c2.lower, c2.trunc)
+            assert w1 == w2
+        windows = [[a.value.trunc for a in w] for _, (_, w) in kept]
+        assert windows[0][2] == 3 and windows[1][:2] == [3, 5]
+        assert windows[3][1] == 3
+
+    def test_slot_zero_keeps_its_scalar_part(self):
+        x = Poly.gen(("x",), "x")
+        a = 1 + x  # one object in both slots
+        chain = HochschildChain.single(poly_handle(("x",)), (a, a))
+        assert [w for _, w in chain.terms.values()] == [(1 + x, x)]
 
 
 class TestAltChain:
@@ -135,13 +207,15 @@ class TestAltChain:
 
 
 class TestTraceCycles:
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_phi_E_is_a_cycle(self, d):
         assert diff_b(phi_E(d)).is_zero()
+        assert diff_B(phi_E(d)).is_zero()
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_phi_A_is_a_cycle(self, d):
         assert diff_b(phi_A(d)).is_zero()
+        assert diff_B(phi_A(d)).is_zero()
 
     def test_phi_E_term_count_and_signs(self):
         c1 = phi_E(1)
@@ -186,7 +260,7 @@ class TestInducedChainMap:
         assert induced_chain_map(ident, c) == c
 
     def test_localized_phi_E_maps_to_phi_A(self):
-        for d in (1, 2):
+        for d in (1, 2, 3):
             assert induced_chain_map(localization_morphism(d), phi_E(d)) == phi_A(d)
 
     def test_multiplicativity_check_rejects_bad_map(self):

@@ -25,11 +25,9 @@ from .hochschild import (
     AlgebraHandle,
     AlgebraMorphism,
     HochschildChain,
-    UChain,
     alt_chain,
     diff_B,
     diff_b,
-    diff_cyclic,
     induced_chain_map,
     phi_A,
     phi_E,
@@ -37,7 +35,7 @@ from .hochschild import (
     rees_handle,
     weyl_handle,
 )
-from .hkr import DForm, UForm, de_rham, hkr_map, hkr_periodic, wedge
+from .hkr import DForm, de_rham, hkr_map, wedge
 from .charclass import (
     ChernClassExpr,
     ChernRootSeries,

@@ -70,10 +70,6 @@ def todd_root_series(order: int) -> list[Fraction]:
     return invert_unit_series(denom, order)
 
 
-def exp_half_root_series(order: int) -> list[Fraction]:
-    return [Fraction(1, 2**k * math.factorial(k)) for k in range(order + 1)]
-
-
 # -- symmetric series in the root basis ---------------------------------------
 
 
@@ -186,10 +182,6 @@ class ChernClassExpr:
     @classmethod
     def zero(cls, d: int, trunc: int) -> ChernClassExpr:
         return cls(d, trunc, Poly.zero(chern_names(d)))
-
-    @classmethod
-    def from_terms(cls, d: int, trunc: int, terms) -> ChernClassExpr:
-        return cls(d, trunc, Poly(chern_names(d), terms))
 
     @classmethod
     def half_c1(cls, d: int, trunc: int) -> ChernClassExpr:

@@ -138,12 +138,6 @@ class FormalVectorField:
         """The w-degree-k piece: components homogeneous of degree k + 1."""
         return self.map_components(lambda p: p.homogeneous_part(k + 1))
 
-    def fiber_degrees(self) -> list[int]:
-        degs = set()
-        for p in self.comps:
-            degs.update(sum(e) - 1 for e in p.terms)
-        return sorted(degs)
-
     def __eq__(self, other):
         return (
             isinstance(other, FormalVectorField)
@@ -292,7 +286,7 @@ class LieValuedForm:
 
     def exterior_d(self) -> LieValuedForm:
         """Base exterior derivative; fiber values ride along."""
-        out = LieValuedForm.zero(self.base, self.kind)
+        out: dict = {}
         for (widx, bexp), val in self.terms.items():
             for i in range(len(self.base)):
                 if not bexp[i]:
@@ -303,17 +297,15 @@ class LieValuedForm:
                 sign, new_widx = merged
                 new_bexp = list(bexp)
                 new_bexp[i] -= 1
-                out = out + LieValuedForm(
-                    self.base,
-                    self.kind,
-                    {(new_widx, tuple(new_bexp)): val.scale(Fraction(sign) * bexp[i])},
+                accumulate(
+                    out, (new_widx, tuple(new_bexp)), val.scale(Fraction(sign) * bexp[i])
                 )
-        return out
+        return LieValuedForm(self.base, self.kind, out)
 
     def bracket(self, other: LieValuedForm) -> LieValuedForm:
         """Graded bracket: wedge on the base, Lie bracket on values."""
         self._check(other)
-        out = LieValuedForm.zero(self.base, self.kind)
+        out: dict = {}
         for (w1, b1), v1 in self.terms.items():
             for (w2, b2), v2 in other.terms.items():
                 merged = _merge_sign(w1, w2)
@@ -324,10 +316,8 @@ class LieValuedForm:
                 if val.is_zero():
                     continue
                 bexp = tuple(a + b for a, b in zip(b1, b2))
-                out = out + LieValuedForm(
-                    self.base, self.kind, {(widx, bexp): val.scale(sign)}
-                )
-        return out
+                accumulate(out, (widx, bexp), val.scale(sign))
+        return LieValuedForm(self.base, self.kind, out)
 
     def fiber_part(self, k: int) -> LieValuedForm:
         if self.kind == "vf":
@@ -374,7 +364,7 @@ def curvature(a: LieValuedForm) -> LieValuedForm:
 def _delta(form: LieValuedForm) -> LieValuedForm:
     """sum_i dz_i wedge d/dzh_i, acting on vf-valued forms."""
     names = fiber_z_names(len(form.base))
-    out = LieValuedForm.zero(form.base, "vf")
+    out: dict = {}
     for (widx, bexp), val in form.terms.items():
         for i, name in enumerate(names):
             dval = val.map_components(lambda p, n=name: p.partial(n))
@@ -384,16 +374,14 @@ def _delta(form: LieValuedForm) -> LieValuedForm:
             if merged is None:
                 continue
             sign, new_widx = merged
-            out = out + LieValuedForm(
-                form.base, "vf", {(new_widx, bexp): dval.scale(sign)}
-            )
-    return out
+            accumulate(out, (new_widx, bexp), dval.scale(sign))
+    return LieValuedForm(form.base, "vf", out)
 
 
 def _delta_star(form: LieValuedForm) -> LieValuedForm:
     """sum_i zh_i iota(d/dz_i), the homotopy partner of delta."""
     names = fiber_z_names(len(form.base))
-    out = LieValuedForm.zero(form.base, "vf")
+    out: dict = {}
     for (widx, bexp), val in form.terms.items():
         for pos, i in enumerate(widx):
             sign = (-1) ** pos
@@ -402,8 +390,8 @@ def _delta_star(form: LieValuedForm) -> LieValuedForm:
             if new_val.is_zero():
                 continue
             new_widx = widx[:pos] + widx[pos + 1 :]
-            out = out + LieValuedForm(form.base, "vf", {(new_widx, bexp): new_val})
-    return out
+            accumulate(out, (new_widx, bexp), new_val)
+    return LieValuedForm(form.base, "vf", out)
 
 
 def _delta_inv(form: LieValuedForm) -> LieValuedForm:

@@ -10,10 +10,9 @@ derivative, which is the commuting square the cyclic machinery needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .hochschild import ChainError, HochschildChain, UChain
+from .hochschild import ChainError, HochschildChain
 from .series import Poly, SeriesError, accumulate
 
 
@@ -83,12 +82,6 @@ class DForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_part(self, k: int) -> DForm:
-        return DForm(self.vars, {i: p for i, p in self.terms.items() if len(i) == k})
-
-    def degrees(self) -> list[int]:
-        return sorted({len(i) for i in self.terms})
-
     def _check(self, other: DForm):
         if self.vars != other.vars:
             raise FormError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -146,7 +139,7 @@ def wedge(a: DForm, b: DForm) -> DForm:
 
 def de_rham(a: DForm) -> DForm:
     """Exterior derivative; squares to zero."""
-    out = DForm.zero(a.vars)
+    out: dict[tuple, Poly] = {}
     for idx, p in a.terms.items():
         for i, v in enumerate(a.vars):
             dp = p.partial(v)
@@ -156,8 +149,8 @@ def de_rham(a: DForm) -> DForm:
             if merged is None:
                 continue
             sign, new_idx = merged
-            out = out + DForm(a.vars, {new_idx: dp * sign})
-    return out
+            accumulate(out, new_idx, dp * sign)
+    return DForm(a.vars, out)
 
 
 def hkr_map(c: HochschildChain) -> DForm:
@@ -178,37 +171,3 @@ def hkr_map(c: HochschildChain) -> DForm:
         out = out + form
     return out
 
-
-@dataclass(frozen=True)
-class UForm:
-    """Window of differential forms indexed by u-exponents."""
-
-    variables: tuple
-    window: tuple[int, int]
-    components: dict
-
-    def component(self, j: int) -> DForm:
-        return self.components.get(j, DForm.zero(self.variables))
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.components.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, UForm) or self.variables != other.variables:
-            return NotImplemented
-        lo = min(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        return all(self.component(j) == other.component(j) for j in range(lo, hi + 1))
-
-
-def hkr_periodic(c: UChain) -> UForm:
-    """Componentwise chains-to-forms map on a u-window."""
-    if c.handle.kind != "poly":
-        raise ChainError(f"chains over {c.handle.kind!r} are not in the domain")
-    variables = c.handle.unit.gens
-    comps = {}
-    for j, chain in c.components.items():
-        form = hkr_map(chain)
-        if not form.is_zero():
-            comps[j] = form
-    return UForm(variables, c.window, comps)

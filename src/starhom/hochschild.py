@@ -1,4 +1,4 @@
-"""Hochschild chains over pluggable algebras, with b, B, and u-windows.
+"""Hochschild chains over pluggable algebras, with b and B.
 
 A chain of degree p is a finite combination of words a_0 (x) ... (x) a_p
 with the slots in positions >= 1 taken modulo scalars (the reduced model
@@ -201,23 +201,22 @@ class HochschildChain:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def _check(self, other: HochschildChain):
+    def __add__(self, other: HochschildChain) -> HochschildChain:
         if self.handle.kind != other.handle.kind:
             raise ChainError(
                 f"mixed algebras: {self.handle.kind} vs {other.handle.kind}"
             )
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
+        if self.degree != other.degree:
+            # only a zero side may differ in degree; its words are dropped
+            if self.is_zero():
+                return other
+            if other.is_zero():
+                return self
             raise ChainError(f"mixed degrees: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: HochschildChain) -> HochschildChain:
-        self._check(other)
-        degree = self.degree
-        if other.degree != degree and self.is_zero():
-            degree = other.degree
         out = dict(self.terms)
         for key, (coeff, word) in other.terms.items():
             _merge_term(out, key, coeff, word)
-        chain = HochschildChain(self.handle, degree)
+        chain = HochschildChain(self.handle, self.degree)
         object.__setattr__(chain, "terms", out)
         return chain
 
@@ -428,113 +427,3 @@ def induced_chain_map(
         raw.append((tgt.coeff_into(coeff), tuple(image(a) for a in word)))
     return HochschildChain(tgt, c.degree, raw)
 
-
-class UChain:
-    """Homogeneous element of the cyclic complexes in the u-notation.
-
-    Components live at u-exponents inside [lo, hi]; below lo they are
-    exactly zero, above hi they are unknown (hi is a validity bound, the
-    u-side mirror of t-truncation).  u has homological degree -2, so the
-    component at u^j has chain degree total_degree + 2j.
-    """
-
-    __slots__ = ("handle", "window", "total_degree", "components")
-
-    def __init__(self, handle: AlgebraHandle, window: tuple[int, int], total_degree: int, components=None):
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ChainError(f"u-window [{lo}, {hi}] is empty")
-        clean: dict[int, HochschildChain] = {}
-        for j, chain in (components or {}).items():
-            j = int(j)
-            if chain.is_zero():
-                continue
-            if not lo <= j <= hi:
-                raise ChainError(f"u-exponent {j} outside window [{lo}, {hi}]")
-            if chain.degree != total_degree + 2 * j:
-                raise ChainError(
-                    f"component at u^{j} has degree {chain.degree}, "
-                    f"expected {total_degree + 2 * j}"
-                )
-            clean[j] = chain
-        object.__setattr__(self, "handle", handle)
-        object.__setattr__(self, "window", (lo, hi))
-        object.__setattr__(self, "total_degree", int(total_degree))
-        object.__setattr__(self, "components", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("UChain is immutable")
-
-    def component(self, j: int) -> HochschildChain:
-        chain = self.components.get(j)
-        if chain is None:
-            return HochschildChain.zero(self.handle, max(self.total_degree + 2 * j, 0))
-        return chain
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def is_negative_cyclic(self) -> bool:
-        return self.window[0] >= 0
-
-    def __add__(self, other: UChain) -> UChain:
-        lo = min(self.window[0], other.window[0])
-        hi = min(self.window[1], other.window[1])
-        if self.components and other.components and self.total_degree != other.total_degree:
-            raise ChainError("mixed total degrees")
-        total = self.total_degree if self.components else other.total_degree
-        comps: dict[int, HochschildChain] = {}
-        for j in set(self.components) | set(other.components):
-            if not lo <= j <= hi:
-                continue
-            s = self.component(j) + other.component(j)
-            if not s.is_zero():
-                comps[j] = s
-        return UChain(self.handle, (lo, hi), total, comps)
-
-    def __neg__(self) -> UChain:
-        return UChain(
-            self.handle,
-            self.window,
-            self.total_degree,
-            {j: -c for j, c in self.components.items()},
-        )
-
-    def __sub__(self, other: UChain) -> UChain:
-        return self + (-other)
-
-    def u_shift(self, k: int = 1) -> UChain:
-        """Multiplication by u^k: an injective chain map of total degree -2k."""
-        return UChain(
-            self.handle,
-            (self.window[0] + k, self.window[1] + k),
-            self.total_degree - 2 * k,
-            {j + k: c for j, c in self.components.items()},
-        )
-
-    def u0_part(self) -> HochschildChain:
-        """The quotient map CC- -> C at u^0; carries b alone."""
-        return self.component(0)
-
-    def __eq__(self, other):
-        return isinstance(other, UChain) and (self - other).is_zero()
-
-    def __repr__(self):
-        lo, hi = self.window
-        return (
-            f"<u-chain on [{lo},{hi}], total degree {self.total_degree}, "
-            f"{len(self.components)} component(s)>"
-        )
-
-
-def diff_cyclic(c: UChain) -> UChain:
-    """b + uB, computed per u-exponent and clipped to the validity window."""
-    lo, hi = c.window
-    comps: dict[int, HochschildChain] = {}
-    for j in range(lo, hi + 1):
-        part = diff_b(c.component(j))
-        if j - 1 >= lo:
-            part = part + diff_B(c.component(j - 1))
-        if not part.is_zero():
-            comps[j] = part
-    return UChain(c.handle, (lo, hi), c.total_degree - 1, comps)

@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 
 from starhom.corpus import random_chain, random_poly
-from starhom.hkr import DForm, FormError, UForm, de_rham, hkr_map, hkr_periodic, wedge
+from starhom.hkr import DForm, FormError, de_rham, hkr_map, wedge
 from starhom.hochschild import (
     ChainError,
     HochschildChain,
-    UChain,
     diff_B,
     diff_b,
-    diff_cyclic,
     poly_handle,
     weyl_handle,
 )
@@ -67,9 +65,14 @@ class TestDeRham:
 
 
 class TestHkrMap:
+    def test_degree_zero(self):
+        c = HochschildChain.single(PH, (Poly.const(V, 5),))
+        assert hkr_map(c) == DForm.from_poly(Poly.const(V, 5))
+
     def test_degree_one(self):
         c = HochschildChain.single(PH, (x, y))
         assert hkr_map(c) == DForm(V, {(1,): x})
+        assert hkr_map(HochschildChain.single(PH, (one, x))) == dx
 
     def test_half_factor_in_degree_two(self):
         c = HochschildChain.single(PH, (one, x, y))
@@ -93,30 +96,3 @@ class TestHkrMap:
             assert hkr_map(diff_b(c)).is_zero()
             assert hkr_map(diff_B(c)) == de_rham(hkr_map(c))
 
-
-class TestHkrPeriodic:
-    def test_constant_chain(self):
-        c = HochschildChain.single(PH, (Poly.const(V, 5),))
-        uc = UChain(PH, (0, 2), 0, {0: c})
-        got = hkr_periodic(uc)
-        assert got.component(0) == DForm.from_poly(Poly.const(V, 5))
-
-    def test_one_tensor_f(self):
-        c = HochschildChain.single(PH, (one, x))
-        uc = UChain(PH, (1, 3), -1, {1: c})
-        assert hkr_periodic(uc).component(1) == dx
-
-    def test_square_with_cyclic_differential(self):
-        rng = random.Random("hkrp")
-        c0 = random_chain(rng, PH, 1, slot)
-        c1 = random_chain(rng, PH, 3, slot)
-        uc = UChain(PH, (0, 3), 1, {0: c0, 1: c1})
-        lhs = hkr_periodic(diff_cyclic(uc))
-        img = hkr_periodic(uc)
-        lo, hi = uc.window
-        want = UForm(
-            img.variables,
-            uc.window,
-            {j + 1: de_rham(img.component(j)) for j in range(lo, hi)},
-        )
-        assert lhs == want

@@ -12,11 +12,9 @@ from starhom.hochschild import (
     AlgebraMorphism,
     ChainError,
     HochschildChain,
-    UChain,
     alt_chain,
     diff_B,
     diff_b,
-    diff_cyclic,
     induced_chain_map,
     phi_A,
     phi_E,
@@ -114,9 +112,13 @@ class TestIdentities:
         )
         assert zero.term_count() == 3 and zero.is_zero()
         other = HochschildChain.single(PH, (px, py, pz))
-        assert (zero + other).degree == 2
-        assert (other + zero).degree == 2
-        assert zero + other == other
+        for total in (zero + other, other + zero):
+            assert total.degree == 2
+            assert all(len(word) == 3 for _, word in total.items())
+            assert total == other
+            assert diff_b(total) == diff_b(other)
+        with pytest.raises(ChainError):
+            other + HochschildChain.single(PH, (px, py))
 
     def test_normalization_consistency(self):
         # a representative with monomial scalar junk in an interior slot
@@ -376,47 +378,3 @@ class TestCoefficientWindows:
             w.scale(1, tpow=-1)
         assert not w.scale(1, tpow=2).is_zero()
 
-
-class TestUChains:
-    def make(self, rng):
-        c0 = random_chain(rng, PH, 2, poly_slot)
-        c1 = random_chain(rng, PH, 4, poly_slot)
-        return UChain(PH, (0, 3), 2, {0: c0, 1: c1})
-
-    def test_cyclic_differential_squares_to_zero(self):
-        rng = random.Random("uchain")
-        for _ in range(10):
-            uc = self.make(rng)
-            assert diff_cyclic(diff_cyclic(uc)).is_zero()
-
-    def test_quotient_carries_b(self):
-        rng = random.Random("uchain-q")
-        uc = self.make(rng)
-        assert diff_cyclic(uc).u0_part() == diff_b(uc.u0_part())
-
-    def test_u_shift_is_an_injective_chain_map(self):
-        rng = random.Random("uchain-s")
-        uc = self.make(rng)
-        shifted = uc.u_shift()
-        assert diff_cyclic(shifted) == diff_cyclic(uc).u_shift()
-        assert not shifted.is_zero()
-        assert shifted.u0_part().is_zero()
-
-    def test_b_plus_uB_on_degree_zero(self):
-        a0 = HochschildChain.single(PH, (px,))
-        uc = UChain(PH, (0, 2), 0, {0: a0})
-        image = diff_cyclic(uc)
-        assert image.component(0).is_zero()
-        assert image.component(1) == diff_B(a0)
-
-    def test_window_validation(self):
-        a0 = HochschildChain.single(PH, (px,))
-        with pytest.raises(ChainError):
-            UChain(PH, (0, 2), 0, {3: a0})
-        with pytest.raises(ChainError):
-            UChain(PH, (0, 2), 1, {0: a0})
-
-    def test_negative_cyclic_flag(self):
-        a0 = HochschildChain.single(PH, (px,))
-        assert UChain(PH, (0, 2), 0, {0: a0}).is_negative_cyclic()
-        assert not UChain(PH, (-1, 2), 0, {0: a0}).is_negative_cyclic()

@@ -58,6 +58,22 @@ MUTANTS = [
         "check_moyal_associativity",
         None,
     ),
+    (
+        "chain-slot-zero-flag-dropped",
+        "hochschild.py",
+        "_once(slots, (id(a), i == 0),",
+        "_once(slots, id(a),",
+        "check_hochschild_identities",
+        None,
+    ),
+    (
+        "cyclic-B-rotation-sign",
+        "hochschild.py",
+        "signed[(p * i) % 2]",
+        "signed[i % 2]",
+        "check_hochschild_identities",
+        None,
+    ),
 ]
 
 

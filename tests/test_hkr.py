@@ -72,6 +72,8 @@ class TestHkrMap:
     def test_degree_one(self):
         c = HochschildChain.single(PH, (x, y))
         assert hkr_map(c) == DForm(V, {(1,): x})
+
+    def test_one_tensor_f(self):
         assert hkr_map(HochschildChain.single(PH, (one, x))) == dx
 
     def test_half_factor_in_degree_two(self):

@@ -9,6 +9,7 @@ derivative, which is the commuting square the cyclic machinery needs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -155,19 +156,25 @@ def de_rham(a: DForm) -> DForm:
 
 def hkr_map(c: HochschildChain) -> DForm:
     """f_0 (x) ... (x) f_p  ->  (1/p!) f_0 df_1 ^ ... ^ df_p, extended
-    linearly.  Only defined over the commutative polynomial algebra."""
+    linearly.  Only defined over the commutative polynomial algebra.
+
+    df is computed once per distinct slot in positions >= 1, and every
+    word's form is added into one dict."""
     if c.handle.kind != "poly":
         raise ChainError(f"chains over {c.handle.kind!r} are not in the domain")
     variables = c.handle.unit.gens
     p = c.degree
     factor = Fraction(1, math.factorial(p))
-    out = DForm.zero(variables)
-    for coeff, word in c.terms.values():
-        form = DForm.from_poly(word[0] * (coeff.coefficient(0) * factor))
-        for slot in word[1:]:
-            form = wedge(form, de_rham(DForm.from_poly(slot)))
+    words = c.terms.values()
+    inner = dict.fromkeys(itertools.chain.from_iterable(word[1:] for _, word in words))
+    d = {s: de_rham(DForm.from_poly(c.slots[s])) for s in inner}
+    out: dict[tuple, Poly] = {}
+    for coeff, word in words:
+        form = DForm.from_poly(c.slots[word[0]] * (coeff.coefficient(0) * factor))
+        for s in word[1:]:
+            form = wedge(form, d[s])
             if form.is_zero():
                 break
-        out = out + form
-    return out
-
+        for idx, poly in form.terms.items():
+            accumulate(out, idx, poly)
+    return DForm(variables, out)

@@ -35,14 +35,23 @@ the merge keys, so data computed under different truncations cancels
 wherever the stored values agree; all claims are exact within the
 narrowest window used.
 
-Slot work is done once per distinct slot within one call, in dicts that
-live for that call only: the constructor normalizes each slot object once
-(the key records whether it sits in slot 0, which keeps its scalar part),
-``diff_b`` multiplies each ordered pair of slot objects once, and
-``induced_chain_map`` maps each distinct value once and checks each pair
-of slot objects once.  The image table is keyed on values, the others on
-identity, holding the keyed objects so that no ``id`` is reused; none is
-keyed on ``key()``, which ignores truncation windows.
+A chain holds one tuple ``slots`` of distinct stored slot values, deduped
+by full value (windows included), and its words are tuples of small ints
+into it.  Each slot also has a merge class: the index of the first slot
+with the same ``key()``.  Words merge on their tuples of classes, so the
+merge keys are int tuples and slots that differ only in their windows
+merge, the stored word keeping the first word's slots.
+
+Slot work is done once per distinct slot within one call, in tables that
+live for that call only.  The constructor normalizes each (slot object,
+slot-0 flag) once, keyed on identity and holding the objects so that no
+``id`` is reused; slot 0 keeps its scalar part.  ``diff_b`` multiplies
+each ordered pair of slot indices once, ``diff_B`` appends the unit to
+the slot values and rotates int words, and ``is_zero`` expands each slot
+into monomials once.  ``induced_chain_map`` maps each distinct value once
+(keyed on the values themselves) and checks each ordered pair of slot
+indices once.  ``+`` re-indexes the other chain once per distinct slot:
+by full value into this chain's slots and by ``key()`` into its classes.
 """
 
 from __future__ import annotations
@@ -130,17 +139,20 @@ def rees_handle(dim: int, strict: bool = False) -> AlgebraHandle:
 
 
 class HochschildChain:
-    """Exact linear combination of normalized tensor words of one degree."""
+    """Exact linear combination of normalized tensor words of one degree.
 
-    __slots__ = ("handle", "degree", "terms")
+    ``slots`` is a tuple of the distinct stored slot values and a stored
+    word is a tuple of indices into it.  ``terms`` maps a merge key, the
+    word with each slot replaced by its merge class, to (coefficient,
+    word).  ``items()`` gives the words as tuples of slot values.
+    """
+
+    __slots__ = ("handle", "degree", "slots", "terms")
 
     def __init__(self, handle: AlgebraHandle, degree: int, terms=None):
         if degree < 0:
             raise ChainError("chain degree must be >= 0")
-        object.__setattr__(self, "handle", handle)
-        object.__setattr__(self, "degree", int(degree))
-        merged: dict[Any, tuple[Laurent, tuple]] = {}
-        slots: dict[tuple[int, bool], Any] = {}
+        raw = []
         for coeff, word in terms or ():
             coeff = handle.coerce_coeff(coeff)
             word = tuple(word)
@@ -148,21 +160,28 @@ class HochschildChain:
                 raise ChainError(
                     f"word length {len(word)} does not match degree {degree}"
                 )
-            parts = [
-                _once(slots, (id(a), i == 0), lambda a: _normal_slot(handle, a, i == 0), a)
-                for i, a in enumerate(word)
-            ]
-            if None in parts:
-                continue
-            for q, m, _, _ in parts:
-                if q != 1 or m:
-                    coeff = handle.scale_coeff(coeff, q, m)
-            _, _, stored, keys = zip(*parts)
-            _merge_term(merged, keys, coeff, stored)
-        object.__setattr__(self, "terms", merged)
+            raw.append((coeff, word))
+        objects = {id(a): a for _, word in raw for a in word}
+        index = {i: s for s, i in enumerate(objects)}
+        raw = [(coeff, tuple(map(index.__getitem__, map(id, word)))) for coeff, word in raw]
+        slots, merged = _stored_terms(handle, list(objects.values()), raw)
+        _set(self, handle, degree, slots, merged)
 
     def __setattr__(self, *_):
         raise AttributeError("HochschildChain is immutable")
+
+    @classmethod
+    def _raw(cls, handle: AlgebraHandle, degree: int, slots: tuple, terms: dict) -> HochschildChain:
+        """Trusted constructor: ``terms`` is already in stored form over ``slots``."""
+        chain = object.__new__(cls)
+        _set(chain, handle, degree, slots, terms)
+        return chain
+
+    @classmethod
+    def _from_indexed(cls, handle: AlgebraHandle, degree: int, source, raw) -> HochschildChain:
+        """The chain sum(coeff * word) of int words ``raw`` into the list of
+        slot values ``source``, brought into stored form."""
+        return cls._raw(handle, degree, *_stored_terms(handle, source, raw))
 
     @classmethod
     def zero(cls, handle: AlgebraHandle, degree: int = 0) -> HochschildChain:
@@ -174,21 +193,24 @@ class HochschildChain:
         return cls(handle, len(word) - 1, [(coeff, word)])
 
     def items(self):
-        return list(self.terms.values())
+        slot = self.slots.__getitem__
+        return [(coeff, tuple(map(slot, word))) for coeff, word in self.terms.values()]
 
     def is_zero(self) -> bool:
         """Complete zero test: expand every word in the monomial k-basis
         of the algebra, so additive slot relations such as
         a (x) (u+v) (x) b = a (x) u (x) b + a (x) v (x) b are decided.
+        Each distinct slot is expanded once.
 
         Contributions are added one at a time with the window rule of
         ``Laurent``; stored slots have no negative t-power over ``weyl``,
         so no t-power rule can fail here."""
         if not self.terms:
             return True
+        monomials = [a.monomials() for a in self.slots]
         table: dict[Any, Laurent] = {}
         for coeff, word in self.terms.values():
-            for combo in itertools.product(*(a.monomials() for a in word)):
+            for combo in itertools.product(*map(monomials.__getitem__, word)):
                 q = Fraction(1)
                 m = 0
                 for mono_q, mono_m, _ in combo:
@@ -213,12 +235,16 @@ class HochschildChain:
             if other.is_zero():
                 return self
             raise ChainError(f"mixed degrees: {self.degree} vs {other.degree}")
-        out = dict(self.terms)
-        for key, (coeff, word) in other.terms.items():
-            _merge_term(out, key, coeff, word)
-        chain = HochschildChain(self.handle, self.degree)
-        object.__setattr__(chain, "terms", out)
-        return chain
+        # re-index the other chain once per distinct slot: by full value
+        # into this chain's slots, by key() into its merge classes
+        table = _SlotTable(self.slots)
+        remap = [table.add(a, a.key()) for a in other.slots]
+        classes = table.classes
+        merged = dict(self.terms)
+        for coeff, word in other.terms.values():
+            word = tuple(map(remap.__getitem__, word))
+            _merge_term(merged, tuple(map(classes.__getitem__, word)), coeff, word)
+        return HochschildChain._raw(self.handle, self.degree, *_compact(table, merged))
 
     def __neg__(self) -> HochschildChain:
         return self.scale(-1)
@@ -229,15 +255,13 @@ class HochschildChain:
     def scale(self, q, tpow: int = 0) -> HochschildChain:
         q = as_fraction(q)
         h = self.handle
-        chain = HochschildChain(h, self.degree)
         if not q:
-            return chain
+            return HochschildChain.zero(h, self.degree)
         out = {
             key: (h.scale_coeff(coeff, q, tpow), word)
             for key, (coeff, word) in self.terms.items()
         }
-        object.__setattr__(chain, "terms", out)
-        return chain
+        return HochschildChain._raw(h, self.degree, self.slots, out)
 
     def __eq__(self, other):
         return (
@@ -253,14 +277,102 @@ class HochschildChain:
         return f"<{n} word{'s' if n != 1 else ''}, degree {self.degree}, over {self.handle.kind}>"
 
 
-def _once(table: dict, key, compute: Callable, arg):
-    """``compute(arg)``, computed once per ``key`` of ``table``, a dict that
-    lives for one call.  The entry holds ``arg``, so an ``id`` inside
-    ``key`` is not reused while the table lives."""
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = (compute(arg), arg)
-    return hit[0]
+def _set(chain: HochschildChain, handle, degree: int, slots: tuple, terms: dict):
+    object.__setattr__(chain, "handle", handle)
+    object.__setattr__(chain, "degree", int(degree))
+    object.__setattr__(chain, "slots", slots)
+    object.__setattr__(chain, "terms", terms)
+
+
+class _SlotTable:
+    """The distinct stored slot values of one chain being built.
+
+    Values are deduped by full value, windows included.  The merge class
+    of a slot is the index of the first slot with the same ``key()``, so
+    slots that differ only in their windows merge.
+    """
+
+    __slots__ = ("slots", "keys", "classes", "_by_key")
+
+    def __init__(self, values=()):
+        self.slots: list = []
+        self.keys: list = []
+        self.classes: list[int] = []
+        self._by_key: dict[Any, list[int]] = {}
+        for a in values:
+            self.add(a, a.key())
+
+    def add(self, a, key) -> int:
+        """The index of the value ``a``, whose ``key()`` is ``key``."""
+        same = self._by_key.setdefault(key, [])
+        for t in same:
+            if self.slots[t] == a:
+                return t
+        t = len(self.slots)
+        self.slots.append(a)
+        self.keys.append(key)
+        self.classes.append(same[0] if same else t)
+        same.append(t)
+        return t
+
+
+def _stored_terms(handle: AlgebraHandle, source: list, raw) -> tuple[tuple, dict]:
+    """(slots, terms) of sum(coeff * word) over int words into ``source``.
+
+    Each (slot object, slot-0 flag) is normalized once, into a slot index
+    and the scalar q * t^m moved out of it (None when q = 1 and m = 0), or
+    into (None, None) when the word vanishes.  ``source`` holds the
+    objects, so no ``id`` is reused."""
+    table = _SlotTable()
+    normal: dict[tuple[int, bool], tuple] = {}
+
+    def entry(s: int, first: bool) -> tuple:
+        a = source[s]
+        key = (id(a), first)
+        if key not in normal:
+            part = _normal_slot(handle, a, first)
+            if part is None:
+                normal[key] = (None, None)
+            else:
+                q, m, a, a_key = part
+                normal[key] = (table.add(a, a_key), (q, m) if q != 1 or m else None)
+        return normal[key]
+
+    head_slot, head_scale, tail_slot, tail_scale = {}, {}, {}, {}
+    for s in dict.fromkeys(word[0] for _, word in raw):
+        head_slot[s], head_scale[s] = entry(s, True)
+    for s in dict.fromkeys(itertools.chain.from_iterable(word[1:] for _, word in raw)):
+        tail_slot[s], tail_scale[s] = entry(s, False)
+    classes = table.classes
+    merged: dict[tuple, tuple[Laurent, tuple]] = {}
+    for coeff, word in raw:
+        rest = word[1:]
+        stored = (head_slot[word[0]], *map(tail_slot.__getitem__, rest))
+        if None in stored:
+            continue
+        moved = head_scale[word[0]]
+        if moved:
+            coeff = handle.scale_coeff(coeff, *moved)
+        for q, m in filter(None, map(tail_scale.__getitem__, rest)):
+            coeff = handle.scale_coeff(coeff, q, m)
+        _merge_term(merged, tuple(map(classes.__getitem__, stored)), coeff, stored)
+    return _compact(table, merged)
+
+
+def _compact(table: _SlotTable, merged: dict) -> tuple[tuple, dict]:
+    """(slots, terms) with only the slots that the stored words use,
+    renumbered in order; words that cancel or vanish leave slots behind."""
+    used = set(itertools.chain.from_iterable(word for _, word in merged.values()))
+    if len(used) == len(table.slots):
+        return tuple(table.slots), merged
+    kept = _SlotTable()
+    renumber = {t: kept.add(table.slots[t], table.keys[t]) for t in sorted(used)}
+    classes = kept.classes
+    terms = {}
+    for coeff, word in merged.values():
+        word = tuple(map(renumber.__getitem__, word))
+        terms[tuple(map(classes.__getitem__, word))] = (coeff, word)
+    return tuple(kept.slots), terms
 
 
 def _normal_slot(handle: AlgebraHandle, a, first: bool):
@@ -292,15 +404,23 @@ def _merge_term(table: dict, key, coeff: Laurent, word: tuple):
 
 def diff_b(c: HochschildChain) -> HochschildChain:
     """Hochschild boundary: wrap term (-1)^p a_p a_0 (x) ... plus the
-    alternating sum of adjacent products.  Zero on degree-0 chains."""
+    alternating sum of adjacent products.  Zero on degree-0 chains.
+
+    Each ordered pair (i, j) of slot indices is multiplied once; its
+    product is appended to the slot values and named by its index."""
     p = c.degree
     h = c.handle
     if p == 0:
         return HochschildChain.zero(h, 0)
-    products: dict[tuple[int, int], Any] = {}
+    source = list(c.slots)
+    products: dict[tuple[int, int], int] = {}
 
-    def mul(a, b):
-        return _once(products, (id(a), id(b)), lambda _: a * b, (a, b))
+    def mul(i: int, j: int) -> int:
+        k = products.get((i, j))
+        if k is None:
+            k = products[i, j] = len(source)
+            source.append(source[i] * source[j])
+        return k
 
     raw = []
     for coeff, word in c.terms.values():
@@ -309,20 +429,20 @@ def diff_b(c: HochschildChain) -> HochschildChain:
         for i in range(p):
             merged = word[:i] + (mul(word[i], word[i + 1]),) + word[i + 2 :]
             raw.append((signed[i % 2], merged))
-    return HochschildChain(h, p - 1, raw)
+    return HochschildChain._from_indexed(h, p - 1, source, raw)
 
 
 def diff_B(c: HochschildChain) -> HochschildChain:
     """Connes cyclic differential: sum_i (-1)^{pi} 1 (x) a_i ... a_{i-1}."""
     p = c.degree
     h = c.handle
+    unit = (len(c.slots),)
     raw = []
     for coeff, word in c.terms.values():
         signed = (coeff, -coeff)
         for i in range(p + 1):
-            rotated = (h.unit,) + word[i:] + word[:i]
-            raw.append((signed[(p * i) % 2], rotated))
-    return HochschildChain(h, p + 1, raw)
+            raw.append((signed[(p * i) % 2], unit + word[i:] + word[:i]))
+    return HochschildChain._from_indexed(h, p + 1, [*c.slots, h.unit], raw)
 
 
 def alt_chain(handle: AlgebraHandle, prefix, slots, coeff=1) -> HochschildChain:
@@ -398,32 +518,32 @@ def induced_chain_map(
     pair of slots in every word, and unitality on the unit itself.
 
     ``element_map`` is applied once per distinct value (slots, the unit
-    and the checked products alike): that table is keyed on the values
-    themselves (full equality, windows included).  Each ordered pair of
-    slot objects is checked once, keyed on identity: a repeat would give
-    the same exact answer.  Both tables live for this call only and are
-    never keyed on ``key()``, which ignores truncation windows.
+    and the checked products alike), in a table keyed on the values
+    themselves (full equality, windows included) that lives for this
+    call.  Each ordered pair of slot indices is checked once: a repeat
+    would give the same exact answer.
     """
     images: dict[Any, Any] = {}
 
     def image(a):
-        return _once(images, a, h.element_map, a)
-
-    def check_pair(pair):
-        a, b = pair
-        if not (image(a * b) - image(a) * image(b)).is_zero():
-            raise ChainError("multiplicativity spot-check failed on a word pair")
+        hit = images.get(a)
+        if hit is None:
+            hit = images[a] = h.element_map(a)
+        return hit
 
     tgt = h.target
+    if check and not (image(h.source.unit) - tgt.unit).is_zero():
+        raise ChainError("morphism does not preserve the unit")
+    mapped = [image(a) for a in c.slots]
     if check:
-        if not (image(h.source.unit) - tgt.unit).is_zero():
-            raise ChainError("morphism does not preserve the unit")
-        checked: dict[tuple[int, int], Any] = {}
-        for _, word in c.terms.values():
-            for pair in itertools.permutations(word, 2):
-                _once(checked, tuple(map(id, pair)), check_pair, pair)
-    raw = []
-    for coeff, word in c.terms.values():
-        raw.append((tgt.coeff_into(coeff), tuple(image(a) for a in word)))
-    return HochschildChain(tgt, c.degree, raw)
-
+        # words with the same multiset of slots share their pairs
+        shapes = {tuple(sorted(word)) for _, word in c.terms.values()}
+        pairs = set()
+        for shape in shapes:
+            pairs.update(itertools.permutations(shape, 2))
+        for i, j in sorted(pairs):
+            product = image(c.slots[i] * c.slots[j])
+            if not (product - mapped[i] * mapped[j]).is_zero():
+                raise ChainError("multiplicativity spot-check failed on a word pair")
+    raw = [(tgt.coeff_into(coeff), word) for coeff, word in c.terms.values()]
+    return HochschildChain._from_indexed(tgt, c.degree, mapped, raw)

@@ -1,10 +1,12 @@
 """Exterior algebra and the chains-to-forms map."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import starhom.hkr
 from starhom.corpus import random_chain, random_poly
 from starhom.hkr import DForm, FormError, de_rham, hkr_map, wedge
 from starhom.hochschild import (
@@ -98,3 +100,25 @@ class TestHkrMap:
             assert hkr_map(diff_b(c)).is_zero()
             assert hkr_map(diff_B(c)) == de_rham(hkr_map(c))
 
+
+    def test_de_rham_runs_once_per_distinct_inner_slot(self, monkeypatch):
+        rng = random.Random("hkr-once")
+        pool = [slot(rng) for _ in range(4)]
+        words = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(12)]
+        c = HochschildChain(PH, 3, [(k + 1, w) for k, w in enumerate(words)])
+        want = DForm.zero(V)
+        for coeff, word in c.items():
+            form = DForm.from_poly(word[0] * (coeff.coefficient(0) / 6))
+            for a in word[1:]:
+                form = wedge(form, de_rham(DForm.from_poly(a)))
+            want = want + form
+        calls = Counter()
+        d = starhom.hkr.de_rham
+
+        def counting(form):
+            calls[form.terms[()]] += 1
+            return d(form)
+
+        monkeypatch.setattr(starhom.hkr, "de_rham", counting)
+        assert hkr_map(c) == want
+        assert calls == Counter({a for _, word in c.items() for a in word[1:]})

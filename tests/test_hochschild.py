@@ -6,7 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import starhom.hochschild as hochschild
+import starhom.weyl
 from starhom.corpus import random_chain, random_poly, random_rees, random_weyl
 from starhom.hochschild import (
     AlgebraMorphism,
@@ -125,21 +129,22 @@ class TestIdentities:
         t2 = TSeries.from_poly(Poly.const(G1, 3), 9, t_exp=2)
         perturbed = WeylElement(wx.value + t2, 1)
         raw = HochschildChain.zero(WH, 2)
-        object.__setattr__(raw, "terms", {"raw": (WH.coerce_coeff(1), (wxi, perturbed, wxi))})
+        object.__setattr__(raw, "slots", (wxi, perturbed))
+        object.__setattr__(raw, "terms", {"raw": (WH.coerce_coeff(1), (0, 1, 0))})
+        assert raw.items() == [(WH.coerce_coeff(1), (wxi, perturbed, wxi))]
         norm = HochschildChain(WH, 2, [(1, (wxi, perturbed, wxi))])
+        assert norm.items()[0][1][1] != perturbed
         assert diff_b(raw) == diff_b(norm)
         assert diff_B(raw) == diff_B(norm)
 
 
 class TestOneCallTables:
-    """Each distinct slot is normalized once per constructor call and each
-    ordered pair of slot objects multiplied once per ``diff_b`` call; the
-    tables are keyed on identity, so the stored chain is the same as
-    without them."""
+    """Each (slot object, slot-0 flag) is normalized once per constructor
+    call and each ordered pair of slot indices multiplied once per
+    ``diff_b`` call; stored slots are deduped by full value, so the stored
+    chain does not depend on which slot objects were shared."""
 
     def test_diff_b_multiplies_each_slot_pair_once(self, monkeypatch):
-        import starhom.weyl
-
         calls = Counter()
         star = starhom.weyl.moyal_star
 
@@ -151,6 +156,54 @@ class TestOneCallTables:
         monkeypatch.setattr(starhom.weyl, "moyal_star", counting)
         assert diff_b(chain).is_zero()
         assert 0 < calls["star"] <= (2 * 2 + 1) ** 2
+
+    def test_diff_b_multiplies_each_ordered_pair_of_slot_indices_once(self, monkeypatch):
+        chain = phi_A(2)
+        p = chain.degree
+        want = Counter()
+        for _, word in chain.terms.values():
+            want.update({(word[p], word[0])} | set(zip(word, word[1:])))
+        want = Counter(set(want))
+        pairs = Counter()
+        star = starhom.weyl.moyal_star
+
+        def counting(f, g, **kwargs):
+            pairs[chain.slots.index(f), chain.slots.index(g)] += 1
+            return star(f, g, **kwargs)
+
+        monkeypatch.setattr(starhom.weyl, "moyal_star", counting)
+        assert diff_b(chain).is_zero()
+        assert pairs == want
+
+    def test_each_slot_object_and_flag_is_normalized_once(self, monkeypatch):
+        calls = Counter()
+        normal = hochschild._normal_slot
+
+        def counting(handle, a, first):
+            calls[id(a), first] += 1
+            return normal(handle, a, first)
+
+        monkeypatch.setattr(hochschild, "_normal_slot", counting)
+        a = 1 + px  # in slot 0 and in inner slots
+        b, b_twin = py + pz, py + pz  # one value, two objects
+        words = [(a, a, b), (a, b_twin, a), (b, a, b)]
+        chain = HochschildChain(PH, 2, [(1, w) for w in words])
+        assert calls == Counter({(id(x), i == 0) for w in words for i, x in enumerate(w)})
+        assert len(chain.slots) == 3  # 1 + x, x and y + z
+
+        # the unit object is stored in B(c) and appended again by B: once per role
+        once = diff_B(chain)
+        calls.clear()
+        assert diff_B(once).is_zero()
+        assert set(calls.values()) == {1}
+        assert {(id(PH.unit), True), (id(PH.unit), False)} <= set(calls)
+
+        # one image object at two slot indices
+        calls.clear()
+        image = pz * pz
+        squash = AlgebraMorphism(PH, PH, element_map=lambda s: image)
+        induced_chain_map(squash, chain, check=False)
+        assert calls == Counter({(id(image), True): 1, (id(image), False): 1})
 
     def test_fresh_equal_slots_store_like_shared_ones(self):
         h = weyl_handle(1, trunc=5, localized=True)
@@ -175,13 +228,14 @@ class TestOneCallTables:
             HochschildChain(h, 2, [(k + 1, tuple(pool()[n] for n in w)) for k, w in enumerate(words)])
             for pool in (slots, lambda: shared)
         ]
-        fresh, kept = (list(c.terms.items()) for c in chains)
-        assert [key for key, _ in fresh] == [key for key, _ in kept]
+        assert list(chains[0].terms) == list(chains[1].terms)
+        assert chains[0].slots == chains[1].slots
+        fresh, kept = (c.items() for c in chains)
         assert len(kept) == len(words)
-        for (_, (c1, w1)), (_, (c2, w2)) in zip(fresh, kept):
+        for (c1, w1), (c2, w2) in zip(fresh, kept):
             assert c1 == c2 and (c1.lower, c1.trunc) == (c2.lower, c2.trunc)
             assert w1 == w2
-        windows = [[a.value.trunc for a in w] for _, (_, w) in kept]
+        windows = [[a.value.trunc for a in w] for _, w in kept]
         assert windows[0][2] == 3 and windows[1][:2] == [3, 5]
         assert windows[3][1] == 3
 
@@ -189,7 +243,43 @@ class TestOneCallTables:
         x = Poly.gen(("x",), "x")
         a = 1 + x  # one object in both slots
         chain = HochschildChain.single(poly_handle(("x",)), (a, a))
-        assert [w for _, w in chain.terms.values()] == [(1 + x, x)]
+        assert [w for _, w in chain.items()] == [(1 + x, x)]
+
+
+def _roundtrip_slot(kind):
+    if kind == "poly":
+        return lambda r: random_poly(r, PG, max_degree=2, terms=2, nonzero=True)
+    if kind == "rees":
+        return lambda r: random_rees(r, 1)
+    # mixed windows, and momentum over t over weyl-loc
+    return lambda r: random_weyl(
+        r, 1, r.choice((5, 7, 9)), max_degree=2, terms=2, min_t=-(kind == "weyl-loc")
+    )
+
+
+ROUNDTRIP_HANDLES = {
+    "poly": PH,
+    "weyl": WH,
+    "weyl-loc": weyl_handle(1, trunc=9, localized=True),
+    "rees": rees_handle(1),
+}
+
+
+class TestItemsRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(ROUNDTRIP_HANDLES))
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 3), words=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_items_rebuild_the_same_chain(self, kind, seed, degree, words):
+        h = ROUNDTRIP_HANDLES[kind]
+        c = random_chain(random.Random(seed), h, degree, _roundtrip_slot(kind), words)
+        # a second layer through b keeps t-power windows on the coefficients
+        for chain in (c, diff_b(c) if degree else c):
+            items = chain.items()
+            again = HochschildChain(h, chain.degree, items).items()
+            assert len(again) == len(items)
+            for (c1, w1), (c2, w2) in zip(items, again):
+                assert c1 == c2 and (c1.lower, c1.trunc) == (c2.lower, c2.trunc)
+                assert w1 == w2
 
 
 class TestAltChain:
@@ -281,7 +371,7 @@ class TestInducedChainMap:
             return base.element_map(s)
 
         morphism = AlgebraMorphism(base.source, base.target, counting)
-        slots = {a for _, word in chain.terms.values() for a in word}
+        slots = {a for _, word in chain.items() for a in word}
         assert induced_chain_map(morphism, chain) == phi_A(2)
         assert set(seen.values()) == {1}
         assert slots <= set(seen)
@@ -298,13 +388,13 @@ class TestInducedChainMap:
         chain = HochschildChain(h, 2, [(1, (h.unit, x_short, xi)), (1, (h.unit, xi, x_long))])
         ident = AlgebraMorphism(h, h, element_map=lambda a: a)
         image = induced_chain_map(ident, chain)
-        assert [w for _, w in image.terms.values()] == [w for _, w in chain.terms.values()]
+        assert [w for _, w in image.items()] == [w for _, w in chain.items()]
 
     def test_multiplicativity_failure_on_one_pair_is_caught(self):
         chain = phi_A(2)
         h = chain.handle
-        slots = {a for _, word in chain.terms.values() for a in word}
-        pairs = {p for _, word in chain.terms.values() for p in itertools.permutations(word, 2)}
+        slots = {a for _, word in chain.items() for a in word}
+        pairs = {p for _, word in chain.items() for p in itertools.permutations(word, 2)}
         products = Counter(a * b for a, b in pairs)
         bad = next(p for p, n in products.items() if n == 1 and p not in slots)
 

@@ -61,8 +61,8 @@ MUTANTS = [
     (
         "chain-slot-zero-flag-dropped",
         "hochschild.py",
-        "_once(slots, (id(a), i == 0),",
-        "_once(slots, id(a),",
+        "key = (id(a), first)",
+        "key = id(a)",
         "check_hochschild_identities",
         None,
     ),

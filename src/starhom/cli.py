@@ -20,7 +20,7 @@ from .hochschild import diff_B, diff_b, phi_A, phi_E
 from .hkr import hkr_map
 from .series import SeriesError
 from .serialize import DecodeError
-from .suite import ERROR, VERIFIED, VIOLATED, CheckResult, Report
+from .suite import ERROR, VERIFIED, CheckResult, Report
 from .weyl import moyal_star
 
 EXIT_OK = 0
@@ -60,15 +60,13 @@ def _report_exit(report: Report) -> int:
     for c in sorted(report.checks, key=lambda c: c.id):
         print(f"{c.id} {c.name}: {c.status}", file=sys.stderr)
     print(f"overall: {report.status}", file=sys.stderr)
-    if any(c.status == ERROR for c in report.checks):
+    if report.status == ERROR:
         return EXIT_INTERNAL
     return EXIT_OK if report.status == VERIFIED else EXIT_VIOLATED
 
 
 def _single_check_report(args, check: CheckResult) -> int:
-    status = VERIFIED if check.status == VERIFIED else check.status
-    report = Report(status=status, seed=args.seed, scale="small", checks=[check])
-    return _report_exit(report)
+    return _report_exit(suite.report(args.seed, "small", [check]))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -112,14 +110,8 @@ def cmd_verify_cycle(args) -> int:
         chain = _load_chain(args)
         label = "input chain"
     image = diff_b(chain)
-    ok = image.is_zero()
-    check = CheckResult(
-        id="CYCLE",
-        name=f"b({label}) = 0",
-        status=VERIFIED if ok else VIOLATED,
-        details=[] if ok else [{"b_image_words": image.term_count()}],
-        precision={"degree": chain.degree},
-    )
+    failures = [] if image.is_zero() else [{"b_image_words": image.term_count()}]
+    check = suite.result("CYCLE", f"b({label}) = 0", failures, {"degree": chain.degree})
     return _single_check_report(args, check)
 
 
@@ -134,12 +126,11 @@ def cmd_charclass(args) -> int:
     d, deg = args.dim, args.max_deg
     if args.klass == "rr-check":
         rep = charclass.rr_identity_check(d, deg)
-        check = CheckResult(
-            id="RR",
-            name="a-hat * exp(c1/2) = todd",
-            status=VERIFIED if rep.equal else VIOLATED,
-            details=rep.to_json_dict()["mismatches"],
-            precision={"dim": d, "max_cohomological_degree": 2 * deg},
+        check = suite.result(
+            "RR",
+            "a-hat * exp(c1/2) = todd",
+            rep.to_json_dict()["mismatches"],
+            {"dim": d, "max_cohomological_degree": 2 * deg},
         )
         return _single_check_report(args, check)
     if args.klass == "a-hat":
@@ -181,14 +172,8 @@ def cmd_fedosov(args) -> int:
         "psi": (suite.psi_invariance, "psi conjugation preserves central curvature"),
     }[args.check]
     failures = identity(suite.ChartConnection(chart, k, args.trunc_t))
-    check = CheckResult(
-        id="FEDOSOV",
-        name=name,
-        status=VERIFIED if not failures else VIOLATED,
-        details=failures,
-        precision={"fiber_trunc": k, "trunc_t": args.trunc_t, "dim": d},
-    )
-    return _single_check_report(args, check)
+    precision = {"fiber_trunc": k, "trunc_t": args.trunc_t, "dim": d}
+    return _single_check_report(args, suite.result("FEDOSOV", name, failures, precision))
 
 
 # the rows of suite.REES_IDENTITIES that each ``rees --check`` mode runs
@@ -203,22 +188,14 @@ def cmd_rees(args) -> int:
     if args.check == "phi-compat":
         return _single_check_report(args, suite.check_chain_map_compatibility(args.seed, "small"))
     failures = suite.rees_failures(args.seed, "cli-rees", 50, REES_ROWS[args.check])
-    check = CheckResult(
-        id="REES",
-        name=f"rees-{args.check}",
-        status=VERIFIED if not failures else VIOLATED,
-        details=failures,
-        precision={"pairs": 50},
-    )
+    check = suite.result("REES", f"rees-{args.check}", failures, {"pairs": 50})
     return _single_check_report(args, check)
 
 
 def cmd_suite(args) -> int:
     if args.mutate_moyal_sign:
         checks = suite.mutated_controls(args.seed, args.scale)
-        status = VERIFIED if all(c.status == VERIFIED for c in checks) else VIOLATED
-        report = Report(status=status, seed=args.seed, scale=args.scale, checks=checks)
-        return _report_exit(report)
+        return _report_exit(suite.report(args.seed, args.scale, checks))
     return _report_exit(suite.run_suite(seed=args.seed, scale=args.scale))
 
 

@@ -15,9 +15,9 @@ from .series import Poly, accumulate
 from .weyl import WeylElement, weyl_gens
 
 
-def random_fraction(rng: random.Random, span: int = 4, denominators=(1, 1, 2, 3)) -> Fraction:
-    num = rng.randint(-span, span)
-    return Fraction(num, rng.choice(denominators))
+def random_fraction(rng: random.Random) -> Fraction:
+    num = rng.randint(-4, 4)
+    return Fraction(num, rng.choice((1, 1, 2, 3)))
 
 
 def random_poly(
@@ -26,7 +26,6 @@ def random_poly(
     max_degree: int = 4,
     terms: int = 3,
     nonzero: bool = False,
-    span: int = 4,
 ) -> Poly:
     gens = tuple(gens)
     p = Poly.zero(gens)
@@ -34,7 +33,7 @@ def random_poly(
         exp = [0] * len(gens)
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(len(gens))] += 1
-        p = p + Poly.monomial(gens, exp, random_fraction(rng, span))
+        p = p + Poly.monomial(gens, exp, random_fraction(rng))
     if nonzero and p.is_zero():
         exp = [0] * len(gens)
         exp[rng.randrange(len(gens))] = rng.randint(1, max_degree)
@@ -50,7 +49,6 @@ def random_weyl(
     terms: int = 2,
     max_t: int = 1,
     min_t: int = 0,
-    nonzero: bool = True,
 ) -> WeylElement:
     gens = weyl_gens(dim)
     coeffs = {}
@@ -60,38 +58,33 @@ def random_weyl(
     w = WeylElement.from_poly(Poly.zero(gens), dim, trunc)
     for e, p in coeffs.items():
         w = w + WeylElement.from_poly(p, dim, trunc, t_exp=e)
-    if nonzero and w.is_zero():
+    if w.is_zero():
         w = WeylElement.from_poly(
             Poly.gen(gens, gens[rng.randrange(len(gens))]), dim, trunc
         )
     return w
 
 
-def random_diffop(
-    rng: random.Random,
-    dim: int,
-    max_x: int = 2,
-    max_d: int = 2,
-    terms: int = 2,
-    nonzero: bool = True,
-) -> DiffOp:
+def random_diffop(rng: random.Random, dim: int) -> DiffOp:
+    """Two random terms with x- and d-exponents up to 2; never zero."""
     table = {}
-    for _ in range(terms):
-        xe = tuple(rng.randint(0, max_x) for _ in range(dim))
-        de = tuple(rng.randint(0, max_d) for _ in range(dim))
+    for _ in range(2):
+        xe = tuple(rng.randint(0, 2) for _ in range(dim))
+        de = tuple(rng.randint(0, 2) for _ in range(dim))
         accumulate(table, (xe, de), random_fraction(rng))
     op = DiffOp(dim, table)
-    if nonzero and op.is_zero():
+    if op.is_zero():
         op = DiffOp.x(dim, 1)
     return op
 
 
-def random_rees(rng: random.Random, dim: int, extra_grades: int = 1) -> ReesElement:
-    """Random graded element: a few operators placed at admissible grades."""
+def random_rees(rng: random.Random, dim: int) -> ReesElement:
+    """Random graded element: a few operators placed at admissible grades,
+    each at most one grade above its order."""
     out = OpSeries.zero(dim)
     for _ in range(rng.randint(1, 2)):
         op = random_diffop(rng, dim)
-        out = out + OpSeries.from_op(op, max(op.order(), 0) + rng.randint(0, extra_grades))
+        out = out + OpSeries.from_op(op, max(op.order(), 0) + rng.randint(0, 1))
     return ReesElement(dim, out.comps)
 
 

@@ -439,7 +439,7 @@ def tautological_shift_form(base, dim: int, fiber_trunc: int) -> LieValuedForm:
     return LieValuedForm(base, "vf", terms)
 
 
-def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int, fiber_trunc: int | None = None) -> AssembledConnection:
+def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     """Extend a torsion-free linear connection form to a flat one.
 
     ``a0`` is the gl-valued 1-form (values linear vector fields) on a
@@ -447,13 +447,12 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int, fiber_trunc: int | None 
     Components A^(k) are produced for k <= fiber_deg + 1, which makes the
     curvature vanish through fiber degree fiber_deg.  Raises TorsionError
     when an obstruction is not delta-closed, which happens exactly when
-    a0 has torsion.
+    a0 has torsion.  Fiber polynomials are kept below degree fiber_deg + 4.
     """
     if a0.kind != "vf":
         raise SeriesError("expected a vector-field-valued form")
     dim = len(a0.base)
-    if fiber_trunc is None:
-        fiber_trunc = fiber_deg + 4
+    fiber_trunc = fiber_deg + 4
     a0 = a0.map_values(
         lambda v: FormalVectorField(dim, v.comps, fiber_trunc)
     )
@@ -582,14 +581,6 @@ def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int = 10)
     gauge = _ad_series(h, dh, lambda n: Fraction(-1, math.factorial(n + 1)))
     out = transformed + gauge
     return out.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) <= fiber_deg))
-
-
-def psi_apply(a: LieValuedForm, dim: int, t_trunc: int = 10, inverse: bool = False) -> LieValuedForm:
-    """The automorphism alone (no gauge term), for invertibility checks."""
-    h = shift_conjugator(a.base, dim, t_trunc=t_trunc)
-    if inverse:
-        h = h.scale(-1)
-    return _ad_series(h, a, lambda n: Fraction(1, math.factorial(n)))
 
 
 # -- matrix forms ---------------------------------------------------------------

@@ -14,7 +14,7 @@ A (x) Abar^p).  Four algebras are wired in:
 The slot values (``Poly``, ``WeylElement``, ``OpSeries``) answer the chain
 layer themselves: ``*``, ``-``, ``is_zero``, ``key``, ``scalar_part``,
 ``monomials`` and ``lowest_term``.  An ``AlgebraHandle`` is plain data: the
-kind, the unit, the window of the scalars and the ``strict`` flag.
+kind, the unit and the window of the scalars.
 
 Every word coefficient is a ``Laurent``: a sparse Laurent polynomial in t
 over Q.  Over ``weyl`` and ``weyl-loc`` it carries a window [lower, trunc)
@@ -75,14 +75,12 @@ class AlgebraHandle:
     """The coefficient algebra of a chain complex, as data.
 
     ``trunc`` is the scalar window [0, trunc) of the weyl kinds and None
-    for the exact poly and rees scalars.  With ``strict`` the stored form
-    never moves t-powers out of a slot.
+    for the exact poly and rees scalars.
     """
 
     kind: str
     unit: Any
     trunc: int | None = None
-    strict: bool = False
 
     def coerce_coeff(self, c) -> Laurent:
         """Accept Fractions / ints / 'p/q' strings as coefficients."""
@@ -128,14 +126,9 @@ def weyl_handle(dim: int, trunc: int = 8, localized: bool = False) -> AlgebraHan
     return AlgebraHandle("weyl-loc" if localized else "weyl", unit, trunc)
 
 
-def rees_handle(dim: int, strict: bool = False) -> AlgebraHandle:
-    """Laurent-in-t differential operators; exact scalars Laurent in t.
-
-    With ``strict`` the stored form never shifts t-powers out of a slot,
-    so chains over the graded (unlocalized) subring stay inside it and the
-    symbol map t -> 0 can be applied slotwise.
-    """
-    return AlgebraHandle("rees", OpSeries.one(dim), strict=strict)
+def rees_handle(dim: int) -> AlgebraHandle:
+    """Laurent-in-t differential operators; exact scalars Laurent in t."""
+    return AlgebraHandle("rees", OpSeries.one(dim))
 
 
 class HochschildChain:
@@ -188,9 +181,9 @@ class HochschildChain:
         return cls(handle, degree)
 
     @classmethod
-    def single(cls, handle: AlgebraHandle, word, coeff=1) -> HochschildChain:
+    def single(cls, handle: AlgebraHandle, word) -> HochschildChain:
         word = tuple(word)
-        return cls(handle, len(word) - 1, [(coeff, word)])
+        return cls(handle, len(word) - 1, [(1, word)])
 
     def items(self):
         slot = self.slots.__getitem__
@@ -385,8 +378,6 @@ def _normal_slot(handle: AlgebraHandle, a, first: bool):
     if a.is_zero():
         return None
     q, m = a.lowest_term()
-    if handle.strict:
-        m = 0
     if q != 1 or m:
         a = a.mul_monomial(1 / q, -m) if m else a * (1 / q)
     return q, m, a, a.key()
@@ -445,7 +436,7 @@ def diff_B(c: HochschildChain) -> HochschildChain:
     return HochschildChain._from_indexed(h, p + 1, [*c.slots, h.unit], raw)
 
 
-def alt_chain(handle: AlgebraHandle, prefix, slots, coeff=1) -> HochschildChain:
+def alt_chain(handle: AlgebraHandle, prefix, slots) -> HochschildChain:
     """Unnormalized antisymmetrization: the signed sum over all
     permutations of the slots, prefixed by the given element."""
     slots = tuple(slots)
@@ -454,7 +445,7 @@ def alt_chain(handle: AlgebraHandle, prefix, slots, coeff=1) -> HochschildChain:
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
         word = (prefix,) + tuple(slots[i] for i in perm)
-        raw.append((handle.coerce_coeff(Fraction(sign) * coeff), word))
+        raw.append((handle.coerce_coeff(sign), word))
     return HochschildChain(handle, n, raw)
 
 
@@ -484,9 +475,11 @@ def phi_E(dim: int) -> HochschildChain:
     return alt_chain(h, h.unit, xs + ds)
 
 
-def phi_A(dim: int, trunc: int = 3) -> HochschildChain:
+def phi_A(dim: int) -> HochschildChain:
     """Trace cycle over the localized star algebra:
-    Alt(1 (x) x_1 ... x_d (x) xi_1/t ... xi_d/t) in degree 2d."""
+    Alt(1 (x) x_1 ... x_d (x) xi_1/t ... xi_d/t) in degree 2d, scalars
+    in the window [0, 3)."""
+    trunc = 3
     h = weyl_handle(dim, trunc=trunc, localized=True)
     gens = weyl_gens(dim)
     xs = [
@@ -509,13 +502,11 @@ class AlgebraMorphism:
     element_map: Callable[[Any], Any]
 
 
-def induced_chain_map(
-    h: AlgebraMorphism, c: HochschildChain, check: bool = True
-) -> HochschildChain:
+def induced_chain_map(h: AlgebraMorphism, c: HochschildChain) -> HochschildChain:
     """Apply an algebra map slotwise; commutes with b and B.
 
-    With ``check`` on, multiplicativity is spot-checked on every ordered
-    pair of slots in every word, and unitality on the unit itself.
+    Multiplicativity is spot-checked on every ordered pair of slots in
+    every word, and unitality on the unit itself.
 
     ``element_map`` is applied once per distinct value (slots, the unit
     and the checked products alike), in a table keyed on the values
@@ -532,18 +523,17 @@ def induced_chain_map(
         return hit
 
     tgt = h.target
-    if check and not (image(h.source.unit) - tgt.unit).is_zero():
+    if not (image(h.source.unit) - tgt.unit).is_zero():
         raise ChainError("morphism does not preserve the unit")
     mapped = [image(a) for a in c.slots]
-    if check:
-        # words with the same multiset of slots share their pairs
-        shapes = {tuple(sorted(word)) for _, word in c.terms.values()}
-        pairs = set()
-        for shape in shapes:
-            pairs.update(itertools.permutations(shape, 2))
-        for i, j in sorted(pairs):
-            product = image(c.slots[i] * c.slots[j])
-            if not (product - mapped[i] * mapped[j]).is_zero():
-                raise ChainError("multiplicativity spot-check failed on a word pair")
+    # words with the same multiset of slots share their pairs
+    shapes = {tuple(sorted(word)) for _, word in c.terms.values()}
+    pairs = set()
+    for shape in shapes:
+        pairs.update(itertools.permutations(shape, 2))
+    for i, j in sorted(pairs):
+        product = image(c.slots[i] * c.slots[j])
+        if not (product - mapped[i] * mapped[j]).is_zero():
+            raise ChainError("multiplicativity spot-check failed on a word pair")
     raw = [(tgt.coeff_into(coeff), word) for coeff, word in c.terms.values()]
     return HochschildChain._from_indexed(tgt, c.degree, mapped, raw)

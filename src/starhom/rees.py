@@ -22,8 +22,8 @@ monomial x^a (t d)^b as the star product x^a * xi^b in that written order.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
+from math import comb, perm
 
 from .series import Poly, SeriesError, accumulate, as_fraction
 from .weyl import WeylElement, weyl_gens, weyl_ordered
@@ -31,17 +31,6 @@ from .weyl import WeylElement, weyl_gens, weyl_ordered
 
 class FiltrationError(SeriesError):
     """An operator was placed below its filtration level."""
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 class DiffOp:
@@ -159,13 +148,12 @@ class DiffOp:
     def order_part(self, p: int) -> DiffOp:
         return DiffOp._raw(self.dim, {k: q for k, q in self.terms.items() if sum(k[1]) == p})
 
-    def symbol(self, gens=None) -> Poly:
+    def symbol(self) -> Poly:
         """Full symbol: x^a d^b -> x^a xi^b over the 2d Darboux generators."""
-        gens = weyl_gens(self.dim) if gens is None else tuple(gens)
         out = {}
         for (xe, de), q in self.terms.items():
             out[tuple(xe) + tuple(de)] = q
-        return Poly(gens, out)
+        return Poly(weyl_gens(self.dim), out)
 
     def __eq__(self, other):
         return isinstance(other, DiffOp) and self.dim == other.dim and self.terms == other.terms
@@ -200,7 +188,7 @@ def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
                 coef = qa * qb
                 for i, k in enumerate(kvec):
                     if k:
-                        coef *= _binom(ad[i], k) * _falling(bx[i], k)
+                        coef *= comb(ad[i], k) * perm(bx[i], k)
                 xe = tuple(ax[i] + bx[i] - kvec[i] for i in range(dim))
                 de = tuple(ad[i] + bd[i] - kvec[i] for i in range(dim))
                 accumulate(out, (xe, de), coef)
@@ -366,16 +354,15 @@ def rees_embed(a: DiffOp, p: int) -> ReesElement:
     return ReesElement(a.dim, {p: a})
 
 
-def rees_sigma(r: ReesElement, gens=None) -> Poly:
+def rees_sigma(r: ReesElement) -> Poly:
     """t -> 0: each grade contributes the order-p part of a_p with d -> xi."""
-    gens = weyl_gens(r.dim) if gens is None else tuple(gens)
-    out = Poly.zero(gens)
+    out = Poly.zero(weyl_gens(r.dim))
     for p, op in r.comps.items():
-        out = out + op.order_part(p).symbol(gens)
+        out = out + op.order_part(p).symbol()
     return out
 
 
-def localized_to_weyl(s: OpSeries, trunc: int | None = None, gens=None) -> WeylElement:
+def localized_to_weyl(s: OpSeries, trunc: int | None = None) -> WeylElement:
     """Algebra map x_i -> x_i, t d_i -> xi_i, t -> t on the localized model.
 
     A normal monomial x^a d^b in grade p is read as x^a (t d)^b t^(p-|b|)
@@ -390,4 +377,4 @@ def localized_to_weyl(s: OpSeries, trunc: int | None = None, gens=None) -> WeylE
             terms.append((xe, de, m, q))
             top = max(top, m + min(sum(xe), sum(de)))
             lower = min(lower, m)
-    return weyl_ordered(terms, s.dim, lower, top + 1 if trunc is None else trunc, gens)
+    return weyl_ordered(terms, s.dim, lower, top + 1 if trunc is None else trunc)

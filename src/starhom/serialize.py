@@ -293,7 +293,7 @@ def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> Laurent:
     return Laurent({e: v.constant_term() for e, v in parts.items()}, *window)
 
 
-def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
+def chain_to_json(c: HochschildChain) -> dict:
     algebra = c.handle.kind
     return {
         "algebra": algebra,
@@ -308,14 +308,15 @@ def chain_to_json(c: HochschildChain, dim: int = 1) -> dict:
     }
 
 
-def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8, gens=None) -> HochschildChain:
+def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
     algebra = _need(doc, "algebra")
     dim = _int_from(doc.get("dim", dim), "dimension")
     if dim < 1:
         raise DecodeError(f"bad dimension {dim}")
     items = _need_objects(doc, "terms")
     words = [_need_objects(item, "word") for item in items]
-    if algebra == "poly" and gens is None:
+    gens = None
+    if algebra == "poly":
         # polynomial chains carry their own generator tuple
         gens = next((_names_from(e["gens"]) for w in words for e in w if "gens" in e), None)
     handle = handle_for(algebra, dim=dim, trunc=trunc, gens=gens)

@@ -385,9 +385,9 @@ class TSeries:
         return cls(gens, {}, lower, trunc)
 
     @classmethod
-    def const(cls, gens, value, trunc: int, lower: int = 0) -> TSeries:
+    def const(cls, gens, value, trunc: int) -> TSeries:
         gens = tuple(gens)
-        return cls(gens, {0: Poly.const(gens, value)}, min(lower, 0), trunc)
+        return cls(gens, {0: Poly.const(gens, value)}, 0, trunc)
 
     @classmethod
     def from_poly(cls, p: Poly, trunc: int, t_exp: int = 0) -> TSeries:

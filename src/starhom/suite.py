@@ -15,7 +15,8 @@ the exception's type and message, and the report status is "error".
 
 The command-line checks call the identities defined here (the connection
 identities on a ``ChartConnection`` and the rows of ``REES_IDENTITIES``),
-so each check has one definition.
+so each check has one definition.  Every check result comes from
+``result`` and every report status from ``report``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ class Report:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2).encode()
 
 
-def _result(cid, name, failures, precision) -> CheckResult:
+def result(cid, name, failures, precision) -> CheckResult:
+    """A criterion's result: verified exactly when it has no failures."""
     return CheckResult(
         id=cid,
         name=name,
@@ -102,6 +104,14 @@ def _result(cid, name, failures, precision) -> CheckResult:
         details=failures,
         precision=precision,
     )
+
+
+def report(seed: int, scale: str, checks: list) -> Report:
+    """The report of ``checks``: error if any check errored, else violated
+    if any was violated, else verified."""
+    statuses = {c.status for c in checks}
+    status = ERROR if ERROR in statuses else VIOLATED if VIOLATED in statuses else VERIFIED
+    return Report(status=status, seed=seed, scale=scale, checks=checks)
 
 
 def _rng(seed: int, cid: str) -> random.Random:
@@ -135,7 +145,7 @@ def check_moyal_associativity(seed: int, scale: str, mutate: bool = False) -> Ch
             failures.append(
                 {"case": n, "dim": d, "left": repr(lhs.value), "right": repr(rhs.value)}
             )
-    return _result(cid, name, failures, {"trunc_t": trunc, "triples": count})
+    return result(cid, name, failures, {"trunc_t": trunc, "triples": count})
 
 
 def check_bracket_normalization(seed: int, scale: str, mutate: bool = False) -> CheckResult:
@@ -159,7 +169,7 @@ def check_bracket_normalization(seed: int, scale: str, mutate: bool = False) -> 
                 got = star_commutator(a, b, mutate_kernel_sign=mutate)
                 if not got.is_zero():
                     failures.append({"dim": d, "bracket": "same-block", "got": repr(got.value)})
-    return _result(cid, name, failures, {"trunc_t": 4, "dims": [1, 2, 3]})
+    return result(cid, name, failures, {"trunc_t": 4, "dims": [1, 2, 3]})
 
 
 def check_hochschild_identities(seed: int, scale: str) -> CheckResult:
@@ -190,7 +200,7 @@ def check_hochschild_identities(seed: int, scale: str) -> CheckResult:
                     failures.append(
                         {"case": n, "algebra": handle.kind, "identity": label}
                     )
-    return _result(
+    return result(
         cid, name, failures, {"chains_per_algebra": per_handle, "trunc_t": trunc}
     )
 
@@ -203,12 +213,13 @@ def check_trace_cycles(seed: int, scale: str) -> CheckResult:
             image = diff_b(chain)
             if not image.is_zero():
                 failures.append({"dim": d, "cycle": label, "b_image_words": image.term_count()})
-    return _result(cid, name, failures, {"dims": [1, 2], "words_d2": 24})
+    return result(cid, name, failures, {"dims": [1, 2], "words_d2": 24})
 
 
-def localization_morphism(dim: int, trunc: int = 3) -> AlgebraMorphism:
+def localization_morphism(dim: int) -> AlgebraMorphism:
     """The algebra map x -> x, t d -> xi, t -> t on the Laurent model, as a
-    chain map; scalars keep their t-powers below ``trunc``."""
+    chain map; scalars keep their t-powers below 3, the window of phi_A."""
+    trunc = 3
     return AlgebraMorphism(
         source=rees_handle(dim),
         target=weyl_handle(dim, trunc=trunc, localized=True),
@@ -223,7 +234,7 @@ def check_chain_map_compatibility(seed: int, scale: str) -> CheckResult:
         image = induced_chain_map(localization_morphism(d), phi_E(d))
         if image != phi_A(d):
             failures.append({"dim": d, "note": "image of phi_E differs from phi_A"})
-    return _result(cid, name, failures, {"dims": [1, 2], "trunc_t": 3})
+    return result(cid, name, failures, {"dims": [1, 2], "trunc_t": 3})
 
 
 def check_hkr_chain_map(seed: int, scale: str) -> CheckResult:
@@ -251,7 +262,7 @@ def check_hkr_chain_map(seed: int, scale: str) -> CheckResult:
             failures.append({"case": n, "identity": "hkr b = 0"})
         if hkr.hkr_map(diff_B(c)) != hkr.de_rham(hkr.hkr_map(c)):
             failures.append({"case": n, "identity": "hkr B = d hkr"})
-    return _result(cid, name, failures, {"chains": count, "variables": 3})
+    return result(cid, name, failures, {"chains": count, "variables": 3})
 
 
 def check_rr_identity(seed: int, scale: str) -> CheckResult:
@@ -284,7 +295,7 @@ def check_rr_identity(seed: int, scale: str) -> CheckResult:
         )
         if got != want:
             failures.append({"todd_degree": 2 * deg, "got": repr(got), "want": repr(want)})
-    return _result(cid, name, failures, {"per_root_degree": 8, "c_basis_degree": 4})
+    return result(cid, name, failures, {"per_root_degree": 8, "c_basis_degree": 4})
 
 
 def check_gl_embedding(seed: int, scale: str) -> CheckResult:
@@ -322,7 +333,7 @@ def check_gl_embedding(seed: int, scale: str) -> CheckResult:
         rhs = gl_embed(ab_minus_ba, 2, trunc=5)
         if not (lhs.value - rhs.value).is_zero():
             failures.append({"case": n, "a": a, "b": b})
-    return _result(cid, name, failures, {"pairs": pairs, "trunc_t": 6})
+    return result(cid, name, failures, {"pairs": pairs, "trunc_t": 6})
 
 
 def default_chart(d: int) -> tuple[tuple, dict]:
@@ -413,13 +424,13 @@ def check_fedosov_curvature(seed: int, scale: str) -> CheckResult:
     )
     if conn.lifted_curvature != frozen:
         failures.append({"case": "frozen-value", "got": repr(conn.lifted_curvature)})
-    return _result(cid, name, failures, {"fiber_trunc": 4, "trunc_t": 8})
+    return result(cid, name, failures, {"fiber_trunc": 4, "trunc_t": 8})
 
 
 def check_psi_invariance(seed: int, scale: str) -> CheckResult:
     cid, name = "C10", "psi-conjugation-preserves-curvature"
     failures = psi_invariance(ChartConnection(default_chart(1), 3, 10))
-    return _result(cid, name, failures, {"fiber_trunc": 3, "trunc_t": 10})
+    return result(cid, name, failures, {"fiber_trunc": 3, "trunc_t": 10})
 
 
 def _associates_with_x1(a, b, ab) -> bool:
@@ -461,7 +472,7 @@ def check_rees_structure(seed: int, scale: str) -> CheckResult:
     # the Rees -> Weyl row stays out, so the report bytes stay as recorded;
     # it costs about 0.2 s per 100 pairs, so time is not what keeps it out
     rows = [row for row in REES_IDENTITIES if row != "to-weyl"]
-    return _result(cid, name, rees_failures(seed, cid, pairs, rows), {"pairs": pairs})
+    return result(cid, name, rees_failures(seed, cid, pairs, rows), {"pairs": pairs})
 
 
 BATTERY = [
@@ -505,12 +516,13 @@ def mutated_controls(seed: int, scale: str) -> list[CheckResult]:
     ]
 
 
-def check_determinism_and_controls(seed: int, scale: str, first_pass: list | None = None) -> CheckResult:
+def check_determinism_and_controls(seed: int, scale: str, first_pass: list) -> CheckResult:
+    """Rerun the battery and compare its bytes with ``first_pass``, then
+    run the negative controls."""
     cid, name = "C12", "determinism-and-negative-controls"
     failures = []
-    first = first_pass if first_pass is not None else _run_battery(seed, scale)
     second = _run_battery(seed, scale)
-    bytes1 = Report("n/a", seed, scale, first).to_json_bytes()
+    bytes1 = Report("n/a", seed, scale, first_pass).to_json_bytes()
     bytes2 = Report("n/a", seed, scale, second).to_json_bytes()
     if bytes1 != bytes2:
         failures.append({"case": "byte-reproducibility"})
@@ -518,7 +530,7 @@ def check_determinism_and_controls(seed: int, scale: str, first_pass: list | Non
         failures.append(
             {"case": "kernel-sign-mutation", "note": "mutated product passed; checks are vacuous"}
         )
-    return _result(cid, name, failures, {"mutation": "kernel sign flip"})
+    return result(cid, name, failures, {"mutation": "kernel sign flip"})
 
 
 def run_suite(seed: int = 0, scale: str = "small") -> Report:
@@ -527,6 +539,4 @@ def run_suite(seed: int = 0, scale: str = "small") -> Report:
         raise ValueError(f"unknown scale {scale!r}")
     checks = _run_battery(seed, scale)
     checks.append(_guarded("C12", check_determinism_and_controls, seed, scale, first_pass=checks))
-    statuses = {c.status for c in checks}
-    status = ERROR if ERROR in statuses else VIOLATED if VIOLATED in statuses else VERIFIED
-    return Report(status=status, seed=seed, scale=scale, checks=checks)
+    return report(seed, scale, checks)

@@ -78,9 +78,8 @@ class WeylElement:
         return cls(TSeries.from_poly(p, trunc, t_exp), dim)
 
     @classmethod
-    def const(cls, dim: int, value, trunc: int, gens=None) -> WeylElement:
-        gens = weyl_gens(dim) if gens is None else tuple(gens)
-        return cls(TSeries.const(gens, value, trunc), dim)
+    def const(cls, dim: int, value, trunc: int) -> WeylElement:
+        return cls(TSeries.const(weyl_gens(dim), value, trunc), dim)
 
     @property
     def gens(self):
@@ -325,13 +324,14 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
 # -- quadratic embeddings ------------------------------------------------------
 
 
-def sp_embed(q_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
-    """Quadratic form on the 2d generators, divided by t.
+def sp_embed(q_matrix, dim: int) -> LieElement:
+    """Quadratic form on the 2d generators, divided by t, in the window
+    [-1, 8).
 
     ``q_matrix`` is a symmetric 2d x 2d rational matrix Q; the image is
     (sum_{u,v} Q_uv w_u w_v) / t with w = (x_1..x_d, xi_1..xi_d).
     """
-    gens = weyl_gens(dim) if gens is None else tuple(gens)
+    gens = weyl_gens(dim)
     n = 2 * dim
     rows = [[as_fraction(e) for e in row] for row in q_matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
@@ -348,7 +348,7 @@ def sp_embed(q_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
                 exp[u] += 1
                 exp[v] += 1
                 quad = quad + Poly.monomial(gens, exp, rows[u][v])
-    return LieElement(WeylElement(TSeries.from_poly(quad, trunc, t_exp=-1), dim))
+    return LieElement(WeylElement(TSeries.from_poly(quad, 8, t_exp=-1), dim))
 
 
 def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElement:
@@ -381,7 +381,7 @@ def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElem
     return WeylElement(acc, dim)
 
 
-def gl_embed(a_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
+def gl_embed(a_matrix, dim: int, trunc: int = 8) -> LieElement:
     """gl(d) into (1/t)W via Weyl-ordered products.
 
     (a_ij) maps to sum_ij a_ij x_i * (xi_j / t), which expands to the
@@ -394,7 +394,7 @@ def gl_embed(a_matrix, dim: int, trunc: int = 8, gens=None) -> LieElement:
     terms = [
         (unit[i], unit[j], -1, rows[i][j]) for i in range(dim) for j in range(dim) if rows[i][j]
     ]
-    return LieElement(weyl_ordered(terms, dim, -1, trunc, gens))
+    return LieElement(weyl_ordered(terms, dim, -1, trunc))
 
 
 def graded_weight(m: WeylElement) -> int:

@@ -404,6 +404,24 @@ class TestCrossProcessDeterminism:
         assert hashlib.md5(outs[0]).hexdigest() == "ff48212cf5b98764f02042c14f39e3d9"
 
 
+class TestPinnedStdout:
+    """Recorded stdout bytes of three one-check commands and of the
+    negative controls; ``suite.report`` builds each of these reports."""
+
+    @pytest.mark.parametrize(
+        "argv,md5",
+        [
+            ("suite --mutate-moyal-sign", "844feb9249c75d73db12bc35d0b0d9dd"),
+            ("verify-cycle --chain phi_E --dim 2", "40306e7678d07f44617a3327f7c19d5f"),
+            ("fedosov --check flat --dim 2 --fiber-trunc 4", "c527ef11e3a46b09120313e5efe0673b"),
+            ("rees --check to-weyl", "610eb3dde5c9c06823ce8fcdb689ad07"),
+        ],
+    )
+    def test_stdout_md5(self, capsys, argv, md5):
+        _, out, _ = run_cli(capsys, *argv.split())
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 class TestChainDocumentShape:
     @pytest.mark.parametrize(
         "doc",

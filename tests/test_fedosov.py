@@ -1,5 +1,6 @@
 """Connection forms, the flatness recursion, lifts, and conjugation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from starhom.fedosov import (
     FormalVectorField,
     LieValuedForm,
     TorsionError,
+    _ad_series,
     central_scalar_form,
     curvature,
     extend_base,
@@ -20,13 +22,13 @@ from starhom.fedosov import (
     kazhdan_assemble,
     lift_connection,
     matrix_form_to_vf,
-    psi_apply,
     psi_conjugate,
+    shift_conjugator,
     tautological_shift_form,
     vf_bracket,
 )
-from starhom.series import Poly, SeriesError
-from starhom.weyl import LieElement, WeylElement, gl_embed, lie_bracket
+from starhom.series import Poly, SeriesError, TSeries
+from starhom.weyl import LieElement, WeylElement, lie_bracket
 
 BASE2 = ("z1", "z2")
 N1 = fiber_z_names(1)
@@ -82,9 +84,13 @@ class TestVectorFields:
 
 class TestIMap:
     def test_linear_field_with_correction(self):
+        gens = fiber_weyl_names(1)
         got = i_map(gl_to_vf([[1]], 1, 6))
-        want = gl_embed([[1]], 1, trunc=8, gens=fiber_weyl_names(1))
-        assert (got.value - want.value).is_zero()
+        # zh1 * (xih1 / t) = zh1 xih1 / t - 1/2
+        want = TSeries(
+            gens, {-1: Poly.monomial(gens, (1, 1), 1), 0: Poly.const(gens, Fraction(-1, 2))}, -1, 8
+        )
+        assert (got.value - WeylElement(want, 1)).is_zero()
 
     def test_constant_field(self):
         gens = fiber_weyl_names(1)
@@ -224,6 +230,12 @@ class TestLift:
         assert got == want
 
 
+def _exp_ad(h, form):
+    """exp(ad h)(form), the series psi_conjugate applies: Psi alone, with
+    no gauge term."""
+    return _ad_series(h, form, lambda n: Fraction(1, math.factorial(n)))
+
+
 class TestPsi:
     def build_lift(self):
         chart = ("z1",)
@@ -246,7 +258,7 @@ class TestPsi:
     def test_central_values_fixed(self):
         chart = ("z1", "xi1")
         cs = central_scalar_form(chart, 1, [((0,), Poly.gen(chart, "xi1"))], t_trunc=10)
-        assert psi_apply(cs, 1) == cs
+        assert _exp_ad(shift_conjugator(chart, 1), cs) == cs
 
     def test_inverse_series(self):
         rng = random.Random("psi-inv")
@@ -261,7 +273,8 @@ class TestPsi:
             form = LieValuedForm.from_entries(
                 chart, "lie", [((0,), Poly.gen(chart, "xi1"), val)]
             )
-            assert psi_apply(psi_apply(form, 1), 1, inverse=True) == form
+            h = shift_conjugator(chart, 1)
+            assert _exp_ad(h.scale(-1), _exp_ad(h, form)) == form
 
 
 class TestMatrixFormHelpers:

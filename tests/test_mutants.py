@@ -29,8 +29,8 @@ MUTANTS = [
     (
         "diffop-binomial",
         "rees.py",
-        "coef *= _binom(ad[i], k) * _falling(bx[i], k)",
-        "coef *= _binom(ad[i], k) * _binom(bx[i], k)",
+        "coef *= comb(ad[i], k) * perm(bx[i], k)",
+        "coef *= comb(ad[i], k) * comb(bx[i], k)",
         "check_rees_structure",
         None,
     ),

@@ -114,23 +114,25 @@ class FormalVectorField:
     def map_components(self, fn) -> FormalVectorField:
         return FormalVectorField(self.dim, [fn(p) for p in self.comps], self.fiber_trunc)
 
-    def apply_to(self, p: Poly) -> Poly:
-        """Act as a derivation on a fiber polynomial."""
+    def apply_to(self, p: Poly, max_deg: int) -> Poly:
+        """Act as a derivation on a fiber polynomial; terms of total degree
+        above ``max_deg`` are never built."""
         names = fiber_z_names(self.dim)
-        out = Poly.zero(names)
+        out: dict = {}
         for c, name in zip(self.comps, names):
-            out = out + c * p.partial(name)
-        return out
+            for exp, q in c.mul_truncated(p.partial(name), max_deg).terms.items():
+                accumulate(out, exp, q)
+        return Poly._raw(names, out)
 
     def bracket(self, other: FormalVectorField) -> FormalVectorField:
-        """Commutator of derivations; w-degrees add."""
+        """Commutator of derivations; w-degrees add.  Both sides are capped
+        at the degree the constructor keeps, so the result is exact."""
         self._check(other)
-        names = fiber_z_names(self.dim)
         trunc = min(self.fiber_trunc, other.fiber_trunc)
         comps = []
         for j in range(self.dim):
-            a = self.apply_to(other.comps[j])
-            b = other.apply_to(self.comps[j])
+            a = self.apply_to(other.comps[j], trunc - 1)
+            b = other.apply_to(self.comps[j], trunc - 1)
             comps.append(a - b)
         return FormalVectorField(self.dim, comps, trunc)
 

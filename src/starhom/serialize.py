@@ -309,12 +309,22 @@ def chain_to_json(c: HochschildChain) -> dict:
 
 
 def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
+    """The chain of a document.  Its dimension is the document's "dim", else
+    the one its weyl or rees slots state, which must agree, else ``dim``; a
+    slot of another dimension is malformed input."""
     algebra = _need(doc, "algebra")
-    dim = _int_from(doc.get("dim", dim), "dimension")
-    if dim < 1:
-        raise DecodeError(f"bad dimension {dim}")
     items = _need_objects(doc, "terms")
     words = [_need_objects(item, "word") for item in items]
+    if "dim" in doc:
+        dim = _int_from(doc["dim"], "dimension")
+    elif algebra != "poly":
+        stated = {_dim_from(_object(e, "a chain slot"), None) for w in words for e in w}
+        stated.discard(None)
+        if len(stated) > 1:
+            raise DecodeError(f"chain slots of dimensions {sorted(stated)}")
+        dim = next(iter(stated), dim)
+    if dim < 1:
+        raise DecodeError(f"bad dimension {dim}")
     gens = None
     if algebra == "poly":
         # polynomial chains carry their own generator tuple
@@ -325,6 +335,9 @@ def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
     for item, slots in zip(items, words):
         coeff = _coeff_from_json(_need(item, "coef"), handle, dim)
         word = tuple(_element_from_json(algebra, e, handle, dim, trunc) for e in slots)
+        wrong = [a.dim for a in word if algebra != "poly" and a.dim != dim]
+        if wrong:
+            raise DecodeError(f"a slot of dimension {wrong[0]} in a chain of dimension {dim}")
         if len(word) != degree + 1:
             raise DecodeError(
                 f"word length {len(word)} does not match degree {degree}"

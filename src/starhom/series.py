@@ -20,12 +20,20 @@ Every sparse sum in the package goes through ``accumulate``: add a value
 into a dict entry and drop the entry when the sum is zero.  Its zero test
 is truthiness, so each ring type here and downstream defines ``__bool__``
 as ``not is_zero()``, the convention ``Fraction`` already follows.
+
+Products run on integers.  ``_numerators`` scales each operand to one
+common denominator; the product loop multiplies and sums int numerators
+per output exponent and builds one ``Fraction`` per nonzero output term,
+over the product of the two denominators.  ``Poly`` products (``*``,
+``mul_truncated`` and so every ``TSeries`` product) and the Moyal kernel
+in ``weyl`` share that helper.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -72,6 +80,15 @@ def accumulate(out: dict, key, value) -> None:
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def _numerators(*terms: Mapping) -> tuple[int, list]:
+    """One common denominator D for the Fraction values of all the ``terms``
+    dicts, and each dict's items as [(key, integer numerator q * D), ...]."""
+    den = lcm(*[q.denominator for t in terms for q in t.values()])
+    return den, [
+        [(key, q.numerator * (den // q.denominator)) for key, q in t.items()] for t in terms
+    ]
 
 
 class Poly:
@@ -224,23 +241,28 @@ class Poly:
         return self._product(other, max_deg)
 
     def _product(self, other: Poly, max_deg: int | None) -> Poly:
-        """The one loop of Poly products.  Under a degree cap the right
-        operand's terms are sorted by degree, and each left term meets only
-        the prefix that keeps the sum within the cap."""
+        """The one loop of Poly products, on integer numerators.  Under a
+        degree cap the right operand's terms are sorted by degree, and each
+        left term meets only the prefix that keeps the sum within the cap."""
         self._check(other)
-        right = other.terms.items()
+        if not self.terms or not other.terms:
+            return Poly._raw(self.gens, {})
+        lden, (left,) = _numerators(self.terms)
+        rden, (right,) = _numerators(other.terms)
         if max_deg is not None:
-            right = sorted(right, key=lambda t: sum(t[0]))
+            right.sort(key=lambda t: sum(t[0]))
             degrees = [sum(e) for e, _ in right]
-        out: dict[tuple, Fraction] = {}
-        for e1, q1 in self.terms.items():
+        sums: dict[tuple, int] = {}
+        for e1, n1 in left:
             if max_deg is None:
                 partners = right
             else:
                 partners = right[: bisect_right(degrees, max_deg - sum(e1))]
-            for e2, q2 in partners:
-                accumulate(out, tuple(map(add, e1, e2)), q1 * q2)
-        return Poly._raw(self.gens, out)
+            for e2, n2 in partners:
+                exp = tuple(map(add, e1, e2))
+                sums[exp] = sums.get(exp, 0) + n1 * n2
+        den = lden * rden
+        return Poly._raw(self.gens, {exp: Fraction(v, den) for exp, v in sums.items() if v})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

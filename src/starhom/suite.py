@@ -192,9 +192,10 @@ def check_hochschild_identities(seed: int, scale: str) -> CheckResult:
         for n in range(per_handle):
             degree = rng.randint(1, 4)
             c = random_chain(rng, handle, degree, slot)
-            bb = diff_b(diff_b(c))
-            BB = diff_B(diff_B(c))
-            anti = diff_b(diff_B(c)) + diff_B(diff_b(c))
+            b, B = diff_b(c), diff_B(c)
+            bb = diff_b(b)
+            BB = diff_B(B)
+            anti = diff_b(B) + diff_B(b)
             for label, chain in (("b^2", bb), ("B^2", BB), ("bB+Bb", anti)):
                 if not chain.is_zero():
                     failures.append(

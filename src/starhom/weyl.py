@@ -32,13 +32,14 @@ correction coming from Weyl ordering.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, perm
 
 from .series import (
     GeneratorMismatch,
     Poly,
     SeriesError,
     TSeries,
+    _numerators,
     accumulate,
     as_fraction,
 )
@@ -223,16 +224,6 @@ def _axis_weights(a: int, b: int, c: int, e: int, sign: int) -> list[tuple]:
     return [(s, w, a + c - s, b + e - s) for s, w in sorted(weights.items())]
 
 
-def _numerators(s: TSeries) -> tuple[int, list]:
-    """One common denominator for all coefficients of ``s``, and the terms
-    as (t-power, [(exponent, integer numerator), ...])."""
-    den = lcm(*(q.denominator for p in s.coeffs.values() for q in p.terms.values()))
-    return den, [
-        (m, [(exp, q.numerator * (den // q.denominator)) for exp, q in p.terms.items()])
-        for m, p in s.coeffs.items()
-    ]
-
-
 def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
     """Star product of two Weyl elements, exact within the common window.
 
@@ -250,8 +241,9 @@ def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = Fal
     lower = fv.lower + gv.lower
     trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
     sign = 1 if mutate_kernel_sign else -1
-    f_den, f_terms = _numerators(fv)
-    g_den, g_terms = _numerators(gv)
+    f_den, f_rows = _numerators(*(p.terms for p in fv.coeffs.values()))
+    g_den, g_rows = _numerators(*(p.terms for p in gv.coeffs.values()))
+    f_terms, g_terms = list(zip(fv.coeffs, f_rows)), list(zip(gv.coeffs, g_rows))
     top = trunc - 1 - lower
     tables: dict[tuple, list] = {}
     sums: dict[int, dict] = {}

@@ -466,6 +466,18 @@ class TestChainDocumentShape:
         assert code == EXIT_MALFORMED
         assert "constant" in err
 
+    @pytest.mark.parametrize("dim", [None, 1])
+    def test_slot_of_another_dimension_exits_2(self, capsys, monkeypatch, dim):
+        slot = {"dim": 1, "coeffs": {"0": {"dim": 1, "terms": [{"x": [1], "d": [0], "coef": "1/1"}]}}}
+        wide = {"dim": 2, "coeffs": {"0": {"dim": 2, "terms": [{"x": [1, 0], "d": [0, 0], "coef": "1/1"}]}}}
+        doc = {"algebra": "rees", "degree": 1, "terms": [{"coef": "1/1", "word": [slot, wide]}]}
+        if dim is not None:
+            doc["dim"] = dim
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_MALFORMED
+        assert out == "" and "dimension" in err
+
 
 WEYL_SLOT = {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}
 REES_SLOT = {"dim": 1, "coeffs": {"0": {"dim": 1, "terms": [{"x": [1], "d": [0], "coef": "1/1"}]}}}

@@ -81,6 +81,27 @@ class TestVectorFields:
         with pytest.raises(SeriesError):
             vf_bracket(FormalVectorField.d_zh(1, 1, 6), FormalVectorField.d_zh(1, 1, 5))
 
+    def test_bracket_equals_truncated_full_products(self):
+        """The capped products inside ``bracket`` keep every term the
+        constructor keeps: compare with full products truncated afterwards,
+        on fields with terms of every degree up to fiber_trunc - 1."""
+        rng = random.Random("capped-bracket")
+        trunc = 5
+        euler = FormalVectorField(2, [Poly.gen(N2, n) for n in N2], trunc)
+        top = FormalVectorField(2, [Poly.monomial(N2, (trunc - 1, 0)), Poly.zero(N2)], trunc)
+        for _ in range(10):
+            u = rvf(rng, trunc=trunc, max_deg=trunc - 1) + euler
+            v = rvf(rng, trunc=trunc, max_deg=trunc - 1) + top
+            comps = []
+            for j in range(2):
+                full = Poly.zero(N2)
+                for i, name in enumerate(N2):
+                    full = full + u.comps[i] * v.comps[j].partial(name)
+                    full = full - v.comps[i] * u.comps[j].partial(name)
+                comps.append(full.truncate_degree(trunc - 1))
+            assert max(p.degree() for p in comps) == trunc - 1
+            assert u.bracket(v).comps == tuple(comps)
+
 
 class TestIMap:
     def test_linear_field_with_correction(self):

@@ -59,6 +59,14 @@ MUTANTS = [
         None,
     ),
     (
+        "poly-product-right-denominator-dropped",
+        "series.py",
+        "den = lden * rden",
+        "den = lden",
+        "check_fedosov_curvature",
+        "kazhdan-flatness",
+    ),
+    (
         "chain-slot-zero-flag-dropped",
         "hochschild.py",
         "key = (id(a), first)",

@@ -68,6 +68,25 @@ class TestChainRoundTrips:
         back = serialize.chain_from_json(doc, dim=dim, trunc=3)
         assert back == c
 
+    @pytest.mark.parametrize("maker", [phi_E, phi_A])
+    def test_dimension_read_from_the_slots(self, maker):
+        c = maker(2)
+        doc = serialize.chain_to_json(c)
+        assert "dim" not in doc
+        back = serialize.chain_from_json(doc)
+        assert back == c
+        assert back.handle.unit.dim == 2
+        assert all(a.dim == 2 for _, word in back.items() for a in word)
+
+    def test_slots_of_two_dimensions_rejected(self):
+        doc = serialize.chain_to_json(phi_E(1))
+        wide = serialize.chain_to_json(phi_E(2))["terms"][0]["word"][0]
+        doc["terms"][0]["word"][0] = wide
+        with pytest.raises(DecodeError, match="dimensions"):
+            serialize.chain_from_json(doc)
+        with pytest.raises(DecodeError, match="dimension"):
+            serialize.chain_from_json({**doc, "dim": 1})
+
     def test_weyl_chain_with_series_coefficient(self):
         wh = weyl_handle(1, trunc=6)
         gens = weyl_gens(1)

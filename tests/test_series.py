@@ -340,6 +340,61 @@ class TestDegreeCappedProduct:
             x.mul_truncated(Poly.gen(("x",), "x"), 3)
 
 
+def fraction_product(a, b, max_deg):
+    """Term-by-term Fraction product, the reference for the integer kernel."""
+    out = {}
+    for e1, q1 in a.terms.items():
+        for e2, q2 in b.terms.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            if max_deg is None or sum(e) <= max_deg:
+                out[e] = out.get(e, Fraction(0)) + q1 * q2
+    return {e: q for e, q in out.items() if q}
+
+
+rational_polys = st.builds(
+    lambda terms: Poly(GENS, dict(terms)),
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(-6, 6, max_denominator=12),
+        ),
+        max_size=6,
+    ),
+)
+
+kernel_operands = st.one_of(
+    rational_polys,
+    st.just(Poly.zero(GENS)),
+    st.fractions(-3, 3, max_denominator=7).map(lambda c: Poly.const(GENS, c)),
+)
+
+
+class TestIntegerKernel:
+    """``*`` and ``mul_truncated`` equal the Fraction product term by term."""
+
+    @given(kernel_operands, kernel_operands, st.one_of(st.none(), st.integers(-1, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fraction_product(self, a, b, k):
+        got = a * b if k is None else a.mul_truncated(b, k)
+        assert got.gens == GENS
+        assert got.terms == fraction_product(a, b, k)
+        assert all(type(q) is Fraction and q for q in got.terms.values())
+
+    def test_cancelling_terms_are_dropped(self):
+        a = x * Fraction(1, 6) + xi * Fraction(1, 4)
+        b = x * Fraction(1, 6) - xi * Fraction(1, 4)
+        product = a * b
+        assert product.terms == {(2, 0): Fraction(1, 36), (0, 2): Fraction(-1, 16)}
+        assert a.mul_truncated(b, 1).is_zero()
+
+    def test_empty_operand(self):
+        for a, b in ((Poly.zero(GENS), x + 1), (x + 1, Poly.zero(GENS))):
+            assert (a * b).terms == {}
+            assert a.mul_truncated(b, 4).terms == {}
+        with pytest.raises(GeneratorMismatch):
+            Poly.zero(GENS) * Poly.zero(("x",))
+
+
 class TestPower:
     @given(capped_operands, st.integers(0, 6))
     @settings(max_examples=80, deadline=None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .hkr import _merge_sign
 from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
@@ -64,6 +65,17 @@ class FormalVectorField:
         object.__setattr__(self, "fiber_trunc", int(fiber_trunc))
         object.__setattr__(self, "comps", tuple(cleaned))
 
+    @classmethod
+    def _raw(cls, dim: int, comps: tuple, fiber_trunc: int) -> FormalVectorField:
+        """Trusted constructor for results of the field's own operations:
+        ``comps`` is a tuple of ``dim`` Polys over the fiber variables, each
+        of degree below ``fiber_trunc``.  Nothing is copied or checked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "dim", dim)
+        object.__setattr__(v, "fiber_trunc", fiber_trunc)
+        object.__setattr__(v, "comps", comps)
+        return v
+
     def __setattr__(self, *_):
         raise AttributeError("FormalVectorField is immutable")
 
@@ -95,9 +107,12 @@ class FormalVectorField:
 
     def __add__(self, other: FormalVectorField) -> FormalVectorField:
         self._check(other)
-        trunc = min(self.fiber_trunc, other.fiber_trunc)
+        comps = tuple(a + b for a, b in zip(self.comps, other.comps))
+        if self.fiber_trunc == other.fiber_trunc:
+            return FormalVectorField._raw(self.dim, comps, self.fiber_trunc)
+        # the wider operand may hold degrees that the narrower cut drops
         return FormalVectorField(
-            self.dim, [a + b for a, b in zip(self.comps, other.comps)], trunc
+            self.dim, comps, min(self.fiber_trunc, other.fiber_trunc)
         )
 
     def __neg__(self) -> FormalVectorField:
@@ -107,11 +122,12 @@ class FormalVectorField:
         return self + (-other)
 
     def scale(self, q) -> FormalVectorField:
-        return FormalVectorField(
-            self.dim, [p * q for p in self.comps], self.fiber_trunc
+        return FormalVectorField._raw(
+            self.dim, tuple(p * q for p in self.comps), self.fiber_trunc
         )
 
     def map_components(self, fn) -> FormalVectorField:
+        """``fn`` on each component, cut again: ``fn`` may raise degrees."""
         return FormalVectorField(self.dim, [fn(p) for p in self.comps], self.fiber_trunc)
 
     def apply_to(self, p: Poly, max_deg: int) -> Poly:
@@ -126,15 +142,16 @@ class FormalVectorField:
 
     def bracket(self, other: FormalVectorField) -> FormalVectorField:
         """Commutator of derivations; w-degrees add.  Both sides are capped
-        at the degree the constructor keeps, so the result is exact."""
+        at the degree the constructor keeps, so the result is exact and
+        needs no second cut.  Swapping the operands negates the result
+        exactly."""
         self._check(other)
         trunc = min(self.fiber_trunc, other.fiber_trunc)
-        comps = []
-        for j in range(self.dim):
-            a = self.apply_to(other.comps[j], trunc - 1)
-            b = other.apply_to(self.comps[j], trunc - 1)
-            comps.append(a - b)
-        return FormalVectorField(self.dim, comps, trunc)
+        comps = tuple(
+            self.apply_to(other.comps[j], trunc - 1) - other.apply_to(self.comps[j], trunc - 1)
+            for j in range(self.dim)
+        )
+        return FormalVectorField._raw(self.dim, comps, trunc)
 
     def fiber_part(self, k: int) -> FormalVectorField:
         """The w-degree-k piece: components homogeneous of degree k + 1."""
@@ -304,22 +321,35 @@ class LieValuedForm:
                 )
         return LieValuedForm(self.base, self.kind, out)
 
+    def _bracket_pairs(self, pairs) -> LieValuedForm:
+        """The sum over ``pairs`` of terms (((w1, b1), v1), ((w2, b2), v2))
+        of the wedge of w1 and w2 on the base times [v1, v2] on values."""
+        out: dict = {}
+        for ((w1, b1), v1), ((w2, b2), v2) in pairs:
+            merged = _merge_sign(w1, w2)
+            if merged is None:
+                continue
+            sign, widx = merged
+            val = v1.bracket(v2)
+            if val.is_zero():
+                continue
+            bexp = tuple(a + b for a, b in zip(b1, b2))
+            accumulate(out, (widx, bexp), val.scale(sign))
+        return LieValuedForm(self.base, self.kind, out)
+
     def bracket(self, other: LieValuedForm) -> LieValuedForm:
         """Graded bracket: wedge on the base, Lie bracket on values."""
         self._check(other)
-        out: dict = {}
-        for (w1, b1), v1 in self.terms.items():
-            for (w2, b2), v2 in other.terms.items():
-                merged = _merge_sign(w1, w2)
-                if merged is None:
-                    continue
-                sign, widx = merged
-                val = v1.bracket(v2)
-                if val.is_zero():
-                    continue
-                bexp = tuple(a + b for a, b in zip(b1, b2))
-                accumulate(out, (widx, bexp), val.scale(sign))
-        return LieValuedForm(self.base, self.kind, out)
+        return self._bracket_pairs(product(self.terms.items(), other.terms.items()))
+
+    def half_square(self) -> LieValuedForm:
+        """(1/2)[A, A] of a 1-form, summed once per unordered pair of terms:
+        the ordered pairs (s, t) and (t, s) of [A, A] contribute the same,
+        since the wedge sign and the value bracket both flip, and a term's
+        wedge with itself vanishes."""
+        if self.form_degrees() not in ([], [1]):
+            raise SeriesError("the half square is summed only on a pure 1-form")
+        return self._bracket_pairs(combinations(self.terms.items(), 2))
 
     def fiber_part(self, k: int) -> LieValuedForm:
         if self.kind == "vf":
@@ -354,10 +384,9 @@ class LieValuedForm:
 
 
 def curvature(a: LieValuedForm) -> LieValuedForm:
-    """dA + (1/2)[A, A] of a connection 1-form."""
-    if a.form_degrees() not in ([], [1]):
-        raise SeriesError("curvature expects a pure 1-form")
-    return a.exterior_d() + a.bracket(a).scale(Fraction(1, 2))
+    """dA + (1/2)[A, A] of a connection 1-form; (1/2)[A, A] is
+    ``a.half_square()``, one value bracket per unordered pair of terms."""
+    return a.exterior_d() + a.half_square()
 
 
 # -- the flatness recursion ----------------------------------------------------
@@ -450,6 +479,9 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     curvature vanish through fiber degree fiber_deg.  Raises TorsionError
     when an obstruction is not delta-closed, which happens exactly when
     a0 has torsion.  Fiber polynomials are kept below degree fiber_deg + 4.
+
+    The obstruction sums [A^(i), A^(j)] once for each i < j, and the half
+    square (1/2)[A^(i), A^(i)] for i == j; components are 1-forms.
     """
     if a0.kind != "vf":
         raise SeriesError("expected a vector-field-valued form")
@@ -469,10 +501,10 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
             j = k - i
             if j < i or j not in comps or i not in comps:
                 continue
-            term = comps[i].bracket(comps[j])
             if i == j:
-                term = term.scale(Fraction(1, 2))
-            obstruction = obstruction + term
+                obstruction = obstruction + comps[i].half_square()
+            else:
+                obstruction = obstruction + comps[i].bracket(comps[j])
         nxt = _delta_inv(obstruction)
         if not (_delta(nxt) - obstruction).is_zero():
             raise TorsionError(

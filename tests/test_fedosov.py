@@ -102,6 +102,46 @@ class TestVectorFields:
             assert max(p.degree() for p in comps) == trunc - 1
             assert u.bracket(v).comps == tuple(comps)
 
+    def test_trusted_paths_equal_checked_constructor(self):
+        """``bracket``, ``scale``, ``+`` and ``-`` on fields of one
+        fiber_trunc skip the constructor's cut; each result equals what the
+        checked constructor gives on the uncut components."""
+        rng = random.Random("trusted-paths")
+        trunc = 5
+        top = FormalVectorField(2, [Poly.zero(N2), Poly.monomial(N2, (1, trunc - 2))], trunc)
+        euler = FormalVectorField(2, [Poly.gen(N2, n) for n in N2], trunc)
+        for _ in range(10):
+            u = rvf(rng, trunc=trunc, max_deg=trunc - 1) + top
+            v = rvf(rng, trunc=trunc, max_deg=trunc - 1) + euler
+            q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            full_bracket = [
+                sum(
+                    (u.comps[i] * v.comps[j].partial(n) - v.comps[i] * u.comps[j].partial(n)
+                     for i, n in enumerate(N2)),
+                    Poly.zero(N2),
+                )
+                for j in range(2)
+            ]
+            cases = [
+                (u.scale(q), [p * q for p in u.comps]),
+                (u + v, [a + b for a, b in zip(u.comps, v.comps)]),
+                (u - v, [a - b for a, b in zip(u.comps, v.comps)]),
+                (-u, [-p for p in u.comps]),
+                (u.bracket(v), full_bracket),
+            ]
+            assert max(p.degree() for p in u.comps) == trunc - 1
+            assert max(p.degree() for p in full_bracket) > trunc - 1
+            for got, uncut in cases:
+                want = FormalVectorField(2, uncut, trunc)
+                assert (got.comps, got.fiber_trunc) == (want.comps, want.fiber_trunc)
+
+    def test_sum_across_truncations_is_cut(self):
+        wide = FormalVectorField(2, [Poly.monomial(N2, (5, 0)), Poly.gen(N2, "zh1")], 6)
+        narrow = FormalVectorField(2, [Poly.zero(N2), Poly.monomial(N2, (0, 3))], 4)
+        for got in (wide + narrow, narrow + wide):
+            assert got.fiber_trunc == 4
+            assert got.comps == (Poly.zero(N2), Poly.gen(N2, "zh1") + Poly.monomial(N2, (0, 3)))
+
 
 class TestIMap:
     def test_linear_field_with_correction(self):
@@ -173,6 +213,99 @@ class TestCurvature:
         )
         with pytest.raises(SeriesError):
             curvature(two_form)
+
+
+def random_one_form(rng, value, cancelling):
+    """A 1-form on BASE2 with several terms per wedge index, at different
+    base exponents.  With ``cancelling`` it also holds v at (0,) z1 and
+    (1,) z2 and w at (0,) z2 and (1,) z1: their brackets at dz1^dz2 z1 z2
+    cancel."""
+    terms = {}
+    for _ in range(5):
+        key = ((rng.randint(0, 1),), (rng.randint(0, 2), rng.randint(0, 2)))
+        terms[key] = value()
+    if cancelling:
+        v, w = value(), value()
+        terms.update({((0,), (1, 0)): v, ((1,), (0, 1)): v, ((0,), (0, 1)): w, ((1,), (1, 0)): w})
+    return terms
+
+
+def assert_same_terms(got, want):
+    """Equal keys and values, and equal windows (``==`` on a vector field
+    does not compare its fiber_trunc)."""
+    assert got.terms == want.terms
+    for key, val in got.terms.items():
+        if got.kind == "vf":
+            assert val.fiber_trunc == want.terms[key].fiber_trunc
+
+
+def random_lie_value(rng):
+    gens = fiber_weyl_names(1)
+    p = Poly.zero(gens)
+    for _ in range(2):
+        exp = (rng.randint(0, 2), rng.randint(0, 2))
+        p = p + Poly.monomial(gens, exp, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return LieElement(WeylElement.from_poly(p, 1, 4, t_exp=rng.choice((-1, 0))))
+
+
+class TestHalfSquare:
+    """curvature sums (1/2)[A, A] once per unordered pair of terms; these
+    compare it with the ordered-pair bracket halved."""
+
+    @pytest.mark.parametrize("kind", ["vf", "lie"])
+    def test_equals_halved_bracket(self, kind):
+        rng = random.Random(f"half-square-{kind}")
+        value = (lambda: rvf(rng, trunc=5)) if kind == "vf" else (lambda: random_lie_value(rng))
+        for n in range(12):
+            cancelling = n % 2 == 0
+            a = LieValuedForm(BASE2, kind, random_one_form(rng, value, cancelling))
+            want = a.exterior_d() + a.bracket(a).scale(Fraction(1, 2))
+            assert_same_terms(curvature(a), want)
+            assert_same_terms(a.half_square(), a.bracket(a).scale(Fraction(1, 2)))
+
+    def test_cancelling_brackets_leave_no_term(self):
+        rng = random.Random("half-square-cancel")
+        a = LieValuedForm(BASE2, "vf", random_one_form(rng, lambda: rvf(rng, trunc=5), True))
+        cancelled = LieValuedForm(
+            BASE2, "vf", {k: v for k, v in a.terms.items() if k[1] in ((1, 0), (0, 1))}
+        )
+        assert len(cancelled.terms) == 4
+        got = cancelled.half_square()
+        assert sorted(got.terms) == [((0, 1), (0, 2)), ((0, 1), (2, 0))]
+        assert_same_terms(got, cancelled.bracket(cancelled).scale(Fraction(1, 2)))
+
+    def test_one_value_bracket_per_unordered_pair(self, monkeypatch):
+        calls = []
+        original = FormalVectorField.bracket
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(FormalVectorField, "bracket", counted)
+        rng = random.Random("half-square-count")
+        for _ in range(6):
+            a = LieValuedForm(BASE2, "vf", random_one_form(rng, lambda: rvf(rng, trunc=5), True))
+            widx = [w for w, _ in a.terms]
+            distinct = sum(
+                1 for s in range(len(widx)) for t in range(s + 1, len(widx)) if widx[s] != widx[t]
+            )
+            calls.clear()
+            curvature(a)
+            assert len(calls) == distinct
+
+    def test_rejects_forms_of_other_degrees(self):
+        value = gl_to_vf([[1, 0], [0, 0]], 2, 6)
+        one = Poly.const(BASE2, 1)
+        for entries in (
+            [((0, 1), one, value)],
+            [((), one, value), ((0,), one, value)],
+        ):
+            form = LieValuedForm.from_entries(BASE2, "vf", entries)
+            with pytest.raises(SeriesError):
+                form.half_square()
+            with pytest.raises(SeriesError):
+                curvature(form)
 
 
 class TestKazhdan:

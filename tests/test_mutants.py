@@ -67,6 +67,14 @@ MUTANTS = [
         "kazhdan-flatness",
     ),
     (
+        "half-square-skips-next-term",
+        "fedosov.py",
+        "combinations(self.terms.items(), 2)",
+        "((s, t) for n, s in enumerate(self.terms.items()) for t in list(self.terms.items())[n + 2:])",
+        "check_fedosov_curvature",
+        "kazhdan-flatness",
+    ),
+    (
         "chain-slot-zero-flag-dropped",
         "hochschild.py",
         "key = (id(a), first)",

@@ -13,11 +13,8 @@ from .weyl import (
     LieElement,
     WeylElement,
     gl_embed,
-    graded_weight,
     lie_bracket,
     moyal_star,
-    poisson,
-    sp_embed,
     star_commutator,
     weyl_gens,
 )
@@ -54,7 +51,6 @@ from .fedosov import (
     kazhdan_assemble,
     lift_connection,
     psi_conjugate,
-    vf_bracket,
 )
 from .rees import (
     DiffOp,
@@ -62,7 +58,6 @@ from .rees import (
     ReesElement,
     diffop_mul,
     localized_to_weyl,
-    rees_embed,
     rees_sigma,
 )
 from .suite import Report, run_suite

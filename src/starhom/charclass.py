@@ -97,11 +97,6 @@ class ChernRootSeries:
         raise AttributeError("ChernRootSeries is immutable")
 
     @classmethod
-    def one(cls, d: int, trunc: int) -> ChernRootSeries:
-        roots = root_names(d)
-        return cls(roots, trunc, Poly.const(roots, 1))
-
-    @classmethod
     def from_root_function(cls, coeffs: list[Fraction], d: int, trunc: int) -> ChernRootSeries:
         """Product over the d roots of a single-variable series."""
         roots = root_names(d)
@@ -178,10 +173,6 @@ class ChernClassExpr:
         if self.poly.gens != chern_names(self.dim):
             raise SeriesError("expected generators c1..cd")
         object.__setattr__(self, "poly", _truncate_weighted(self.poly, self.trunc))
-
-    @classmethod
-    def zero(cls, d: int, trunc: int) -> ChernClassExpr:
-        return cls(d, trunc, Poly.zero(chern_names(d)))
 
     @classmethod
     def half_c1(cls, d: int, trunc: int) -> ChernClassExpr:
@@ -321,16 +312,13 @@ class IdentityReport:
         }
 
 
-def rr_identity_check(d: int, trunc: int, theta: ChernClassExpr | None = None) -> IdentityReport:
-    """Compare a_hat(d) * exp(theta) with todd(d) degree by degree.
+def rr_identity_check(d: int, trunc: int) -> IdentityReport:
+    """Compare a_hat(d) * exp(c1/2) with todd(d) degree by degree.
 
-    theta defaults to c1/2, the curvature class of the cotangent-bundle
-    quantization; any discrepant homogeneous piece is reported rather than
-    raised.
+    c1/2 is the curvature class of the cotangent-bundle quantization; any
+    discrepant homogeneous piece is reported rather than raised.
     """
-    if theta is None:
-        theta = ChernClassExpr.half_c1(d, trunc)
-    lhs = a_hat(d, trunc) * exp_class(theta, trunc)
+    lhs = a_hat(d, trunc) * exp_class(ChernClassExpr.half_c1(d, trunc), trunc)
     rhs = todd(d, trunc)
     mismatches = []
     for k in range(trunc + 1):

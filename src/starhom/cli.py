@@ -103,7 +103,7 @@ def cmd_hB(args) -> int:
 
 
 def cmd_verify_cycle(args) -> int:
-    if args.chain in ("phi_E", "phi_A"):
+    if args.chain is not None:
         chain = phi_E(args.dim) if args.chain == "phi_E" else phi_A(args.dim)
         label = f"{args.chain}({args.dim})"
     else:
@@ -225,63 +225,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="corpus seed (u64)")
-        p.add_argument("--dim", type=_int_at_least(1), default=1, help="dimension d (>= 1)")
-        p.add_argument("--trunc-t", dest="trunc_t", type=_int_at_least(1), default=8,
-                       help="t-order window (>= 1)")
-        p.add_argument("--max-deg", dest="max_deg", type=_int_at_least(0), default=4,
-                       help="max algebraic degree (>= 0)")
-        p.add_argument("--fiber-trunc", dest="fiber_trunc", type=_int_at_least(0), default=4,
-                       help="fiber degree (>= 0)")
-        p.add_argument("--json", default=None, help="input document path, or '-' for stdin")
+    # each subcommand takes exactly the options its handler reads
+    options = {
+        "--seed": dict(type=int, default=0, help="corpus seed (u64)"),
+        "--dim": dict(type=_int_at_least(1), default=1, help="dimension d (>= 1)"),
+        "--trunc-t": dict(type=_int_at_least(1), default=8, help="t-order window (>= 1)"),
+        "--max-deg": dict(type=_int_at_least(0), default=4, help="max algebraic degree (>= 0)"),
+        "--fiber-trunc": dict(type=_int_at_least(0), default=4, help="fiber degree (>= 0)"),
+        "--json": dict(default=None, help="input document path, or '-' for stdin"),
+    }
 
-    p = sub.add_parser("star", help="star product of two values")
-    common(p)
-    p.set_defaults(fn=cmd_star)
+    def command(name, fn, text, *flags):
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("hb", help="Hochschild boundary of a chain")
-    common(p)
-    p.set_defaults(fn=cmd_hb)
+    element = ("--json", "--dim", "--trunc-t")
+    command("star", cmd_star, "star product of two values", *element)
+    command("hb", cmd_hb, "Hochschild boundary of a chain", *element)
+    command("hB", cmd_hB, "cyclic differential of a chain", *element)
 
-    p = sub.add_parser("hB", help="cyclic differential of a chain")
-    common(p)
-    p.set_defaults(fn=cmd_hB)
+    p = command("verify-cycle", cmd_verify_cycle, "check that b(chain) = 0", *element, "--seed")
+    p.add_argument("--chain", default=None, choices=("phi_E", "phi_A"),
+                   help="built-in cycle, used instead of --json")
 
-    p = sub.add_parser("verify-cycle", help="check that b(chain) = 0")
-    common(p)
-    p.add_argument("--chain", default=None, help="built-in cycle: phi_E or phi_A")
-    p.set_defaults(fn=cmd_verify_cycle)
+    command("hkr", cmd_hkr, "chains-to-forms map over polynomials", *element)
 
-    p = sub.add_parser("hkr", help="chains-to-forms map over polynomials")
-    common(p)
-    p.set_defaults(fn=cmd_hkr)
-
-    p = sub.add_parser("charclass", help="characteristic-class series")
-    common(p)
+    p = command("charclass", cmd_charclass, "characteristic-class series",
+                "--dim", "--max-deg", "--json", "--seed")
     p.add_argument("--class", dest="klass", required=True,
                    choices=("a-hat", "todd", "exp", "rr-check"))
     p.add_argument("--basis", default="roots", choices=("roots", "chern"))
-    p.set_defaults(fn=cmd_charclass)
 
-    p = sub.add_parser("fedosov", help="connection and curvature checks")
-    common(p)
+    p = command("fedosov", cmd_fedosov, "connection and curvature checks",
+                "--dim", "--fiber-trunc", "--trunc-t", "--json", "--seed")
     p.add_argument("--check", required=True,
                    choices=("flat", "lift-curvature", "psi"))
-    p.set_defaults(fn=cmd_fedosov)
 
-    p = sub.add_parser("rees", help="filtration structure checks")
-    common(p)
+    p = command("rees", cmd_rees, "filtration structure checks", "--seed")
     p.add_argument("--check", required=True,
                    choices=("sigma", "iota", "to-weyl", "phi-compat"))
-    p.set_defaults(fn=cmd_rees)
 
-    p = sub.add_parser("suite", help="run the full verification suite")
-    common(p)
+    p = command("suite", cmd_suite, "run the full verification suite", "--seed")
     p.add_argument("--scale", default="small", choices=("small", "full"))
     p.add_argument("--mutate-moyal-sign", action="store_true",
                    help="corrupt the product kernel to prove the checks can fail")
-    p.set_defaults(fn=cmd_suite)
 
     return parser
 

@@ -80,11 +80,6 @@ class FormalVectorField:
         raise AttributeError("FormalVectorField is immutable")
 
     @classmethod
-    def zero(cls, dim: int, fiber_trunc: int) -> FormalVectorField:
-        names = fiber_z_names(dim)
-        return cls(dim, [Poly.zero(names)] * dim, fiber_trunc)
-
-    @classmethod
     def d_zh(cls, dim: int, i: int, fiber_trunc: int) -> FormalVectorField:
         """The constant field d/dzh_i (1-based)."""
         names = fiber_z_names(dim)
@@ -97,9 +92,6 @@ class FormalVectorField:
 
     def __bool__(self) -> bool:
         return any(self.comps)
-
-    def key(self):
-        return tuple(p.key() for p in self.comps)
 
     def _check(self, other: FormalVectorField):
         if self.dim != other.dim:
@@ -153,10 +145,6 @@ class FormalVectorField:
         )
         return FormalVectorField._raw(self.dim, comps, trunc)
 
-    def fiber_part(self, k: int) -> FormalVectorField:
-        """The w-degree-k piece: components homogeneous of degree k + 1."""
-        return self.map_components(lambda p: p.homogeneous_part(k + 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, FormalVectorField)
@@ -170,12 +158,6 @@ class FormalVectorField:
             f"({p!r}) d/d{name}" for p, name in zip(self.comps, names) if not p.is_zero()
         ]
         return " + ".join(bits) if bits else "0"
-
-
-def vf_bracket(u: FormalVectorField, v: FormalVectorField) -> FormalVectorField:
-    if u.fiber_trunc != v.fiber_trunc:
-        raise SeriesError("fiber truncation mismatch")
-    return u.bracket(v)
 
 
 def gl_to_vf(matrix, dim: int, fiber_trunc: int) -> FormalVectorField:
@@ -351,12 +333,6 @@ class LieValuedForm:
             raise SeriesError("the half square is summed only on a pure 1-form")
         return self._bracket_pairs(combinations(self.terms.items(), 2))
 
-    def fiber_part(self, k: int) -> LieValuedForm:
-        if self.kind == "vf":
-            return self.map_values(lambda v: v.fiber_part(k))
-        # weight: generator degree plus twice the t-power
-        return self.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) + 2 * e == k))
-
     def fiber_truncate(self, k: int) -> LieValuedForm:
         """Drop all graded pieces of fiber degree above k."""
         if self.kind == "vf":
@@ -449,9 +425,6 @@ class AssembledConnection:
     fiber_trunc: int
     components: dict
 
-    def component(self, k: int) -> LieValuedForm:
-        return self.components.get(k, LieValuedForm.zero(self.base, "vf"))
-
     def total(self) -> LieValuedForm:
         out = LieValuedForm.zero(self.base, "vf")
         for form in self.components.values():
@@ -535,16 +508,13 @@ def central_scalar_form(base, dim: int, entries, t_trunc: int = 8) -> LieValuedF
     return LieValuedForm.from_entries(base, "lie", built)
 
 
-def lift_connection(a: LieValuedForm, half_trace: LieValuedForm | None = None, t_trunc: int = 8) -> LieValuedForm:
+def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int = 8) -> LieValuedForm:
     """Apply the Weyl-ordered realization valuewise and add the central
     half-trace 1-form.  When ``a`` is flat through fiber degree K, the
     curvature of the lift is central through degree K."""
     if a.kind != "vf":
         raise SeriesError("expected a vector-field-valued form")
-    lifted = a.map_values(lambda v: i_map(v, t_trunc=t_trunc), kind="lie")
-    if half_trace is not None:
-        lifted = lifted + half_trace
-    return lifted
+    return a.map_values(lambda v: i_map(v, t_trunc=t_trunc), kind="lie") + half_trace
 
 
 def half_trace_form(a0_matrix_form: dict, base, dim: int, t_trunc: int = 8) -> LieValuedForm:

@@ -68,10 +68,6 @@ class DForm:
         raise AttributeError("DForm is immutable")
 
     @classmethod
-    def zero(cls, variables) -> DForm:
-        return cls(variables)
-
-    @classmethod
     def from_poly(cls, p: Poly) -> DForm:
         return cls(p.gens, {(): p})
 

@@ -110,6 +110,12 @@ class AlgebraHandle:
         trunc = self.trunc if c.trunc is None else min(c.trunc, self.trunc)
         return Laurent(c.terms, lower, trunc)
 
+    def algebra(self) -> tuple:
+        """What chains must share to be added or compared: the kind, and
+        the generators over poly or the dimension over the other kinds.
+        Windows may differ."""
+        return (self.kind, self.unit.gens if self.kind == "poly" else self.unit.dim)
+
 
 def poly_handle(gens) -> AlgebraHandle:
     """Commutative polynomials over Q; exact rational scalars."""
@@ -217,9 +223,9 @@ class HochschildChain:
         return len(self.terms)
 
     def __add__(self, other: HochschildChain) -> HochschildChain:
-        if self.handle.kind != other.handle.kind:
+        if self.handle.algebra() != other.handle.algebra():
             raise ChainError(
-                f"mixed algebras: {self.handle.kind} vs {other.handle.kind}"
+                f"mixed algebras: {self.handle.algebra()} vs {other.handle.algebra()}"
             )
         if self.degree != other.degree:
             # only a zero side may differ in degree; its words are dropped
@@ -259,7 +265,7 @@ class HochschildChain:
     def __eq__(self, other):
         return (
             isinstance(other, HochschildChain)
-            and self.handle.kind == other.handle.kind
+            and self.handle.algebra() == other.handle.algebra()
             and (self - other).is_zero()
         )
 

@@ -68,10 +68,6 @@ class DiffOp:
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> DiffOp:
-        return cls._raw(int(dim), {})
-
-    @classmethod
     def one(cls, dim: int) -> DiffOp:
         z = (0,) * dim
         return cls(dim, {(z, z): 1})
@@ -237,15 +233,8 @@ class OpSeries:
         return cls(dim, {0: DiffOp.one(dim)})
 
     @classmethod
-    def const(cls, dim: int, q, t_exp: int = 0) -> OpSeries:
-        return cls(dim, {t_exp: DiffOp.const(dim, q)})
-
-    @classmethod
     def from_op(cls, op: DiffOp, t_exp: int = 0) -> OpSeries:
         return cls(op.dim, {t_exp: op})
-
-    def component(self, p: int) -> DiffOp:
-        return self.comps.get(p, DiffOp.zero(self.dim))
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -346,12 +335,6 @@ class ReesElement(OpSeries):
                 raise FiltrationError("Rees grades are nonnegative")
             if op.order() > p:
                 raise FiltrationError(f"operator of order {op.order()} placed in grade {p}")
-
-
-def rees_embed(a: DiffOp, p: int) -> ReesElement:
-    """Place an operator of order <= p in grade p (the class a t^p); raises
-    FiltrationError otherwise."""
-    return ReesElement(a.dim, {p: a})
 
 
 def rees_sigma(r: ReesElement) -> Poly:

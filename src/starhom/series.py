@@ -180,12 +180,6 @@ class Poly:
         """The terms as (q, t-power, basis key) triples."""
         return [(q, 0, exp) for exp, q in self.terms.items()]
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
-
     def homogeneous_part(self, k: int) -> Poly:
         return Poly._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
 
@@ -501,16 +495,6 @@ class TSeries:
     def mul_monomial(self, q, m: int = 0) -> TSeries:
         """Exact multiplication by q * t^m."""
         return self.scale(q).shift(m)
-
-    def truncated(self, trunc: int) -> TSeries:
-        if trunc <= self.lower:
-            raise EmptyWindow(f"window [{self.lower}, {trunc}) is empty")
-        return TSeries._raw(
-            self.gens,
-            {e: p for e, p in self.coeffs.items() if e < trunc},
-            self.lower,
-            min(self.trunc, trunc),
-        )
 
     def with_lower(self, lower: int) -> TSeries:
         """Tighten or relax the declared support bound (must stay sound)."""

@@ -19,14 +19,13 @@ the product over the pairs lands at t^k, k = |alpha| + |beta|, times 2^-k.
 ``moyal_star`` evaluates this in integers over one common denominator per
 operand, and builds one Fraction per output coefficient.
 
-With this sign convention [x_i, xi_j] = -t delta_ij; the induced bracket on
-symbols is therefore {x, xi} = -1, and every downstream identity is derived
-from the product itself rather than from external convention tables.
+With this sign convention [x_i, xi_j] = -t delta_ij, and every downstream
+identity is derived from the product itself rather than from external
+convention tables.
 
 Lie-algebra side: (1/t)W is a central extension of the derivations of W,
-with bracket the star commutator computed in the localized algebra.  The
-quadratic monomials /t realize sp(2d); gl(d) embeds with a central -tr/2
-correction coming from Weyl ordering.
+with bracket the star commutator computed in the localized algebra; gl(d)
+embeds with a central -tr/2 correction coming from Weyl ordering.
 """
 
 from __future__ import annotations
@@ -141,9 +140,6 @@ class WeylElement:
     def scale(self, q) -> WeylElement:
         return WeylElement(self.value.scale(q), self.dim)
 
-    def shift(self, m: int) -> WeylElement:
-        return WeylElement(self.value.shift(m), self.dim)
-
     def mul_monomial(self, q, m: int = 0) -> WeylElement:
         return WeylElement(self.value.mul_monomial(q, m), self.dim)
 
@@ -175,18 +171,11 @@ class LieElement:
     def __setattr__(self, *_):
         raise AttributeError("LieElement is immutable")
 
-    @property
-    def dim(self):
-        return self.value.dim
-
     def is_zero(self) -> bool:
         return self.value.is_zero()
 
     def __bool__(self) -> bool:
         return bool(self.value)
-
-    def key(self):
-        return self.value.key()
 
     def __add__(self, other: LieElement) -> LieElement:
         return LieElement(self.value + other.value)
@@ -283,20 +272,6 @@ def star_commutator(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool 
     )
 
 
-def poisson(f: Poly, g: Poly, dim: int) -> Poly:
-    """Bracket induced on symbols: sigma( (1/t) [f~, g~] ).
-
-    The t-independent lifts f~, g~ are used; the resulting convention is
-    {x_i, xi_i} = -1, fixed by the product formula itself.
-    """
-    if len(f.gens) != 2 * dim or f.gens != g.gens:
-        raise GeneratorMismatch(f"expected shared generators of length {2 * dim}")
-    lift_f = WeylElement.from_poly(f, dim, trunc=2)
-    lift_g = WeylElement.from_poly(g, dim, trunc=2)
-    comm = star_commutator(lift_f, lift_g)
-    return comm.value.shift(-1).set_t_zero()
-
-
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bracket on (1/t)W: the star commutator in the localized algebra.
 
@@ -314,33 +289,6 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
 
 
 # -- quadratic embeddings ------------------------------------------------------
-
-
-def sp_embed(q_matrix, dim: int) -> LieElement:
-    """Quadratic form on the 2d generators, divided by t, in the window
-    [-1, 8).
-
-    ``q_matrix`` is a symmetric 2d x 2d rational matrix Q; the image is
-    (sum_{u,v} Q_uv w_u w_v) / t with w = (x_1..x_d, xi_1..xi_d).
-    """
-    gens = weyl_gens(dim)
-    n = 2 * dim
-    rows = [[as_fraction(e) for e in row] for row in q_matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise SeriesError(f"expected a {n}x{n} matrix")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rows[u][v] != rows[v][u]:
-                raise SeriesError("quadratic form matrix is not symmetric")
-    quad = Poly.zero(gens)
-    for u in range(n):
-        for v in range(n):
-            if rows[u][v]:
-                exp = [0] * n
-                exp[u] += 1
-                exp[v] += 1
-                quad = quad + Poly.monomial(gens, exp, rows[u][v])
-    return LieElement(WeylElement(TSeries.from_poly(quad, 8, t_exp=-1), dim))
 
 
 def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElement:
@@ -388,12 +336,3 @@ def gl_embed(a_matrix, dim: int, trunc: int = 8) -> LieElement:
     ]
     return LieElement(weyl_ordered(terms, dim, -1, trunc))
 
-
-def graded_weight(m: WeylElement) -> int:
-    """Weight of a single monomial: generator degree plus twice the t-power."""
-    items = list(m.value.coeffs.items())
-    if len(items) != 1 or len(items[0][1].terms) != 1:
-        raise SeriesError("graded_weight expects a single monomial")
-    e, poly = items[0]
-    (exp,) = poly.terms
-    return sum(exp) + 2 * e

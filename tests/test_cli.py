@@ -244,6 +244,60 @@ class TestOptionRanges:
         assert code == EXIT_OK, err
 
 
+# the required part of each subcommand's command line
+COMMAND_ARGV = {
+    "star": ("star",),
+    "hb": ("hb",),
+    "hB": ("hB",),
+    "hkr": ("hkr",),
+    "verify-cycle": ("verify-cycle", "--chain", "phi_E"),
+    "charclass": ("charclass", "--class", "todd"),
+    "fedosov": ("fedosov", "--check", "flat"),
+    "rees": ("rees", "--check", "sigma"),
+    "suite": ("suite",),
+}
+
+# (subcommand, option): options that the subcommand's handler never read
+UNREAD_OPTIONS = [
+    *((command, option) for command in ("star", "hb", "hB", "hkr")
+      for option in ("--seed", "--max-deg", "--fiber-trunc")),
+    ("verify-cycle", "--max-deg"),
+    ("verify-cycle", "--fiber-trunc"),
+    ("charclass", "--trunc-t"),
+    ("charclass", "--fiber-trunc"),
+    ("fedosov", "--max-deg"),
+    *(("rees", option) for option in ("--dim", "--trunc-t", "--max-deg", "--fiber-trunc", "--json")),
+    *(("suite", option) for option in ("--dim", "--trunc-t", "--max-deg", "--fiber-trunc", "--json")),
+]
+
+
+class TestOptionsPerCommand:
+    """Each subcommand takes only the options its handler reads; any other
+    option is a usage error (exit 2) rather than silently ignored."""
+
+    @pytest.mark.parametrize(
+        "command,option", UNREAD_OPTIONS, ids=[" ".join(pair) for pair in UNREAD_OPTIONS]
+    )
+    def test_option_the_handler_does_not_read_exits_2(self, capsys, command, option):
+        value = "d.json" if option == "--json" else "2"
+        with pytest.raises(SystemExit) as exc:
+            main([*COMMAND_ARGV[command], option, value])
+        assert exc.value.code == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+
+    def test_unknown_builtin_cycle_exits_2(self, capsys, tmp_path):
+        # the document is a cycle, so the command must not fall back to it
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(_chain("weyl", WEYL_SLOT)))
+        assert run_cli(capsys, "verify-cycle", "--json", str(path))[0] == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-cycle", "--chain", "phi_X", "--json", str(path)])
+        assert exc.value.code == EXIT_MALFORMED
+        err = capsys.readouterr().err
+        assert "--chain" in err and "Traceback" not in err
+
+
 def _violated(*_):
     return [{"case": "patched"}]
 

@@ -106,7 +106,7 @@ class TestHkrMap:
         pool = [slot(rng) for _ in range(4)]
         words = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(12)]
         c = HochschildChain(PH, 3, [(k + 1, w) for k, w in enumerate(words)])
-        want = DForm.zero(V)
+        want = DForm(V)
         for coeff, word in c.items():
             form = DForm.from_poly(word[0] * (coeff.coefficient(0) / 6))
             for a in word[1:]:

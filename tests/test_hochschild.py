@@ -124,6 +124,35 @@ class TestIdentities:
         with pytest.raises(ChainError):
             other + HochschildChain.single(PH, (px, py))
 
+    def test_chains_over_different_generators_neither_add_nor_compare_equal(self):
+        # Poly keys ignore generator names, so only the handle tells these apart
+        abc = ("a", "b", "c")
+        over_xyz = HochschildChain.single(PH, (pone, px))
+        over_abc = HochschildChain.single(
+            poly_handle(abc), (Poly.const(abc, 1), Poly.gen(abc, "a"))
+        )
+        assert over_xyz != over_abc
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ChainError):
+                combine(over_xyz, over_abc)
+
+    def test_chains_over_different_dimensions_neither_add_nor_compare_equal(self):
+        x2 = WeylElement.from_poly(Poly.gen(weyl_gens(2), "x1"), 2, 9)
+        pairs = [
+            (HochschildChain.single(WH, (wx, wx)),
+             HochschildChain.single(weyl_handle(2, trunc=9), (x2, x2))),
+            (HochschildChain.single(rees_handle(1), (OpSeries.from_op(DiffOp.x(1, 1)),) * 2),
+             HochschildChain.single(rees_handle(2), (OpSeries.from_op(DiffOp.x(2, 1)),) * 2)),
+        ]
+        for low, high in pairs:
+            assert low != high
+            for combine in (lambda a, b: a + b, lambda a, b: a - b):
+                with pytest.raises(ChainError):
+                    combine(low, high)
+        # windows may still differ
+        wide = HochschildChain.single(weyl_handle(1, trunc=12), (wx, wx))
+        assert (wide + pairs[0][0]).term_count() == 1
+
     def test_normalization_consistency(self):
         # a representative with monomial scalar junk in an interior slot
         t2 = TSeries.from_poly(Poly.const(G1, 3), 9, t_exp=2)

@@ -83,6 +83,14 @@ MUTANTS = [
         None,
     ),
     (
+        "half-c1-one-third",
+        "charclass.py",
+        'Poly.gen(gens, "c1") * Fraction(1, 2)',
+        'Poly.gen(gens, "c1") * Fraction(1, 3)',
+        "check_rr_identity",
+        None,
+    ),
+    (
         "cyclic-B-rotation-sign",
         "hochschild.py",
         "signed[(p * i) % 2]",

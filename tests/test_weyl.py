@@ -1,4 +1,4 @@
-"""Star product conventions, brackets, embeddings, and grading."""
+"""Star product conventions, brackets, and embeddings."""
 
 import random
 from fractions import Fraction
@@ -11,11 +11,8 @@ from starhom.weyl import (
     LieElement,
     WeylElement,
     gl_embed,
-    graded_weight,
     lie_bracket,
     moyal_star,
-    poisson,
-    sp_embed,
     star_commutator,
     weyl_gens,
 )
@@ -32,6 +29,11 @@ def lift(p, dim=1, trunc=6, t_exp=0):
 def t_times(q, dim=1, trunc=6, e=1):
     gens = weyl_gens(dim)
     return WeylElement.from_poly(Poly.const(gens, q), dim, trunc, t_exp=e)
+
+
+def symbol_bracket(f, g):
+    """The t^1 coefficient of the star commutator of the t-independent lifts."""
+    return star_commutator(lift(f, trunc=2), lift(g, trunc=2)).value.coefficient(1)
 
 
 class TestMoyalStar:
@@ -101,29 +103,33 @@ class TestBrackets:
         assert star_commutator(x1, x2).is_zero()
         assert star_commutator(xi1, xi2).is_zero()
 
+    # the bracket the product induces on symbols, {f, g}: the t^1
+    # coefficient of f~ * g~ - g~ * f~ for the t-independent lifts
+
     def test_poisson_convention(self):
-        assert poisson(x, xi, 1) == Poly.const(G1, -1)
+        assert symbol_bracket(x, xi) == Poly.const(G1, -1)
 
     def test_poisson_antisymmetry(self):
         f = x * x + xi
-        assert poisson(f, f, 1).is_zero()
+        assert symbol_bracket(f, f).is_zero()
 
     def test_poisson_quadratic(self):
-        assert poisson(x * x, xi, 1) == x * Fraction(-2)
+        assert symbol_bracket(x * x, xi) == x * Fraction(-2)
 
     def test_poisson_jacobi_and_leibniz(self):
         rng = random.Random(21)
         for _ in range(15):
             f, g, h = (random_poly(rng, G1, max_degree=3, terms=2) for _ in range(3))
             jac = (
-                poisson(f, poisson(g, h, 1), 1)
-                + poisson(g, poisson(h, f, 1), 1)
-                + poisson(h, poisson(f, g, 1), 1)
+                symbol_bracket(f, symbol_bracket(g, h))
+                + symbol_bracket(g, symbol_bracket(h, f))
+                + symbol_bracket(h, symbol_bracket(f, g))
             )
             assert jac.is_zero()
-            leib = poisson(f, g * h, 1) - (poisson(f, g, 1) * h + g * poisson(f, h, 1))
+            leib = symbol_bracket(f, g * h) - (
+                symbol_bracket(f, g) * h + g * symbol_bracket(f, h)
+            )
             assert leib.is_zero()
-
 
 class TestLieAlgebra:
     def test_sp2_bracket(self):
@@ -163,19 +169,22 @@ def ad_matrix(elem: LieElement, dim: int):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def quadratic_form(q, dim: int) -> LieElement:
+    """(sum_{u,v} Q_uv w_u w_v) / t with w = (x_1..x_d, xi_1..xi_d)."""
+    gens = weyl_gens(dim)
+    n = 2 * dim
+    quad = Poly.zero(gens)
+    for u in range(n):
+        for v in range(n):
+            if q[u][v]:
+                exp = [0] * n
+                exp[u] += 1
+                exp[v] += 1
+                quad = quad + Poly.monomial(gens, exp, q[u][v])
+    return LieElement(WeylElement.from_poly(quad, dim, 8, t_exp=-1))
+
+
 class TestEmbeddings:
-    def test_sp_embed_diagonal_generator(self):
-        q = [[0, Fraction(1, 2)], [Fraction(1, 2), 0]]
-        got = sp_embed(q, 1)
-        assert (got.value - lift(x * xi, trunc=8, t_exp=-1)).is_zero()
-
-    def test_sp_embed_zero(self):
-        assert sp_embed([[0, 0], [0, 0]], 1).is_zero()
-
-    def test_sp_embed_rejects_asymmetric(self):
-        with pytest.raises(SeriesError):
-            sp_embed([[0, 1], [0, 0]], 1)
-
     def test_sp_bracket_matches_defining_representation(self):
         rng = random.Random(22)
         d = 2
@@ -188,7 +197,7 @@ class TestEmbeddings:
                         m[i][j] = m[j][i] = Fraction(r.randint(-2, 2))
                 return m
             qa, qb = sym(rng), sym(rng)
-            ea, eb = sp_embed(qa, d), sp_embed(qb, d)
+            ea, eb = quadratic_form(qa, d), quadratic_form(qb, d)
             ma, mb = ad_matrix(ea, d), ad_matrix(eb, d)
             commutator = [
                 [
@@ -239,13 +248,3 @@ class TestEmbeddings:
         for e, p in diff.value.coeffs.items():
             assert p.is_constant()
 
-
-class TestGradedWeight:
-    def test_weights(self):
-        assert graded_weight(lift(x * xi)) == 2
-        assert graded_weight(t_times(1)) == 2
-        assert graded_weight(lift(x * x, t_exp=-1)) == 0
-
-    def test_rejects_non_monomial(self):
-        with pytest.raises(SeriesError):
-            graded_weight(lift(x + xi))

@@ -213,27 +213,35 @@ def _axis_weights(a: int, b: int, c: int, e: int, sign: int) -> list[tuple]:
     return [(s, w, a + c - s, b + e - s) for s, w in sorted(weights.items())]
 
 
-def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
-    """Star product of two Weyl elements, exact within the common window.
+def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> WeylElement:
+    """f * g, or f * g - g * f when ``commutator``, with kernel sign ``sign``
+    (-1 the Moyal kernel, +1 its sign-flipped control).
 
     Each pair of monomials combines one weight table per Darboux pair (the
     closed form above) while |alpha| + |beta| fits the t-window.  Sums are
     ints scaled by D_f D_g 2^top; one Fraction is built per output term.
 
-    ``mutate_kernel_sign`` flips the minus sign in the bidifferential
-    kernel; it exists purely so the verification suite can prove its own
-    checks are not vacuous.
+    Swapping the operands relabels alpha <-> beta, which multiplies the
+    order-k term by sign^|alpha| / sign^|beta| = sign^k.  So the order-k
+    term of f * g - g * f is (1 - sign^k) times that of f * g: the odd
+    orders doubled for the Moyal kernel, and nothing for the flipped one,
+    whose symmetric kernel makes f * g = g * f exactly.  The commutator
+    therefore makes one pass over f * g and, at the last Darboux pair,
+    keeps only the combos of nonzero factor, scaled by it.  Both products
+    share the window [lower, trunc), so the result's window is unchanged.
     """
     f._check(g)
     d = f.dim
     fv, gv = f.value, g.value
     lower = fv.lower + gv.lower
     trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
-    sign = 1 if mutate_kernel_sign else -1
     f_den, f_rows = _numerators(*(p.terms for p in fv.coeffs.values()))
     g_den, g_rows = _numerators(*(p.terms for p in gv.coeffs.values()))
     f_terms, g_terms = list(zip(fv.coeffs, f_rows)), list(zip(gv.coeffs, g_rows))
     top = trunc - 1 - lower
+    # the axis whose combos take the order-k factor; none for a product
+    odd_axis = d - 1 if commutator else d
+    factor = [1 - sign ** k for k in range(top + 1)]
     tables: dict[tuple, list] = {}
     sums: dict[int, dict] = {}
     for m, fm in f_terms:
@@ -249,12 +257,20 @@ def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = Fal
                         axis = tables.get(key)
                         if axis is None:
                             axis = tables[key] = _axis_weights(*key, sign)
-                        combos = [
-                            (k + s, w * ws, xs + (xe,), xis + (xie,))
-                            for k, w, xs, xis in combos
-                            for s, ws, xe, xie in axis
-                            if k + s <= budget
-                        ]
+                        if i == odd_axis:
+                            combos = [
+                                (k + s, w * ws * factor[k + s], xs + (xe,), xis + (xie,))
+                                for k, w, xs, xis in combos
+                                for s, ws, xe, xie in axis
+                                if k + s <= budget and factor[k + s]
+                            ]
+                        else:
+                            combos = [
+                                (k + s, w * ws, xs + (xe,), xis + (xie,))
+                                for k, w, xs, xis in combos
+                                for s, ws, xe, xie in axis
+                                if k + s <= budget
+                            ]
                     for k, w, xs, xis in combos:
                         row = sums.setdefault(m + n + k, {})
                         exp = xs + xis
@@ -265,18 +281,27 @@ def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = Fal
     return WeylElement(TSeries._raw(f.gens, out, lower, trunc), d)
 
 
+def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
+    """Star product of two Weyl elements, exact within the common window.
+
+    ``mutate_kernel_sign`` flips the minus sign in the bidifferential
+    kernel; it exists purely so the verification suite can prove its own
+    checks are not vacuous.
+    """
+    return _kernel(f, g, 1 if mutate_kernel_sign else -1, False)
+
+
 def star_commutator(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
-    """f * g - g * f."""
-    return moyal_star(f, g, mutate_kernel_sign=mutate_kernel_sign) - moyal_star(
-        g, f, mutate_kernel_sign=mutate_kernel_sign
-    )
+    """f * g - g * f, from the odd orders of one pass over f * g."""
+    return _kernel(f, g, 1 if mutate_kernel_sign else -1, True)
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bracket on (1/t)W: the star commutator in the localized algebra.
 
     For a = f/t, b = g/t the t^-2 coefficient of a*b - b*a is the symbol
-    commutator and cancels exactly; the result lives back in (1/t)W.
+    commutator, of order 0, and is never built; the result lives back in
+    (1/t)W.
     """
     c = star_commutator(a.value, b.value)
     cv = c.value

@@ -1,4 +1,5 @@
-"""The closed-form Moyal kernel against the derivative-table kernel it replaced.
+"""The closed-form Moyal kernel against the derivative-table kernel it replaced,
+and the one-pass star commutator against the two products it replaced.
 
 ``reference_moyal_star`` is the former body of ``weyl.moyal_star``: tables of
 iterated partials of each t-coefficient, multiplied pairwise with the weight
@@ -13,9 +14,17 @@ from fractions import Fraction
 
 import pytest
 
+from starhom import weyl
 from starhom.corpus import random_fraction
 from starhom.series import Poly, TSeries, accumulate
-from starhom.weyl import WeylElement, moyal_star, weyl_gens
+from starhom.weyl import (
+    LieElement,
+    WeylElement,
+    lie_bracket,
+    moyal_star,
+    star_commutator,
+    weyl_gens,
+)
 
 
 def derivative_table(p, names):
@@ -110,3 +119,38 @@ def test_kernel_matches_reference(d, mutate):
             fractional += any(q.denominator > 1 for q, _, _ in f.monomials())
     assert negative and fractional
 
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_commutator_is_the_difference_of_products(d, mutate):
+    """The one-pass commutator against the two products it replaced, window
+    included, with both kernel signs; swapping the operands negates it."""
+    rng = random.Random(f"star-commutator:{d}:{mutate}")
+    nonzero = 0
+    for trunc in range(1, 10):
+        for _ in range(3 if d == 3 else 6):
+            f = random_operand(rng, d, trunc)
+            g = random_operand(rng, d, rng.randint(1, 9))
+            got = star_commutator(f, g, mutate_kernel_sign=mutate)
+            want = moyal_star(f, g, mutate_kernel_sign=mutate) - moyal_star(
+                g, f, mutate_kernel_sign=mutate
+            )
+            assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
+            assert got.value.coeffs == want.value.coeffs
+            assert star_commutator(g, f, mutate_kernel_sign=mutate) == -got
+            nonzero += not got.is_zero()
+    assert bool(nonzero) is not mutate
+
+
+def test_commutator_makes_no_product(monkeypatch):
+    """star_commutator and lie_bracket never call moyal_star."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("moyal_star called")
+
+    rng = random.Random("star-commutator:one-pass")
+    f, g = random_operand(rng, 2, 6), random_operand(rng, 2, 6)
+    a, b = LieElement(random_operand(rng, 1, 6)), LieElement(random_operand(rng, 1, 6))
+    monkeypatch.setattr(weyl, "moyal_star", refuse)
+    assert not star_commutator(f, g).is_zero()
+    assert not lie_bracket(a, b).is_zero()

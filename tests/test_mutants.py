@@ -59,6 +59,22 @@ MUTANTS = [
         None,
     ),
     (
+        "commutator-keeps-even-orders",
+        "weyl.py",
+        "factor = [1 - sign ** k for k in range(top + 1)]",
+        "factor = [1 + sign ** k for k in range(top + 1)]",
+        "check_bracket_normalization",
+        None,
+    ),
+    (
+        "commutator-factor-two-dropped",
+        "weyl.py",
+        "factor = [1 - sign ** k for k in range(top + 1)]",
+        "factor = [(1 - sign ** k) // 2 for k in range(top + 1)]",
+        "check_bracket_normalization",
+        None,
+    ),
+    (
         "poly-product-right-denominator-dropped",
         "series.py",
         "den = lden * rden",

@@ -5,10 +5,13 @@ report is reproduced byte-for-byte by rerunning with the same seed.  All
 comparisons are exact rational equality inside the stated truncation
 windows; no tolerances exist anywhere.
 
-The last criterion guards against vacuous checks: it reruns the battery to
-confirm byte-stable output, then flips the sign in the star-product kernel
-and demands that the bracket normalization (or associativity) check fails
-under the mutation.
+The last criterion checks that the bytes hold across processes and hash
+seeds, and guards against vacuous checks.  ``run_suite`` starts a second
+pass of the battery in a child interpreter under another PYTHONHASHSEED
+before it runs the first pass, so the two run side by side; C12 compares
+the child's battery bytes with the first pass's.  It also flips the sign
+in the star-product kernel and demands that the bracket normalization (or
+associativity) check fails under the mutation.
 
 A criterion that raises does not end the run: it gets status "error" with
 the exception's type and message, and the report status is "error".
@@ -24,7 +27,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -509,6 +514,44 @@ def _run_battery(seed: int, scale: str) -> list[CheckResult]:
     return [_guarded(f"C{n:02d}", fn, seed, scale) for n, fn in enumerate(BATTERY, 1)]
 
 
+def _battery_bytes(seed: int, scale: str, checks: list) -> bytes:
+    return Report("n/a", seed, scale, checks).to_json_bytes()
+
+
+def _print_battery(seed: int, scale: str) -> None:
+    """The whole work of the child interpreter: one battery pass, its bytes
+    to stdout.  It never reaches C12, so it starts no process."""
+    sys.stdout.buffer.write(_battery_bytes(seed, scale, _run_battery(seed, scale)))
+
+
+def _start_second_pass(seed: int, scale: str):
+    """Start ``_print_battery`` in a child interpreter, with this package's
+    root first on its import path and a hash seed other than this
+    process's: its PYTHONHASHSEED + 1 when that is a number, else 0.
+    Returns the ``Popen``, or the exception that kept the child from
+    starting, which C12 raises."""
+    import subprocess  # here, so that importing the package does not load it
+
+    own = os.environ.get("PYTHONHASHSEED", "")
+    hash_seed = (int(own) + 1) % 2**32 if own.isdigit() else 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    entry = _print_battery.__name__
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); "
+        f"from starhom.suite import {entry}; {entry}({seed!r}, {scale!r})"
+    )
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONHASHSEED": str(hash_seed)},
+        )
+    except Exception as exc:
+        return exc
+
+
 def mutated_controls(seed: int, scale: str) -> list[CheckResult]:
     """C01 and C02 under a sign-flipped product kernel: the negative control."""
     return [
@@ -517,17 +560,27 @@ def mutated_controls(seed: int, scale: str) -> list[CheckResult]:
     ]
 
 
-def check_determinism_and_controls(seed: int, scale: str, first_pass: list) -> CheckResult:
-    """Rerun the battery and compare its bytes with ``first_pass``, then
-    run the negative controls."""
+def check_determinism_and_controls(
+    seed: int, scale: str, first_pass: list, second_pass
+) -> CheckResult:
+    """Run the negative controls, then compare the battery bytes that the
+    child ``second_pass`` printed with those of ``first_pass``.  A child
+    that could not start, or that exited nonzero, raises, so C12 is an
+    error and never verified."""
     cid, name = "C12", "determinism-and-negative-controls"
+    controls_vacuous = all(c.status == VERIFIED for c in mutated_controls(seed, "small"))
+    if isinstance(second_pass, Exception):
+        raise second_pass
+    out, err = second_pass.communicate()
+    if second_pass.returncode != 0:
+        tail = err.decode(errors="replace").strip()[-500:]
+        raise ChildProcessError(
+            f"second battery pass exited {second_pass.returncode}: {tail}"
+        )
     failures = []
-    second = _run_battery(seed, scale)
-    bytes1 = Report("n/a", seed, scale, first_pass).to_json_bytes()
-    bytes2 = Report("n/a", seed, scale, second).to_json_bytes()
-    if bytes1 != bytes2:
+    if _battery_bytes(seed, scale, first_pass) != out:
         failures.append({"case": "byte-reproducibility"})
-    if all(c.status == VERIFIED for c in mutated_controls(seed, "small")):
+    if controls_vacuous:
         failures.append(
             {"case": "kernel-sign-mutation", "note": "mutated product passed; checks are vacuous"}
         )
@@ -535,9 +588,21 @@ def check_determinism_and_controls(seed: int, scale: str, first_pass: list) -> C
 
 
 def run_suite(seed: int = 0, scale: str = "small") -> Report:
-    """Run every criterion; deterministic for a fixed seed and scale."""
+    """Run every criterion; deterministic for a fixed seed and scale.  The
+    battery's second pass, for C12, runs in a child interpreter beside the
+    first; the child is reaped before this returns or raises."""
     if scale not in ("small", "full"):
         raise ValueError(f"unknown scale {scale!r}")
-    checks = _run_battery(seed, scale)
-    checks.append(_guarded("C12", check_determinism_and_controls, seed, scale, first_pass=checks))
+    child = _start_second_pass(seed, scale)
+    try:
+        checks = _run_battery(seed, scale)
+        checks.append(
+            _guarded("C12", check_determinism_and_controls, seed, scale, checks, second_pass=child)
+        )
+    finally:
+        if not isinstance(child, Exception):  # reap it, and close its pipes
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            child.stderr.close()
     return report(seed, scale, checks)

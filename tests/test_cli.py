@@ -347,8 +347,12 @@ class TestOneDefinitionPerCheck:
 
         monkeypatch.setattr(suite, "mutated_controls", controls)
         run_cli(capsys, "suite", "--mutate-moyal-sign", "--seed", "5")
-        suite.check_determinism_and_controls(5, "small", first_pass=[])
-        assert calls[0] == (5, "small") and len(calls) == 2
+        # a child that prints nothing stands in for the second battery pass
+        child = subprocess.Popen(
+            [sys.executable, "-c", "pass"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        suite.check_determinism_and_controls(5, "full", first_pass=[], second_pass=child)
+        assert calls == [(5, "small"), (5, "small")]
 
 
 class TestHalfTraceNormalization:
@@ -456,6 +460,82 @@ class TestCrossProcessDeterminism:
                     proc.wait()
         assert outs[0] == outs[1]
         assert hashlib.md5(outs[0]).hexdigest() == "ff48212cf5b98764f02042c14f39e3d9"
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Every child that ``run_suite`` starts for its second battery pass."""
+    started = []
+    start = suite._start_second_pass
+
+    def recorded(seed, scale):
+        started.append(start(seed, scale))
+        return started[-1]
+
+    monkeypatch.setattr(suite, "_start_second_pass", recorded)
+    return started
+
+
+class TestSecondPass:
+    """C12 compares the first pass with a second one in a child interpreter,
+    which sees none of this process's patches."""
+
+    def test_patch_seen_only_in_process_is_violated(self, monkeypatch, children):
+        monkeypatch.setitem(suite.REES_IDENTITIES, "order bound", lambda a, b, ab: False)
+        checks = {c.id: c for c in suite.run_suite(0, "small").checks}
+        assert checks["C11"].status == "violated"
+        assert checks["C12"].status == "violated"
+        assert checks["C12"].details == [{"case": "byte-reproducibility"}]
+        assert [child.returncode for child in children] == [0]
+
+    @pytest.mark.parametrize("failure", ["cannot-start", "exits-7"])
+    def test_failed_child_is_an_error(self, capsys, monkeypatch, tmp_path, children, failure):
+        executable = tmp_path / "python"
+        if failure == "exits-7":
+            executable.write_text("#!/bin/sh\necho 'no battery here' >&2\nexit 7\n")
+            executable.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(executable))
+        code, out, err = run_cli(capsys, "suite", "--seed", "0", "--scale", "small")
+        assert code == EXIT_INTERNAL
+        report = json.loads(out)
+        assert report["status"] == "error"
+        checks = {c["id"]: c for c in report["checks"]}
+        assert checks["C12"]["status"] == "error"
+        (detail,) = checks["C12"]["details"]
+        if failure == "exits-7":
+            assert detail["exception"] == "ChildProcessError"
+            assert detail["message"] == "second battery pass exited 7: no battery here"
+            assert children[0].returncode == 7
+        else:
+            assert detail["exception"] == "FileNotFoundError"
+            assert isinstance(children[0], FileNotFoundError)
+        others = [c["status"] for cid, c in checks.items() if cid != "C12"]
+        assert others == ["verified"] * 11
+        assert "overall: error" in err
+
+    def test_child_is_reaped_when_the_first_pass_raises(self, monkeypatch, children):
+        def interrupted(seed, scale):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(suite, "BATTERY", [interrupted])
+        with pytest.raises(KeyboardInterrupt):
+            suite.run_suite(0, "small")
+        assert len(children) == 1 and children[0].returncode is not None
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_subprocess(self):
+        """Only ``run_suite`` starts a child, so importing the CLI (set-up
+        time of every one-shot command) leaves ``subprocess`` unloaded."""
+        src = str(Path(starhom.__file__).resolve().parent.parent)
+        code = "import sys, starhom.cli; assert 'subprocess' not in sys.modules"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestPinnedStdout:

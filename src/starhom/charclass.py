@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .series import Poly, SeriesError
+from .series import Poly, SeriesError, accumulate
 
 
 class SymmetryError(SeriesError):
@@ -255,37 +255,80 @@ def to_chern_basis(s: ChernRootSeries) -> ChernClassExpr:
     """Rewrite a symmetric root polynomial in the elementary basis.
 
     Classical leading-term subtraction: peel the lex-greatest monomial
-    x^lambda (lambda must be a partition, or the input was not symmetric)
-    against e_1^(l1-l2) e_2^(l2-l3) ... ; exact and terminating.  The
-    powers e_i^k come from one table per call, grown on demand as
-    e_i^k = e_i^(k-1) * e_i, so no power is built twice.
+    x^lambda against q * e_1^(l1-l2) e_2^(l2-l3) ... e_d^(ld), which has
+    the same leading monomial with coefficient 1.  A symmetric polynomial
+    is fixed by its coefficients on partitions (exponents l1 >= ... >= ld),
+    and its lex-greatest monomial is one of them, so the remainder and the
+    products are held on partitions only.  The products are integer dicts
+    in one table per call; each is a smaller one times a single e_k, by
+    the subset rule of ``_times_elementary``.  Symmetry is checked first,
+    since the partition coefficients alone cannot show an asymmetry.
     """
+    if not _is_symmetric(s.poly):
+        raise SymmetryError("expression is not symmetric in the roots")
     d = s.dim
-    cgens = chern_names(d)
-    remainder = s.poly
-    out = Poly.zero(cgens)
-    # powers[i][k] = e_(i+1)^k
-    powers = [[Poly.const(s.roots, 1), elementary_symmetric(d, i)] for i in range(1, d + 1)]
-    while not remainder.is_zero():
-        lam = max(remainder.terms)
-        q = remainder.terms[lam]
-        if any(lam[i] < lam[i + 1] for i in range(d - 1)):
-            raise SymmetryError(
-                f"leading exponent {lam} is not a partition; input not symmetric"
-            )
-        cexp = [0] * d
-        prod = Poly.const(s.roots, q)
-        for i in range(d):
-            power = lam[i] - (lam[i + 1] if i + 1 < d else 0)
-            cexp[i] = power
-            if power:
-                table = powers[i]
-                while len(table) <= power:
-                    table.append(table[-1] * table[1])
-                prod = prod * table[power]
-        out = out + Poly.monomial(cgens, cexp, q)
-        remainder = remainder - prod
-    return ChernClassExpr(d, s.trunc, out)
+    remainder = {lam: q for lam, q in s.poly.terms.items() if _is_partition(lam)}
+    # products[a] = e_1^a_1 ... e_d^a_d on partitions
+    products = {(0,) * d: {(0,) * d: 1}}
+    out = {}
+    while remainder:
+        lam = max(remainder)
+        q = remainder[lam]
+        cexp = tuple(lam[i] - (lam[i + 1] if i + 1 < d else 0) for i in range(d))
+        for nu, c in _elementary_product(products, cexp).items():
+            accumulate(remainder, nu, -q * c)
+        out[cexp] = q
+    return ChernClassExpr(d, s.trunc, Poly._raw(chern_names(d), out))
+
+
+def _is_partition(exp: tuple) -> bool:
+    return all(a >= b for a, b in zip(exp, exp[1:]))
+
+
+def _elementary_product(products: dict, cexp: tuple) -> dict:
+    """``products[cexp]``, built from e_1 up, one factor e_k at a time; every
+    partial product on the way is stored in ``products`` too."""
+    d = len(cexp)
+    key = (0,) * d
+    prod = products[key]
+    for i in range(d):
+        for _ in range(cexp[i]):
+            key = key[:i] + (key[i] + 1,) + key[i + 1:]
+            nxt = products.get(key)
+            if nxt is None:
+                nxt = products[key] = _times_elementary(prod, i + 1, d)
+            prod = nxt
+    return prod
+
+
+def _times_elementary(s: dict, k: int, d: int) -> dict:
+    """S * e_k, with S and the result held by their coefficients on
+    partitions.  The coefficient of x^nu in S * e_k is the sum, over the
+    k-subsets T of {1..d} with nu - 1_T >= 0, of S[sort(nu - 1_T)]: each T
+    picks the roots that e_k's monomial raises.  Each nu with a nonzero
+    coefficient is mu + 1_T, already sorted, for a partition mu of S and a
+    T that raises the first entries of each run of equal parts of mu."""
+    subsets = list(itertools.combinations(range(d), k))
+    targets = {}
+    for mu in s:
+        for t in subsets:
+            nu = list(mu)
+            for i in t:
+                nu[i] += 1
+            nu = tuple(nu)
+            if _is_partition(nu):
+                targets[nu] = None
+    out = {}
+    for nu in targets:
+        c = 0
+        for t in subsets:
+            if all(nu[i] for i in t):
+                mu = list(nu)
+                for i in t:
+                    mu[i] -= 1
+                c += s.get(tuple(sorted(mu, reverse=True)), 0)
+        out[nu] = c
+    return out
 
 
 @dataclass(frozen=True)

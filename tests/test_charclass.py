@@ -170,6 +170,17 @@ class TestChernBasis:
         with pytest.raises(SymmetryError):
             ChernRootSeries(r, 3, Poly.gen(r, "r1"))
 
+    @pytest.mark.parametrize("d,make", [
+        (3, lambda x: x[0]),
+        # leading exponent (2, 1) is a partition; the asymmetry is further down
+        (2, lambda x: x[0] ** 2 * x[1] - x[0] * x[1] ** 2),
+    ], ids=["r1", "r1^2r2-r1r2^2"])
+    def test_to_chern_basis_rejects_asymmetric_input(self, d, make):
+        r = root_names(d)
+        p = make([Poly.gen(r, g) for g in r])
+        with pytest.raises(SymmetryError):
+            to_chern_basis(ChernRootSeries(r, 3, p, check_symmetry=False))
+
     def test_todd_d5_degree8_round_trip(self):
         # substitute c_i = e_i(roots) back and compare with todd in the roots
         todd58 = todd(5, 8)
@@ -177,6 +188,89 @@ class TestChernBasis:
         images = {f"c{i}": elementary_symmetric(5, i) for i in range(1, 6)}
         assert converted.poly.substitute(images).truncate_degree(8) == todd58.poly
         assert converted.to_roots(8) == todd58
+
+    def test_todd_d6_degree8_round_trip(self):
+        todd68 = todd(6, 8)
+        images = {f"c{i}": elementary_symmetric(6, i) for i in range(1, 7)}
+        back = to_chern_basis(todd68).poly.substitute(images).truncate_degree(8)
+        assert back == todd68.poly
+
+
+def leading_term_reference(s: ChernRootSeries) -> ChernClassExpr:
+    """Leading-term subtraction over the whole root polynomial, with full
+    Poly products of the powers e_i^k: an independent reference for
+    to_chern_basis, which holds only the coefficients on partitions."""
+    d = s.dim
+    cgens = chern_names(d)
+    remainder = s.poly
+    out = Poly.zero(cgens)
+    powers = [[Poly.const(s.roots, 1), elementary_symmetric(d, i)] for i in range(1, d + 1)]
+    while not remainder.is_zero():
+        lam = max(remainder.terms)
+        q = remainder.terms[lam]
+        if any(lam[i] < lam[i + 1] for i in range(d - 1)):
+            raise SymmetryError(f"leading exponent {lam} is not a partition")
+        cexp = [0] * d
+        prod = Poly.const(s.roots, q)
+        for i in range(d):
+            power = lam[i] - (lam[i + 1] if i + 1 < d else 0)
+            cexp[i] = power
+            if power:
+                table = powers[i]
+                while len(table) <= power:
+                    table.append(table[-1] * table[1])
+                prod = prod * table[power]
+        out = out + Poly.monomial(cgens, cexp, q)
+        remainder = remainder - prod
+    return ChernClassExpr(d, s.trunc, out)
+
+
+def random_symmetric(rng, d, trunc):
+    """A sum of zero to four monomial symmetric functions with rational
+    coefficients, cut at total degree ``trunc``."""
+    roots = root_names(d)
+    p = Poly.zero(roots)
+    for _ in range(rng.randint(0, 4)):
+        lam = sorted((rng.randint(0, 3) for _ in range(d)), reverse=True)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for perm in set(itertools.permutations(lam)):
+            p = p + Poly.monomial(roots, perm, q)
+    return ChernRootSeries(roots, trunc, p)
+
+
+class TestAgainstLeadingTermReference:
+    """Same ChernClassExpr as the reference, term order included."""
+
+    @staticmethod
+    def assert_same(s):
+        got, want = to_chern_basis(s), leading_term_reference(s)
+        assert got == want
+        assert list(got.poly.terms) == list(want.poly.terms)
+
+    @pytest.mark.parametrize("maker", [todd, a_hat])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_root_function_classes(self, maker, d):
+        for trunc in range(9):
+            self.assert_same(maker(d, trunc))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_exp_half_c1(self, d):
+        for trunc in range(9):
+            self.assert_same(exp_class(ChernClassExpr.half_c1(d, trunc)))
+
+    def test_random_symmetric(self):
+        rng = random.Random("partitions")
+        for _ in range(60):
+            d = rng.randint(1, 4)
+            self.assert_same(random_symmetric(rng, d, rng.randint(0, 8)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_constant_and_trunc_zero(self, d):
+        roots = root_names(d)
+        self.assert_same(ChernRootSeries(roots, 4, Poly.zero(roots)))
+        self.assert_same(ChernRootSeries(roots, 4, Poly.const(roots, Fraction(-3, 7))))
+        self.assert_same(todd(d, 0))
+        self.assert_same(random_symmetric(random.Random(d), d, 0))
 
 
 class TestIdentity:

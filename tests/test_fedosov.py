@@ -27,6 +27,7 @@ from starhom.fedosov import (
     tautological_shift_form,
 )
 from starhom.series import Poly, SeriesError, TSeries
+from starhom.suite import default_chart
 from starhom.weyl import LieElement, WeylElement, lie_bracket
 
 BASE2 = ("z1", "z2")
@@ -348,6 +349,23 @@ class TestKazhdan:
         assembled = kazhdan_assemble(e11_form(), deg)
         residue = curvature(assembled.total()).fiber_truncate(deg)
         assert residue.is_zero()
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 4), (2, 6), (3, 3)])
+    def test_two_more_fiber_degrees_change_no_component(self, d, k):
+        # A^(-1) is a constant field, so each bracket with it loses the top
+        # degree kept; the fiber_deg + 4 cut must leave room for every loss
+        base, a0 = default_chart(d)
+
+        def components(fiber_deg):
+            vf = matrix_form_to_vf(a0, base, d, fiber_deg + 4)
+            return kazhdan_assemble(vf, fiber_deg).components
+
+        low, high = components(k), components(k + 2)
+        assert set(low) == {j for j in high if j <= k + 1}
+        for j, form in low.items():
+            assert form.terms.keys() == high[j].terms.keys()
+            for key, value in form.terms.items():
+                assert value.comps == high[j].terms[key].comps
 
     def test_torsion_is_detected(self):
         bad = LieValuedForm.from_entries(

@@ -107,6 +107,15 @@ MUTANTS = [
         None,
     ),
     (
+        # only the last subset T with a nonzero S[sort(nu - 1_T)] counts
+        "elementary-product-one-subset",
+        "charclass.py",
+        "c += s.get(tuple(sorted(mu, reverse=True)), 0)",
+        "c = s.get(tuple(sorted(mu, reverse=True)), 0) or c",
+        "check_rr_identity",
+        None,
+    ),
+    (
         "cyclic-B-rotation-sign",
         "hochschild.py",
         "signed[(p * i) % 2]",

@@ -109,8 +109,7 @@ def cmd_verify_cycle(args) -> int:
     else:
         chain = _load_chain(args)
         label = "input chain"
-    image = diff_b(chain)
-    failures = [] if image.is_zero() else [{"b_image_words": image.term_count()}]
+    failures = suite.cycle_failures(chain)
     check = suite.result("CYCLE", f"b({label}) = 0", failures, {"degree": chain.degree})
     return _single_check_report(args, check)
 

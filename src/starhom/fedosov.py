@@ -492,20 +492,10 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
 
 
 def central_scalar_form(base, dim: int, entries, t_trunc: int = 8) -> LieValuedForm:
-    """Scalar-valued form embedded as central Lie values.
-
-    entries: iterable of (widx, base Poly, optional t-power).
-    """
-    gens = fiber_weyl_names(dim)
-    built = []
-    for entry in entries:
-        widx, bpoly = entry[0], entry[1]
-        t_exp = entry[2] if len(entry) > 2 else 0
-        val = LieElement(
-            WeylElement(TSeries.const(gens, 1, t_trunc).shift(t_exp), dim)
-        )
-        built.append((widx, bpoly, val))
-    return LieValuedForm.from_entries(base, "lie", built)
+    """Scalar-valued form embedded as central Lie values: each entry
+    (widx, base Poly) times the fiber unit."""
+    unit = LieElement(WeylElement(TSeries.const(fiber_weyl_names(dim), 1, t_trunc), dim))
+    return LieValuedForm.from_entries(base, "lie", [(widx, p, unit) for widx, p in entries])
 
 
 def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int = 8) -> LieValuedForm:

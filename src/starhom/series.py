@@ -9,7 +9,9 @@ characteristic classes) is built on two types:
 * ``TSeries``: a Laurent-style series in a central variable ``t`` whose
   coefficients are ``Poly`` values.  Each series carries its own validity
   window ``[lower, trunc)``; binary operations intersect windows so that a
-  truncated tail can never masquerade as an exact zero.
+  truncated tail can never masquerade as an exact zero.  It is a module
+  over Q: sums, scalars and shifts by t^m.  Its one product is the Moyal
+  star product, ``weyl.moyal_star``, on the Weyl values that wrap it.
 
 A third, ``Laurent``, is the scalar ring of the chain complexes: a sparse
 Laurent polynomial in t over Q, with a window of the same kind or none.
@@ -24,9 +26,8 @@ as ``not is_zero()``, the convention ``Fraction`` already follows.
 Products run on integers.  ``_numerators`` scales each operand to one
 common denominator; the product loop multiplies and sums int numerators
 per output exponent and builds one ``Fraction`` per nonzero output term,
-over the product of the two denominators.  ``Poly`` products (``*``,
-``mul_truncated`` and so every ``TSeries`` product) and the Moyal kernel
-in ``weyl`` share that helper.
+over the product of the two denominators.  ``Poly`` products (``*`` and
+``mul_truncated``) and the Moyal kernel in ``weyl`` share that helper.
 """
 
 from __future__ import annotations
@@ -459,22 +460,6 @@ class TSeries:
 
     def __sub__(self, other: TSeries) -> TSeries:
         return self + (-other)
-
-    def __mul__(self, other) -> TSeries:
-        if not isinstance(other, TSeries):
-            return self.scale(other)
-        self._check(other)
-        lower = self.lower + other.lower
-        trunc = min(self.trunc + other.lower, other.trunc + self.lower)
-        out: dict[int, Poly] = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                e = e1 + e2
-                if e < trunc:
-                    accumulate(out, e, p1 * p2)
-        return TSeries._raw(self.gens, out, lower, trunc)
-
-    __rmul__ = __mul__
 
     def scale(self, q) -> TSeries:
         """Exact multiplication by a rational; the window is unchanged."""

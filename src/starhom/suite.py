@@ -9,9 +9,10 @@ The last criterion checks that the bytes hold across processes and hash
 seeds, and guards against vacuous checks.  ``run_suite`` starts a second
 pass of the battery in a child interpreter under another PYTHONHASHSEED
 before it runs the first pass, so the two run side by side; C12 compares
-the child's battery bytes with the first pass's.  It also flips the sign
-in the star-product kernel and demands that the bracket normalization (or
-associativity) check fails under the mutation.
+the child's battery bytes with the first pass's.  It also reruns C01 and
+C02 on ``_flipped_star`` and ``_flipped_commutator``, the Moyal kernel with
+its sign flipped, defined here beside the controls, and demands that one of
+them fails.  C02 does: the flipped product is commutative.
 
 A criterion that raises does not end the run: it gets status "error" with
 the exception's type and message, and the report status is "error".
@@ -51,6 +52,7 @@ from .rees import DiffOp, OpSeries, localized_to_weyl, rees_sigma
 from .series import Poly, TSeries
 from .weyl import (
     WeylElement,
+    _kernel,
     gl_embed,
     lie_bracket,
     moyal_star,
@@ -131,6 +133,7 @@ def check_moyal_associativity(seed: int, scale: str, mutate: bool = False) -> Ch
     rng = _rng(seed, cid)
     trunc = 6
     count = 100 if scale == "small" else 300
+    star = _flipped_star if mutate else moyal_star
     failures = []
     for n in range(count):
         d = rng.choice((1, 2))
@@ -140,12 +143,8 @@ def check_moyal_associativity(seed: int, scale: str, mutate: bool = False) -> Ch
             )
             for _ in range(3)
         )
-        lhs = moyal_star(
-            moyal_star(f, g, mutate_kernel_sign=mutate), h, mutate_kernel_sign=mutate
-        )
-        rhs = moyal_star(
-            f, moyal_star(g, h, mutate_kernel_sign=mutate), mutate_kernel_sign=mutate
-        )
+        lhs = star(star(f, g), h)
+        rhs = star(f, star(g, h))
         if not (lhs - rhs).is_zero():
             failures.append(
                 {"case": n, "dim": d, "left": repr(lhs.value), "right": repr(rhs.value)}
@@ -155,13 +154,14 @@ def check_moyal_associativity(seed: int, scale: str, mutate: bool = False) -> Ch
 
 def check_bracket_normalization(seed: int, scale: str, mutate: bool = False) -> CheckResult:
     cid, name = "C02", "star-bracket-normalization"
+    commutator = _flipped_commutator if mutate else star_commutator
     failures = []
     for d in (1, 2, 3):
         gens = weyl_gens(d)
         lifts = [WeylElement.from_poly(Poly.gen(gens, g), d, 4) for g in gens]
         for i in range(d):
             for j in range(d):
-                got = star_commutator(lifts[i], lifts[d + j], mutate_kernel_sign=mutate)
+                got = commutator(lifts[i], lifts[d + j])
                 want = WeylElement.from_poly(
                     Poly.const(gens, -1 if i == j else 0), d, got.value.trunc, t_exp=1
                 )
@@ -171,7 +171,7 @@ def check_bracket_normalization(seed: int, scale: str, mutate: bool = False) -> 
                     )
         for block in (lifts[:d], lifts[d:]):
             for a, b in itertools.combinations(block, 2):
-                got = star_commutator(a, b, mutate_kernel_sign=mutate)
+                got = commutator(a, b)
                 if not got.is_zero():
                     failures.append({"dim": d, "bracket": "same-block", "got": repr(got.value)})
     return result(cid, name, failures, {"trunc_t": 4, "dims": [1, 2, 3]})
@@ -211,14 +211,18 @@ def check_hochschild_identities(seed: int, scale: str) -> CheckResult:
     )
 
 
+def cycle_failures(chain) -> list:
+    """The cycle check b(chain) = 0, the one behind C04 and ``verify-cycle``."""
+    image = diff_b(chain)
+    return [] if image.is_zero() else [{"b_image_words": image.term_count()}]
+
+
 def check_trace_cycles(seed: int, scale: str) -> CheckResult:
     cid, name = "C04", "trace-cycles-are-cycles"
     failures = []
     for d in (1, 2):
         for label, chain in (("phi_E", phi_E(d)), ("phi_A", phi_A(d))):
-            image = diff_b(chain)
-            if not image.is_zero():
-                failures.append({"dim": d, "cycle": label, "b_image_words": image.term_count()})
+            failures += [{"dim": d, "cycle": label, **f} for f in cycle_failures(chain)]
     return result(cid, name, failures, {"dims": [1, 2], "words_d2": 24})
 
 
@@ -550,6 +554,19 @@ def _start_second_pass(seed: int, scale: str):
         )
     except Exception as exc:
         return exc
+
+
+def _flipped_star(f: WeylElement, g: WeylElement) -> WeylElement:
+    """The star product with the sign of its kernel flipped: the negative
+    control's product.  It is symmetric, so it is commutative and still
+    associative."""
+    return _kernel(f, g, 1, False)
+
+
+def _flipped_commutator(f: WeylElement, g: WeylElement) -> WeylElement:
+    """The commutator of ``_flipped_star``: zero, as that product is
+    commutative."""
+    return _kernel(f, g, 1, True)
 
 
 def mutated_controls(seed: int, scale: str) -> list[CheckResult]:

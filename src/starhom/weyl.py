@@ -214,8 +214,9 @@ def _axis_weights(a: int, b: int, c: int, e: int, sign: int) -> list[tuple]:
 
 
 def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> WeylElement:
-    """f * g, or f * g - g * f when ``commutator``, with kernel sign ``sign``
-    (-1 the Moyal kernel, +1 its sign-flipped control).
+    """f * g, or f * g - g * f when ``commutator``, with kernel sign ``sign``:
+    -1 is the Moyal kernel, and +1 the sign-flipped negative control, which
+    only the suite runs (``suite._flipped_star`` and ``_flipped_commutator``).
 
     Each pair of monomials combines one weight table per Darboux pair (the
     closed form above) while |alpha| + |beta| fits the t-window.  Sums are
@@ -281,19 +282,14 @@ def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> Weyl
     return WeylElement(TSeries._raw(f.gens, out, lower, trunc), d)
 
 
-def moyal_star(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
-    """Star product of two Weyl elements, exact within the common window.
-
-    ``mutate_kernel_sign`` flips the minus sign in the bidifferential
-    kernel; it exists purely so the verification suite can prove its own
-    checks are not vacuous.
-    """
-    return _kernel(f, g, 1 if mutate_kernel_sign else -1, False)
+def moyal_star(f: WeylElement, g: WeylElement) -> WeylElement:
+    """Star product of two Weyl elements, exact within the common window."""
+    return _kernel(f, g, -1, False)
 
 
-def star_commutator(f: WeylElement, g: WeylElement, *, mutate_kernel_sign: bool = False) -> WeylElement:
+def star_commutator(f: WeylElement, g: WeylElement) -> WeylElement:
     """f * g - g * f, from the odd orders of one pass over f * g."""
-    return _kernel(f, g, 1 if mutate_kernel_sign else -1, True)
+    return _kernel(f, g, -1, True)
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import starhom
 from starhom import cli, fedosov, suite
 from starhom.cli import EXIT_INTERNAL, EXIT_MALFORMED, EXIT_OK, EXIT_VIOLATED, main
+from starhom.weyl import moyal_star, star_commutator
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +354,22 @@ class TestOneDefinitionPerCheck:
         )
         suite.check_determinism_and_controls(5, "full", first_pass=[], second_pass=child)
         assert calls == [(5, "small"), (5, "small")]
+
+    def test_vacuous_controls_violate_c12(self, monkeypatch):
+        """With the true products in place of the sign-flipped ones, C01 and
+        C02 pass under the control, and C12 must say the checks are vacuous."""
+        monkeypatch.setattr(suite, "_flipped_star", moyal_star)
+        monkeypatch.setattr(suite, "_flipped_commutator", star_commutator)
+        # a child that prints the first pass's bytes, so only the controls fail
+        same = suite._battery_bytes(0, "small", [])
+        child = subprocess.Popen(
+            [sys.executable, "-c", f"import sys; sys.stdout.buffer.write({same!r})"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        check = suite.check_determinism_and_controls(0, "small", first_pass=[], second_pass=child)
+        assert check.status == "violated"
+        assert [d["case"] for d in check.details] == ["kernel-sign-mutation"]
 
 
 class TestHalfTraceNormalization:

@@ -5,7 +5,9 @@ and the one-pass star commutator against the two products it replaced.
 iterated partials of each t-coefficient, multiplied pairwise with the weight
 (-1)^|beta| 2^-k / (alpha! beta!).  The tests pin the value and the window
 [lower, trunc) on random operands with several t-powers, negative ones
-included, and non-unit denominators, with the kernel sign both ways.
+included, and non-unit denominators, with the kernel sign both ways: the
+Moyal products of ``weyl``, and the sign-flipped products that the suite's
+negative control runs (``suite._flipped_star``, ``_flipped_commutator``).
 """
 
 import math
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from starhom import weyl
+from starhom import suite, weyl
 from starhom.corpus import random_fraction
 from starhom.series import Poly, TSeries, accumulate
 from starhom.weyl import (
@@ -86,6 +88,13 @@ def reference_moyal_star(f, g, mutate_kernel_sign=False):
     return WeylElement(TSeries(gens, out, lower, trunc), d)
 
 
+def products(mutate):
+    """The star product and commutator under test: Moyal's, or the control's."""
+    if mutate:
+        return suite._flipped_star, suite._flipped_commutator
+    return moyal_star, star_commutator
+
+
 def random_operand(rng, d, trunc):
     """A few t-powers from [lower, trunc), lower in {-1, 0}, each a sparse
     polynomial with rational coefficients of degree up to 3 per generator."""
@@ -105,12 +114,13 @@ def random_operand(rng, d, trunc):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_kernel_matches_reference(d, mutate):
     rng = random.Random(f"moyal-kernel:{d}:{mutate}")
+    star, _ = products(mutate)
     negative = fractional = 0
     for trunc in range(1, 10):
         for _ in range(4 if d == 3 else 8):
             f = random_operand(rng, d, trunc)
             g = random_operand(rng, d, rng.randint(1, 9))
-            got = moyal_star(f, g, mutate_kernel_sign=mutate)
+            got = star(f, g)
             want = reference_moyal_star(f, g, mutate_kernel_sign=mutate)
             assert got.dim == want.dim
             assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
@@ -126,18 +136,17 @@ def test_commutator_is_the_difference_of_products(d, mutate):
     """The one-pass commutator against the two products it replaced, window
     included, with both kernel signs; swapping the operands negates it."""
     rng = random.Random(f"star-commutator:{d}:{mutate}")
+    star, commutator = products(mutate)
     nonzero = 0
     for trunc in range(1, 10):
         for _ in range(3 if d == 3 else 6):
             f = random_operand(rng, d, trunc)
             g = random_operand(rng, d, rng.randint(1, 9))
-            got = star_commutator(f, g, mutate_kernel_sign=mutate)
-            want = moyal_star(f, g, mutate_kernel_sign=mutate) - moyal_star(
-                g, f, mutate_kernel_sign=mutate
-            )
+            got = commutator(f, g)
+            want = star(f, g) - star(g, f)
             assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
             assert got.value.coeffs == want.value.coeffs
-            assert star_commutator(g, f, mutate_kernel_sign=mutate) == -got
+            assert commutator(g, f) == -got
             nonzero += not got.is_zero()
     assert bool(nonzero) is not mutate
 

@@ -1,14 +1,3 @@
-"""Every option of ``starhom`` has a production caller.
-
-An ``ast`` audit of the source: a parameter with a default value, of a
-module-level function, a method or a dataclass field in ``src/starhom``,
-must be passed by some call in ``src/`` or ``perfbench/``, by keyword or
-in its position.  Calls are matched by function or attribute name, and a
-class name matches its ``__init__`` (or its dataclass fields).  A
-parameter that only tests set is a test-only hook in a production
-signature; ``KEEP`` names the exceptions and why each stays.
-"""
-
 """Every definition and option of ``starhom`` has a production reader.
 
 Three ``ast`` audits of the source, each against the same production

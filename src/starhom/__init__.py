@@ -8,7 +8,7 @@ command-line front end.
 """
 
 from .series import EmptyWindow, GeneratorMismatch, NegativeTPowers, SeriesError
-from .series import Laurent, Poly, TSeries
+from .series import Poly, TSeries
 from .weyl import (
     LieElement,
     WeylElement,

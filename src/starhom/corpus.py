@@ -78,14 +78,14 @@ def random_diffop(rng: random.Random, dim: int) -> DiffOp:
     return op
 
 
-def random_rees(rng: random.Random, dim: int) -> ReesElement:
+def random_rees(rng: random.Random, dim: int) -> OpSeries:
     """Random graded element: a few operators placed at admissible grades,
     each at most one grade above its order."""
-    out = OpSeries.zero(dim)
+    out = OpSeries(dim)
     for _ in range(rng.randint(1, 2)):
         op = random_diffop(rng, dim)
         out = out + OpSeries.from_op(op, max(op.order(), 0) + rng.randint(0, 1))
-    return ReesElement(dim, out.comps)
+    return ReesElement(dim, out.coeffs)
 
 
 def random_chain(

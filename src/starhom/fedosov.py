@@ -197,7 +197,7 @@ def _lie_filter(a: LieElement, keep) -> LieElement:
         kept = Poly(p.gens, {exp: q for exp, q in p.terms.items() if keep(e, exp)})
         if not kept.is_zero():
             out[e] = kept
-    return LieElement(WeylElement(TSeries(w.gens, out, w.value.lower, w.value.trunc), w.dim))
+    return LieElement(WeylElement(TSeries(w.value.ring, out, w.value.lower, w.value.trunc), w.dim))
 
 
 class LieValuedForm:

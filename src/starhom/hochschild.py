@@ -13,16 +13,20 @@ A (x) Abar^p).  Four algebras are wired in:
 
 The slot values (``Poly``, ``WeylElement``, ``OpSeries``) answer the chain
 layer themselves: ``*``, ``-``, ``is_zero``, ``key``, ``scalar_part``,
-``monomials`` and ``lowest_term``.  An ``AlgebraHandle`` is plain data: the
+``monomials`` and ``lowest_term``; the last two are written once on
+``series.TSeries``, which ``WeylElement`` wraps and ``OpSeries`` is.  An ``AlgebraHandle`` is plain data: the
 kind, the unit and the window of the scalars.
 
-Every word coefficient is a ``Laurent``: a sparse Laurent polynomial in t
-over Q.  Over ``weyl`` and ``weyl-loc`` it carries a window [lower, trunc)
-that starts as [0, trunc) of the handle and shifts with every t-power
-moved into it; a sum keeps the smaller bounds and drops the exponents at
-or above the new trunc.  Over ``poly`` and ``rees`` it is exact.  Which
-t-powers a coefficient may take follows from the kind: t^0 only over
-poly, t^m with m >= 0 over weyl, any m over weyl-loc and rees.
+Every word coefficient is a ``TSeries`` over Q: a sparse Laurent
+polynomial in t.  Over ``weyl`` and ``weyl-loc`` it carries a window
+[lower, trunc) that starts as [0, trunc) of the handle and shifts with
+every t-power moved into it; a sum keeps the smaller bounds and drops the
+exponents at or above the new trunc.  Over ``poly`` and ``rees`` it is
+exact.  Which t-powers a coefficient may take follows from the kind: t^0
+only over poly, t^m with m >= 0 over weyl, any m over weyl-loc and rees.
+``AlgebraHandle.check_t_powers`` holds that rule; it is applied when a
+coefficient enters a chain, when a chain map moves one into its target
+and when a scalar moves out of a slot into one.
 
 Stored form of a word: the scalar component of every slot >= 1 is
 subtracted (words with a pure scalar slot vanish), and a monomial scalar
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .series import Laurent, Poly, SeriesError, accumulate, as_fraction
+from .series import Q_ZERO, Poly, SeriesError, TSeries, accumulate, as_fraction
 from .rees import DiffOp, OpSeries
 from .weyl import WeylElement, weyl_gens
 
@@ -82,33 +86,45 @@ class AlgebraHandle:
     unit: Any
     trunc: int | None = None
 
-    def coerce_coeff(self, c) -> Laurent:
-        """Accept Fractions / ints / 'p/q' strings as coefficients."""
-        if isinstance(c, Laurent):
+    def coerce_coeff(self, c) -> TSeries:
+        """A word coefficient: a series over Q, or a Fraction / int / 'p/q'
+        string taken as a constant; its t-powers must obey this algebra's
+        rule (``check_t_powers``)."""
+        if isinstance(c, TSeries):
+            if not isinstance(c.ring, Fraction):
+                raise ChainError(f"a chain coefficient is a series over Q, not {c!r}")
+            self.check_t_powers(c.coeffs)
             return c
         q = as_fraction(c)
         terms = {0: q} if q else {}
-        return Laurent._raw(terms, None if self.trunc is None else 0, self.trunc)
+        return TSeries._raw(Q_ZERO, terms, None if self.trunc is None else 0, self.trunc)
 
-    def scale_coeff(self, c: Laurent, q, m: int) -> Laurent:
-        """c * q * t^m, if this algebra's scalars admit t^m."""
-        if m and self.kind == "poly":
-            raise ChainError("t-power scalar factored over a t-free algebra")
-        if m < 0 and self.kind == "weyl":
+    def check_t_powers(self, powers) -> None:
+        """The t-powers that this algebra's scalars admit: t^0 only over
+        poly, t^m with m >= 0 over weyl, any m over weyl-loc and rees."""
+        if self.kind == "poly" and any(powers):
+            raise ChainError("t-power scalar over a t-free algebra")
+        if self.kind == "weyl" and min(powers, default=0) < 0:
             raise ChainError("negative t-power coefficient over the unlocalized algebra")
+
+    def scale_coeff(self, c: TSeries, q, m: int) -> TSeries:
+        """c * q * t^m, if this algebra's scalars admit t^m."""
+        if m:
+            self.check_t_powers((m,))
         return c.mul_monomial(q, m)
 
-    def coeff_into(self, c: Laurent) -> Laurent:
+    def coeff_into(self, c: TSeries) -> TSeries:
         """A coefficient of another algebra moved into this one: t -> t
-        inside this algebra's window, so t -> 0 when the target is poly."""
+        inside this algebra's window, so t -> 0 when the target is poly.
+        Its t-powers must obey this algebra's rule."""
         if self.kind == "poly":
-            q = c.coefficient(0)
-            return Laurent._raw({0: q} if q else {}, None, None)
+            return TSeries(Q_ZERO, {0: c.coefficient(0)})
+        self.check_t_powers(c.coeffs)
         if self.trunc is None:
-            return Laurent._raw(dict(c.terms), None, None)
-        lower = min([0, *c.terms]) if c.lower is None else c.lower
+            return TSeries._raw(Q_ZERO, c.coeffs, None, None)
+        lower = min([0, *c.coeffs]) if c.lower is None else c.lower
         trunc = self.trunc if c.trunc is None else min(c.trunc, self.trunc)
-        return Laurent(c.terms, lower, trunc)
+        return TSeries(Q_ZERO, c.coeffs, lower, trunc)
 
     def algebra(self) -> tuple:
         """What chains must share to be added or compared: the kind, and
@@ -202,12 +218,12 @@ class HochschildChain:
         Each distinct slot is expanded once.
 
         Contributions are added one at a time with the window rule of
-        ``Laurent``; stored slots have no negative t-power over ``weyl``,
+        ``TSeries``; stored slots have no negative t-power over ``weyl``,
         so no t-power rule can fail here."""
         if not self.terms:
             return True
         monomials = [a.monomials() for a in self.slots]
-        table: dict[Any, Laurent] = {}
+        table: dict[Any, TSeries] = {}
         for coeff, word in self.terms.values():
             for combo in itertools.product(*map(monomials.__getitem__, word)):
                 q = Fraction(1)
@@ -343,7 +359,7 @@ def _stored_terms(handle: AlgebraHandle, source: list, raw) -> tuple[tuple, dict
     for s in dict.fromkeys(itertools.chain.from_iterable(word[1:] for _, word in raw)):
         tail_slot[s], tail_scale[s] = entry(s, False)
     classes = table.classes
-    merged: dict[tuple, tuple[Laurent, tuple]] = {}
+    merged: dict[tuple, tuple[TSeries, tuple]] = {}
     for coeff, word in raw:
         rest = word[1:]
         stored = (head_slot[word[0]], *map(tail_slot.__getitem__, rest))
@@ -389,7 +405,7 @@ def _normal_slot(handle: AlgebraHandle, a, first: bool):
     return q, m, a, a.key()
 
 
-def _merge_term(table: dict, key, coeff: Laurent, word: tuple):
+def _merge_term(table: dict, key, coeff: TSeries, word: tuple):
     hit = table.get(key)
     if hit is not None:
         coeff, word = hit[0] + coeff, hit[1]
@@ -451,7 +467,7 @@ def alt_chain(handle: AlgebraHandle, prefix, slots) -> HochschildChain:
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
         word = (prefix,) + tuple(slots[i] for i in perm)
-        raw.append((handle.coerce_coeff(sign), word))
+        raw.append((sign, word))
     return HochschildChain(handle, n, raw)
 
 

@@ -13,7 +13,9 @@ structure maps are
 * ``rees_sigma``: t -> 0, sending a_p t^p to its order-p principal symbol
   with d^b replaced by xi^b;
 * localization, the inclusion of the Rees ring into Laurent polynomials in
-  t with operator coefficients: a ``ReesElement`` is an ``OpSeries``.
+  t with operator coefficients, ``OpSeries``: the exact ``series.TSeries``
+  over ``DiffOp`` with the operator product.  ``ReesElement`` is the
+  checked constructor of the Rees ring and returns an ``OpSeries``.
 
 The Darboux-ordered Weyl image of a Rees element evaluates each normal
 monomial x^a (t d)^b as the star product x^a * xi^b in that written order.
@@ -25,7 +27,7 @@ import itertools
 from fractions import Fraction
 from math import comb, perm
 
-from .series import Poly, SeriesError, accumulate, as_fraction
+from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
 from .weyl import WeylElement, weyl_gens, weyl_ordered
 
 
@@ -191,42 +193,19 @@ def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp._raw(dim, out)
 
 
-class OpSeries:
-    """Finite Laurent polynomial in central t with DiffOp coefficients.
+class OpSeries(TSeries):
+    """Finite Laurent polynomial in central t with DiffOp coefficients: the
+    localized model E[t, t^-1].  It is an exact series (no window), since
+    every product here is finite, and adds the operator product."""
 
-    This is the localized model E[t, t^-1]; unlike TSeries no truncation
-    bookkeeping is needed because all products here are exact.
-    """
-
-    __slots__ = ("dim", "comps")
+    __slots__ = ()
 
     def __init__(self, dim: int, comps=None):
-        clean: dict[int, DiffOp] = {}
-        if comps:
-            for p, op in comps.items():
-                if op.dim != dim:
-                    raise SeriesError("component dimension mismatch")
-                if not op.is_zero():
-                    clean[int(p)] = op
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "comps", clean)
+        super().__init__(DiffOp(dim), comps)
 
-    @classmethod
-    def _raw(cls, dim: int, comps: dict) -> OpSeries:
-        """Trusted constructor for results of OpSeries's own operations:
-        ``comps`` maps int grades to nonzero DiffOps of dimension ``dim``.
-        Nothing is copied or checked."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "dim", dim)
-        object.__setattr__(s, "comps", comps)
-        return s
-
-    def __setattr__(self, *_):
-        raise AttributeError("OpSeries is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> OpSeries:
-        return cls._raw(int(dim), {})
+    @property
+    def dim(self) -> int:
+        return self.ring.dim
 
     @classmethod
     def one(cls, dim: int) -> OpSeries:
@@ -236,111 +215,45 @@ class OpSeries:
     def from_op(cls, op: DiffOp, t_exp: int = 0) -> OpSeries:
         return cls(op.dim, {t_exp: op})
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __bool__(self) -> bool:
-        return bool(self.comps)
-
     def scalar_part(self) -> OpSeries:
-        out = {}
-        for p, op in self.comps.items():
-            q = op.constant_term()
-            if q:
-                out[p] = DiffOp.const(self.dim, q)
-        return OpSeries._raw(self.dim, out)
-
-    def lowest_term(self) -> tuple[Fraction, int]:
-        """(q, m): the least grade m and, inside it, the coefficient of the
-        least normal monomial; defined on nonzero elements."""
-        m = min(self.comps)
-        op = self.comps[m]
-        return op.terms[min(op.terms)], m
-
-    def monomials(self) -> list:
-        """The terms as (q, t-power, basis key) triples."""
-        return [(q, p, key) for p, op in self.comps.items() for key, q in op.terms.items()]
-
-    def key(self):
-        return tuple(sorted((p, op.key()) for p, op in self.comps.items()))
-
-    def _check(self, other: OpSeries):
-        if self.dim != other.dim:
-            raise SeriesError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: OpSeries) -> OpSeries:
-        self._check(other)
-        out = dict(self.comps)
-        for p, op in other.comps.items():
-            accumulate(out, p, op)
-        return OpSeries._raw(self.dim, out)
-
-    def __neg__(self) -> OpSeries:
-        return OpSeries._raw(self.dim, {p: -op for p, op in self.comps.items()})
-
-    def __sub__(self, other: OpSeries) -> OpSeries:
-        return self + (-other)
+        return self.map_coeffs(lambda op: DiffOp.const(self.dim, op.constant_term()))
 
     def __mul__(self, other):
         if not isinstance(other, OpSeries):
             return self.scale(other)
         self._check(other)
         out: dict[int, DiffOp] = {}
-        for p, a in self.comps.items():
-            for q, b in other.comps.items():
+        for p, a in self.coeffs.items():
+            for q, b in other.coeffs.items():
                 accumulate(out, p + q, diffop_mul(a, b))
-        return OpSeries._raw(self.dim, out)
+        return OpSeries._raw(self.ring, out, None, None)
 
     __rmul__ = __mul__
 
-    def scale(self, q) -> OpSeries:
-        q = as_fraction(q)
-        if not q:
-            return OpSeries._raw(self.dim, {})
-        return OpSeries._raw(self.dim, {p: op.scale(q) for p, op in self.comps.items()})
 
-    def shift(self, m: int) -> OpSeries:
-        return OpSeries._raw(self.dim, {p + m: op for p, op in self.comps.items()})
+def ReesElement(dim: int, comps=None) -> OpSeries:
+    """An element of the Rees ring: the OpSeries of components a_p t^p,
+    checked to have p >= 0 and order(a_p) <= p.
 
-    def mul_monomial(self, q, m: int = 0) -> OpSeries:
-        return self.scale(q).shift(m)
-
-    def __eq__(self, other):
-        return isinstance(other, OpSeries) and self.dim == other.dim and self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.dim, self.key()))
-
-    def __repr__(self):
-        if not self.comps:
-            return "0"
-        return " + ".join(f"({self.comps[p]!r})*t^{p}" for p in sorted(self.comps))
-
-
-class ReesElement(OpSeries):
-    """Element of the Rees ring: an OpSeries whose components a_p t^p have
-    p >= 0 and order(a_p) <= p.
-
-    The ring operations are those of the localized model, so sums and
-    products are plain OpSeries; the constructor brings a value back into
-    the Rees ring and raises FiltrationError when it is not there.
+    The ring operations are those of the localized model, so sums, shifts
+    and products are plain OpSeries; this checked constructor brings a
+    value back into the Rees ring and raises FiltrationError when it is
+    not there.
     """
-
-    __slots__ = ()
-
-    def __init__(self, dim: int, comps=None):
-        super().__init__(dim, comps)
-        for p, op in self.comps.items():
-            if p < 0:
-                raise FiltrationError("Rees grades are nonnegative")
-            if op.order() > p:
-                raise FiltrationError(f"operator of order {op.order()} placed in grade {p}")
+    s = OpSeries(dim, comps)
+    for p, op in s.coeffs.items():
+        if p < 0:
+            raise FiltrationError("Rees grades are nonnegative")
+        if op.order() > p:
+            raise FiltrationError(f"operator of order {op.order()} placed in grade {p}")
+    return s
 
 
-def rees_sigma(r: ReesElement) -> Poly:
-    """t -> 0: each grade contributes the order-p part of a_p with d -> xi."""
+def rees_sigma(r: OpSeries) -> Poly:
+    """t -> 0 on a Rees element: each grade contributes the order-p part of
+    a_p with d -> xi."""
     out = Poly.zero(weyl_gens(r.dim))
-    for p, op in r.comps.items():
+    for p, op in r.coeffs.items():
         out = out + op.order_part(p).symbol()
     return out
 
@@ -354,7 +267,7 @@ def localized_to_weyl(s: OpSeries, trunc: int | None = None) -> WeylElement:
     """
     terms = []
     top = lower = 0
-    for p, op in s.comps.items():
+    for p, op in s.coeffs.items():
         for (xe, de), q in op.terms.items():
             m = p - sum(de)
             terms.append((xe, de, m, q))

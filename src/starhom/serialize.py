@@ -27,7 +27,7 @@ from .hochschild import (
     weyl_handle,
 )
 from .rees import DiffOp, OpSeries
-from .series import Laurent, Poly, SeriesError, TSeries, as_fraction, format_fraction
+from .series import Q_ZERO, Poly, SeriesError, TSeries, as_fraction, format_fraction
 from .weyl import WeylElement, weyl_gens
 
 
@@ -160,7 +160,7 @@ def tseries_from_json(doc: dict, gens=None) -> TSeries:
     lower = _int_from(_need(doc, "lower"), "lower bound")
     trunc = _int_from(_need(doc, "trunc"), "truncation")
     try:
-        return TSeries(gens, coeffs, lower, trunc)
+        return TSeries(Poly.zero(gens), coeffs, lower, trunc)
     except SeriesError as exc:
         raise DecodeError(str(exc)) from None
 
@@ -217,7 +217,7 @@ def diffop_from_json(doc: dict, dim: int | None = None) -> DiffOp:
 def opseries_to_json(s: OpSeries) -> dict:
     return {
         "dim": s.dim,
-        "coeffs": {str(p): diffop_to_json(op) for p, op in sorted(s.comps.items())},
+        "coeffs": {str(p): diffop_to_json(op) for p, op in sorted(s.coeffs.items())},
     }
 
 
@@ -264,33 +264,32 @@ def _element_from_json(algebra: str, doc: dict, handle: AlgebraHandle, dim: int,
     return opseries_from_json(doc, dim)
 
 
-def _coeff_to_json(handle: AlgebraHandle, coeff: Laurent) -> object:
+def _coeff_to_json(handle: AlgebraHandle, coeff: TSeries) -> object:
     if handle.kind == "poly":
         return format_fraction(coeff.coefficient(0))
     if handle.kind == "rees":
         dim = handle.unit.dim
         return opseries_to_json(
-            OpSeries(dim, {e: DiffOp.const(dim, q) for e, q in coeff.terms.items()})
+            OpSeries(dim, {e: DiffOp.const(dim, q) for e, q in coeff.coeffs.items()})
         )
     gens = handle.unit.gens
-    consts = {e: Poly.const(gens, q) for e, q in coeff.terms.items()}
-    return tseries_to_json(TSeries(gens, consts, coeff.lower, coeff.trunc))
+    consts = {e: Poly.const(gens, q) for e, q in coeff.coeffs.items()}
+    return tseries_to_json(TSeries(Poly.zero(gens), consts, coeff.lower, coeff.trunc))
 
 
-def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> Laurent:
+def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> TSeries:
     if isinstance(doc, str):
         return handle.coerce_coeff(_fraction_from(doc))
     if handle.kind == "rees":
         series = opseries_from_json(doc, dim)
-        parts, window = series.comps, (None, None)
     elif handle.kind != "poly":
         series = tseries_from_json(doc, handle.unit.gens)
-        parts, window = series.coeffs, (series.lower, series.trunc)
     else:
         raise DecodeError("polynomial chains take rational coefficients only")
-    if not all(v.is_constant() for v in parts.values()):
+    if not all(v.is_constant() for v in series.coeffs.values()):
         raise DecodeError("a chain coefficient must be constant in x, xi and d")
-    return Laurent({e: v.constant_term() for e, v in parts.items()}, *window)
+    consts = {e: v.constant_term() for e, v in series.coeffs.items()}
+    return TSeries(Q_ZERO, consts, series.lower, series.trunc)
 
 
 def chain_to_json(c: HochschildChain) -> dict:

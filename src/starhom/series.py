@@ -6,15 +6,15 @@ characteristic classes) is built on two types:
 * ``Poly``: a multivariate polynomial over a fixed, ordered tuple of
   generator names, with ``fractions.Fraction`` coefficients.  Exact, no
   floating point anywhere.
-* ``TSeries``: a Laurent-style series in a central variable ``t`` whose
-  coefficients are ``Poly`` values.  Each series carries its own validity
-  window ``[lower, trunc)``; binary operations intersect windows so that a
+* ``TSeries``: a sparse Laurent polynomial in a central variable ``t``
+  over a coefficient ring, with an optional validity window
+  ``[lower, trunc)``; binary operations intersect windows so that a
   truncated tail can never masquerade as an exact zero.  It is a module
-  over Q: sums, scalars and shifts by t^m.  Its one product is the Moyal
-  star product, ``weyl.moyal_star``, on the Weyl values that wrap it.
-
-A third, ``Laurent``, is the scalar ring of the chain complexes: a sparse
-Laurent polynomial in t over Q, with a window of the same kind or none.
+  over Q: sums, scalars and shifts by t^m.  Over ``Poly`` it holds the
+  values of the Weyl algebra, whose one product is the Moyal star
+  product, ``weyl.moyal_star``; over Q (``Q_ZERO``) the scalars of the
+  chain complexes; over ``rees.DiffOp`` the operator series of the Rees
+  model, ``rees.OpSeries``, which adds the operator product.
 
 Values are immutable after construction and all operations are pure.
 
@@ -349,74 +349,87 @@ class Poly:
 
 
 class TSeries:
-    """Truncated series in t with Poly coefficients.
+    """A sparse Laurent polynomial in a central variable t over a coefficient
+    ring: the one t-series type of the package.
 
-    ``coeffs`` maps t-exponents to nonzero Poly values.  Every stored
-    exponent e satisfies ``lower <= e < trunc``.  ``lower`` is a hard
-    support bound (coefficients below it are exactly zero), while ``trunc``
-    is a validity bound: nothing is known at or above it.  Negative lower
-    bounds represent localized series in t^-1.
+    ``ring`` is the zero of the coefficient ring and names it.  A ``Poly``
+    ring over fixed generators gives the values of the Weyl algebra, the
+    ``Fraction`` zero ``Q_ZERO`` the scalars of the chain complexes, and a
+    ``rees.DiffOp`` ring the operator series of the Rees model
+    (``rees.OpSeries``).  A coefficient adds, negates, takes ``* q`` for a
+    rational q and is false exactly when it is zero.
+
+    ``coeffs`` maps t-exponents to nonzero coefficients.  A windowed series
+    keeps ``[lower, trunc)``: ``lower`` is a hard support bound
+    (coefficients below it are exactly zero), while ``trunc`` is a validity
+    bound: nothing at or above it is stored or known, so a truncated tail
+    can never masquerade as an exact zero.  An exact series has
+    ``lower = trunc = None``.  A sum takes the smaller of each bound and
+    drops what lies at or above the new ``trunc``; exact and windowed
+    series do not mix.  Multiplying by q t^m shifts the window by m.
     """
 
-    __slots__ = ("gens", "coeffs", "lower", "trunc")
+    __slots__ = ("ring", "coeffs", "lower", "trunc")
 
-    def __init__(self, gens, coeffs: Mapping[int, Poly] | None, lower: int, trunc: int):
-        gens = tuple(gens)
-        if trunc <= lower:
-            raise EmptyWindow(f"window [{lower}, {trunc}) is empty")
-        clean: dict[int, Poly] = {}
-        if coeffs:
-            for e, p in coeffs.items():
-                e = int(e)
-                if p.gens != gens:
-                    raise GeneratorMismatch(f"{p.gens} vs {gens}")
-                if e < lower:
-                    raise SeriesError(f"stored exponent {e} below declared lower {lower}")
-                if e >= trunc or p.is_zero():
-                    continue
-                clean[e] = p
-        object.__setattr__(self, "gens", gens)
+    def __init__(self, ring, coeffs: Mapping | None = None,
+                 lower: int | None = None, trunc: int | None = None):
+        if (lower is None) != (trunc is None) or (trunc is not None and trunc <= lower):
+            raise EmptyWindow(f"window [{lower}, {trunc}) is empty or half open")
+        clean = {}
+        for e, c in (coeffs or {}).items():
+            e = int(e)
+            _check_ring(ring, c)
+            if lower is not None and e < lower:
+                raise SeriesError(f"stored exponent {e} below declared lower {lower}")
+            if c and (trunc is None or e < trunc):
+                clean[e] = c
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "lower", int(lower))
-        object.__setattr__(self, "trunc", int(trunc))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "trunc", trunc)
 
     @classmethod
-    def _raw(cls, gens: tuple, coeffs: dict, lower: int, trunc: int) -> TSeries:
-        """Trusted constructor for results of TSeries's own operations:
-        ``lower < trunc`` are ints, and ``coeffs`` holds only nonzero Polys
-        over ``gens`` at exponents inside ``[lower, trunc)``."""
+    def _raw(cls, ring, coeffs: dict, lower: int | None, trunc: int | None) -> TSeries:
+        """Trusted constructor for results of the series' own operations:
+        the window is None or ``lower < trunc``, and ``coeffs`` holds only
+        nonzero elements of ``ring`` at exponents inside it.  Nothing is
+        copied or checked."""
         s = object.__new__(cls)
-        object.__setattr__(s, "gens", gens)
+        object.__setattr__(s, "ring", ring)
         object.__setattr__(s, "coeffs", coeffs)
         object.__setattr__(s, "lower", lower)
         object.__setattr__(s, "trunc", trunc)
         return s
 
     def __setattr__(self, *_):
-        raise AttributeError("TSeries is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # -- constructors ------------------------------------------------------
+    # -- Poly series ---------------------------------------------------------
 
-    @classmethod
-    def zero(cls, gens, trunc: int, lower: int = 0) -> TSeries:
-        return cls(gens, {}, lower, trunc)
+    @staticmethod
+    def zero(gens, trunc: int, lower: int = 0) -> TSeries:
+        return TSeries(Poly.zero(gens), {}, lower, trunc)
 
-    @classmethod
-    def const(cls, gens, value, trunc: int) -> TSeries:
-        gens = tuple(gens)
-        return cls(gens, {0: Poly.const(gens, value)}, 0, trunc)
+    @staticmethod
+    def const(gens, value, trunc: int) -> TSeries:
+        return TSeries.from_poly(Poly.const(gens, value), trunc)
 
-    @classmethod
-    def from_poly(cls, p: Poly, trunc: int, t_exp: int = 0) -> TSeries:
-        return cls(p.gens, {t_exp: p}, min(t_exp, 0), trunc)
+    @staticmethod
+    def from_poly(p: Poly, trunc: int, t_exp: int = 0) -> TSeries:
+        return TSeries(Poly.zero(p.gens), {t_exp: p}, min(t_exp, 0), trunc)
+
+    @property
+    def gens(self) -> tuple:
+        """The generators of a Poly coefficient ring."""
+        return self.ring.gens
 
     # -- queries -----------------------------------------------------------
 
-    def coefficient(self, e: int) -> Poly:
-        return self.coeffs.get(e, Poly.zero(self.gens))
+    def coefficient(self, e: int):
+        return self.coeffs.get(e, self.ring)
 
     def is_zero(self) -> bool:
-        """True when nothing is stored inside the validity window."""
+        """True when nothing is stored (inside the window, if any)."""
         return not self.coeffs
 
     def __bool__(self) -> bool:
@@ -425,12 +438,24 @@ class TSeries:
     def min_exponent(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
 
+    def lowest_term(self) -> tuple[Fraction, int]:
+        """(q, m): the least t-power m and, inside its coefficient's
+        ``terms``, the coefficient q of the least basis key; defined on
+        nonzero series over Poly or DiffOp."""
+        m = min(self.coeffs)
+        c = self.coeffs[m]
+        return c.terms[min(c.terms)], m
+
+    def monomials(self) -> list:
+        """The terms as (q, t-power, basis key) triples, over Poly or DiffOp."""
+        return [(q, e, key) for e, c in self.coeffs.items() for key, q in c.terms.items()]
+
     def key(self):
         """Canonical hashable form; deliberately ignores the window so that
         equal stored data computed under different truncations merges."""
-        return tuple(sorted((e, p.key()) for e, p in self.coeffs.items()))
+        return tuple(sorted(self.coeffs.items()))
 
-    def set_t_zero(self) -> Poly:
+    def set_t_zero(self):
         """Evaluate at t=0.  Defined only when no negative powers are stored."""
         m = self.min_exponent()
         if m is not None and m < 0:
@@ -442,165 +467,105 @@ class TSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: TSeries):
-        if self.gens != other.gens:
-            raise GeneratorMismatch(f"{self.gens} vs {other.gens}")
+        if other.ring is not self.ring:
+            _check_ring(self.ring, other.ring)
 
     def __add__(self, other: TSeries) -> TSeries:
         self._check(other)
-        lower = min(self.lower, other.lower)
-        trunc = min(self.trunc, other.trunc)
-        out: dict[int, Poly] = dict(self.coeffs)
-        for e, p in other.coeffs.items():
-            accumulate(out, e, p)
-        out = {e: p for e, p in out.items() if e < trunc}
-        return TSeries._raw(self.gens, out, lower, trunc)
+        ring = self.ring
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            accumulate(out, e, c)
+        trunc = self.trunc
+        if trunc is None and other.trunc is None:
+            return self._raw(ring, out, None, None)
+        if trunc is None or other.trunc is None:
+            raise SeriesError("exact and windowed series do not mix")
+        trunc = min(trunc, other.trunc)
+        out = {e: c for e, c in out.items() if e < trunc}
+        return self._raw(ring, out, min(self.lower, other.lower), trunc)
 
     def __neg__(self) -> TSeries:
-        return TSeries._raw(self.gens, {e: -p for e, p in self.coeffs.items()}, self.lower, self.trunc)
+        return self._raw(self.ring, {e: -c for e, c in self.coeffs.items()}, self.lower, self.trunc)
 
     def __sub__(self, other: TSeries) -> TSeries:
         return self + (-other)
 
     def scale(self, q) -> TSeries:
         """Exact multiplication by a rational; the window is unchanged."""
-        q = as_fraction(q)
-        if not q:
-            return TSeries._raw(self.gens, {}, self.lower, self.trunc)
-        return TSeries._raw(self.gens, {e: p * q for e, p in self.coeffs.items()}, self.lower, self.trunc)
+        return self.mul_monomial(as_fraction(q))
 
     def shift(self, m: int) -> TSeries:
         """Exact multiplication by t^m; the window shifts with the data."""
-        return TSeries._raw(
-            self.gens,
-            {e + m: p for e, p in self.coeffs.items()},
-            self.lower + m,
-            self.trunc + m,
-        )
+        coeffs = {e + m: c for e, c in self.coeffs.items()}
+        if self.trunc is None:
+            return self._raw(self.ring, coeffs, None, None)
+        return self._raw(self.ring, coeffs, self.lower + m, self.trunc + m)
 
     def mul_monomial(self, q, m: int = 0) -> TSeries:
-        """Exact multiplication by q * t^m."""
-        return self.scale(q).shift(m)
+        """Exact multiplication by q * t^m, q a rational; a window shifts by m."""
+        coeffs = {e + m: c * q for e, c in self.coeffs.items()} if q else {}
+        if self.trunc is None:
+            return self._raw(self.ring, coeffs, None, None)
+        return self._raw(self.ring, coeffs, self.lower + m, self.trunc + m)
 
     def with_lower(self, lower: int) -> TSeries:
         """Tighten or relax the declared support bound (must stay sound)."""
         m = self.min_exponent()
         if m is not None and m < lower:
             raise SeriesError(f"stored exponent {m} below requested lower {lower}")
-        return TSeries(self.gens, self.coeffs, lower, self.trunc)
+        if self.trunc is None or self.trunc <= lower:
+            raise EmptyWindow(f"window [{lower}, {self.trunc}) is empty or half open")
+        return self._raw(self.ring, self.coeffs, lower, self.trunc)
 
     def map_coeffs(self, fn) -> TSeries:
-        """Apply a Poly -> Poly map to every t-coefficient."""
+        """Apply a map of the coefficient ring into itself to every
+        t-coefficient; the window is unchanged."""
         out = {}
-        for e, p in self.coeffs.items():
-            q = fn(p)
-            if not q.is_zero():
-                out[e] = q
-        return TSeries(self.gens, out, self.lower, self.trunc)
+        for e, c in self.coeffs.items():
+            c = fn(c)
+            if c:
+                out[e] = c
+        return self._raw(self.ring, out, self.lower, self.trunc)
 
     # -- comparisons / display ---------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, TSeries)
-            and self.gens == other.gens
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.lower == other.lower
             and self.trunc == other.trunc
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.gens, self.lower, self.trunc, self.key()))
+        return hash((self.lower, self.trunc, self.key()))
 
     def __repr__(self):
-        if not self.coeffs:
-            return f"0 (mod t^{self.trunc})"
         bits = []
         for e in sorted(self.coeffs):
-            p = self.coeffs[e]
-            body = repr(p) if p.is_constant() or len(p.terms) == 1 else f"({p!r})"
-            if e == 0:
-                bits.append(body)
-            else:
-                bits.append(f"{body}*t^{e}")
-        return " + ".join(bits) + f" (mod t^{self.trunc})"
+            body = repr(self.coeffs[e])
+            # a coefficient that prints as a sum is parenthesized
+            if " " in body:
+                body = f"({body})"
+            bits.append(body if e == 0 else f"{body}*t^{e}")
+        text = " + ".join(bits) or "0"
+        return text if self.trunc is None else f"{text} (mod t^{self.trunc})"
 
 
-class Laurent:
-    """Sparse Laurent polynomial in t over Q: the coefficient of a chain word.
+# the zero of Q, the ring of the scalar series: chain coefficients share it,
+# so that their ring checks hit on identity
+Q_ZERO = Fraction(0)
 
-    ``terms`` maps t-exponents to nonzero Fractions.  A windowed value keeps
-    ``[lower, trunc)`` with the meaning it has on TSeries: ``lower`` bounds
-    the support, nothing at or above ``trunc`` is stored or known.  An
-    exact value has ``lower = trunc = None``.  Multiplying by q t^m shifts
-    the window by m; a sum takes the smaller of each bound and drops what
-    lies at or above the new ``trunc``.
-    """
 
-    __slots__ = ("terms", "lower", "trunc")
-
-    def __init__(self, terms: Mapping[int, object] | None = None,
-                 lower: int | None = None, trunc: int | None = None):
-        if (lower is None) != (trunc is None) or (trunc is not None and trunc <= lower):
-            raise EmptyWindow(f"window [{lower}, {trunc}) is empty or half open")
-        clean = {int(e): as_fraction(q) for e, q in (terms or {}).items()}
-        if lower is not None and any(e < lower for e in clean):
-            raise SeriesError(f"stored exponent below declared lower {lower}")
-        clean = {e: q for e, q in clean.items() if q and (trunc is None or e < trunc)}
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "trunc", trunc)
-
-    @classmethod
-    def _raw(cls, terms: dict, lower: int | None, trunc: int | None) -> Laurent:
-        """Trusted constructor for results of Laurent's own operations."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "terms", terms)
-        object.__setattr__(c, "lower", lower)
-        object.__setattr__(c, "trunc", trunc)
-        return c
-
-    def __setattr__(self, *_):
-        raise AttributeError("Laurent is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coefficient(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
-
-    def mul_monomial(self, q, m: int = 0) -> Laurent:
-        """Exact multiplication by q * t^m; a window shifts by m."""
-        terms = {e + m: c * q for e, c in self.terms.items()} if q else {}
-        if self.trunc is None:
-            return Laurent._raw(terms, None, None)
-        return Laurent._raw(terms, self.lower + m, self.trunc + m)
-
-    def __neg__(self) -> Laurent:
-        return Laurent._raw({e: -c for e, c in self.terms.items()}, self.lower, self.trunc)
-
-    def __add__(self, other: Laurent) -> Laurent:
-        if (self.trunc is None) != (other.trunc is None):
-            raise SeriesError("exact and windowed scalars do not mix")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        if self.trunc is None:
-            return Laurent._raw(out, None, None)
-        trunc = min(self.trunc, other.trunc)
-        out = {e: c for e, c in out.items() if e < trunc}
-        return Laurent._raw(out, min(self.lower, other.lower), trunc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Laurent)
-            and (self.lower, self.trunc) == (other.lower, other.trunc)
-            and self.terms == other.terms
+def _check_ring(zero, c) -> None:
+    """Raise a SeriesError unless ``c`` lies in the ring whose zero is
+    ``zero``: the same type and, for a Poly or a DiffOp, the ring's own
+    check of generators or dimension."""
+    if type(c) is not type(zero):
+        raise SeriesError(
+            f"a {type(c).__name__} coefficient in a series over {type(zero).__name__}"
         )
-
-    def __repr__(self):
-        body = " + ".join(f"{q}*t^{e}" for e, q in sorted(self.terms.items())) or "0"
-        return body if self.trunc is None else f"{body} (window [{self.lower}, {self.trunc}))"
-
+    if not isinstance(zero, Fraction):
+        zero._check(c)

@@ -98,17 +98,10 @@ class WeylElement:
         return WeylElement(self.value.map_coeffs(lambda p: p.scalar_part()), self.dim)
 
     def lowest_term(self) -> tuple[Fraction, int]:
-        """(q, m): the least t-power m and, inside it, the coefficient of
-        the least exponent; defined on nonzero elements."""
-        m = min(self.value.coeffs)
-        p = self.value.coeffs[m]
-        return p.terms[min(p.terms)], m
+        return self.value.lowest_term()
 
     def monomials(self) -> list:
-        """The terms as (q, t-power, basis key) triples."""
-        return [
-            (q, e, exp) for e, p in self.value.coeffs.items() for exp, q in p.terms.items()
-        ]
+        return self.value.monomials()
 
     def _check(self, other: WeylElement):
         if self.dim != other.dim:
@@ -279,7 +272,7 @@ def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> Weyl
     den = (f_den * g_den) << top
     terms = {p: {exp: Fraction(v, den) for exp, v in row.items() if v} for p, row in sums.items()}
     out = {p: Poly._raw(f.gens, row) for p, row in terms.items() if row}
-    return WeylElement(TSeries._raw(f.gens, out, lower, trunc), d)
+    return WeylElement(TSeries._raw(fv.ring, out, lower, trunc), d)
 
 
 def moyal_star(f: WeylElement, g: WeylElement) -> WeylElement:

@@ -555,6 +555,24 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr.decode()
 
 
+def _poly(*terms):
+    """A polynomial document over x1, xi1 from (x-exponent, xi-exponent, coef)."""
+    return {"gens": ["x1", "xi1"], "terms": [{"exp": [a, b], "coef": q} for a, b, q in terms]}
+
+
+def _t_series(lower, trunc, coeffs):
+    return {"lower": lower, "trunc": trunc, "coeffs": {str(e): p for e, p in coeffs.items()}}
+
+
+def _op(*terms):
+    """An operator document in dimension 1 from (x-exponent, d-exponent, coef)."""
+    return {"dim": 1, "terms": [{"x": [a], "d": [b], "coef": q} for a, b, q in terms]}
+
+
+def _op_series(coeffs):
+    return {"dim": 1, "coeffs": {str(e): op for e, op in coeffs.items()}}
+
+
 class TestPinnedStdout:
     """Recorded stdout bytes of three one-check commands and of the
     negative controls; ``suite.report`` builds each of these reports."""
@@ -572,6 +590,44 @@ class TestPinnedStdout:
         _, out, _ = run_cli(capsys, *argv.split())
         assert hashlib.md5(out.encode()).hexdigest() == md5
 
+    @pytest.mark.parametrize(
+        "doc,md5",
+        [
+            # an operator-series coefficient at two t-powers, over rees
+            (
+                {"algebra": "rees", "degree": 2, "dim": 1, "terms": [{
+                    "coef": _op_series({0: _op((0, 0, "1/2")), 2: _op((0, 0, "-3/1"))}),
+                    "word": [
+                        _op_series({0: _op((0, 0, "1/1"))}),
+                        _op_series({0: _op((1, 0, "1/1"))}),
+                        _op_series({1: _op((0, 1, "1/1"), (1, 0, "2/1"))}),
+                    ],
+                }]},
+                "91364f5f98918eca8e435ae4b3ace1bc",
+            ),
+            # a windowed coefficient with a t^-1 term, over weyl-loc
+            (
+                {"algebra": "weyl-loc", "degree": 2, "dim": 1, "terms": [{
+                    "coef": _t_series(-1, 5, {-1: _poly((0, 0, "2/1")), 1: _poly((0, 0, "-1/3"))}),
+                    "word": [
+                        _poly((0, 0, "1/1")),
+                        _poly((1, 0, "1/1")),
+                        {"dim": 1, "trunc": 8, "value": _t_series(
+                            -1, 8, {-1: _poly((0, 1, "1/1")), 0: _poly((1, 1, "1/2"))}
+                        )},
+                    ],
+                }]},
+                "ab31982f20c3f30c7f5f386ec5e02b44",
+            ),
+        ],
+        ids=["rees", "weyl-loc"],
+    )
+    def test_hb_stdout_md5(self, capsys, monkeypatch, doc, md5):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_OK and out
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+
 
 class TestChainDocumentShape:
     @pytest.mark.parametrize(
@@ -582,6 +638,11 @@ class TestChainDocumentShape:
             {"algebra": "poly", "degree": 1, "terms": [7]},
             {"algebra": "weyl", "degree": 1, "dim": 1, "terms": [{"coef": "1/1", "word": 5}]},
             {"algebra": "weyl", "degree": "one", "dim": 1, "terms": []},
+            # a t^-1 coefficient over the unlocalized algebra
+            {"algebra": "weyl", "degree": 2, "dim": 1, "terms": [{
+                "coef": _t_series(-1, 8, {-1: _poly((0, 0, "1/1"))}),
+                "word": [_poly((0, 0, "1/1")), _poly((1, 0, "1/1")), _poly((0, 1, "1/1"))],
+            }]},
         ],
     )
     def test_wrong_shapes_exit_2(self, capsys, monkeypatch, doc):

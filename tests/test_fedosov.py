@@ -155,7 +155,7 @@ class TestIMap:
         got = i_map(gl_to_vf([[1]], 1, 6))
         # zh1 * (xih1 / t) = zh1 xih1 / t - 1/2
         want = TSeries(
-            gens, {-1: Poly.monomial(gens, (1, 1), 1), 0: Poly.const(gens, Fraction(-1, 2))}, -1, 8
+            Poly.zero(gens), {-1: Poly.monomial(gens, (1, 1), 1), 0: Poly.const(gens, Fraction(-1, 2))}, -1, 8
         )
         assert (got.value - WeylElement(want, 1)).is_zero()
 

@@ -27,7 +27,7 @@ from starhom.hochschild import (
     weyl_handle,
 )
 from starhom.rees import DiffOp, OpSeries, ReesElement, rees_sigma
-from starhom.series import Laurent, Poly, TSeries
+from starhom.series import Q_ZERO, Poly, TSeries
 from starhom.suite import localization_morphism
 from starhom.weyl import WeylElement, weyl_gens
 
@@ -44,6 +44,11 @@ pone = Poly.const(PG, 1)
 
 wx = WeylElement.from_poly(Poly.gen(G1, "x1"), 1, 9)
 wxi = WeylElement.from_poly(Poly.gen(G1, "xi1"), 1, 9)
+
+
+def laurent(terms, lower=None, trunc=None):
+    """A word coefficient: the series over Q with the given t-powers."""
+    return TSeries(Q_ZERO, {e: Fraction(q) for e, q in terms.items()}, lower, trunc)
 
 
 def poly_slot(rng):
@@ -454,7 +459,7 @@ class TestInducedChainMap:
         tgt = poly_handle(weyl_gens(d))
 
         def sigma(s):
-            return rees_sigma(ReesElement(s.dim, s.comps))
+            return rees_sigma(ReesElement(s.dim, s.coeffs))
 
         for _ in range(10):
             words, b_words = [], []
@@ -471,29 +476,34 @@ class TestInducedChainMap:
 
 class TestCoefficientWindows:
     def test_sum_keeps_the_smaller_window_and_drops_above_it(self):
-        low = Laurent({0: 1}, 0, 3)
+        low = laurent({0: 1}, 0, 3)
         high = low.mul_monomial(1, 3)
         assert (high.lower, high.trunc) == (3, 6)
-        assert low + high == Laurent({0: 1}, 0, 3)
-        assert high + low == Laurent({0: 1}, 0, 3)
+        assert low + high == laurent({0: 1}, 0, 3)
+        assert high + low == laurent({0: 1}, 0, 3)
 
     def test_into_weyl_loc_drops_exponents_at_or_above_trunc(self):
         target = weyl_handle(1, trunc=3, localized=True)
-        c = Laurent({-1: 2, 2: 1, 3: 5, 4: 1})
-        assert target.coeff_into(c) == Laurent({-1: 2, 2: 1}, -1, 3)
+        c = laurent({-1: 2, 2: 1, 3: 5, 4: 1})
+        assert target.coeff_into(c) == laurent({-1: 2, 2: 1}, -1, 3)
 
     def test_localization_of_a_word_with_coefficient_t3_vanishes(self):
         x = OpSeries.from_op(DiffOp.x(1, 1))
         d = OpSeries.from_op(DiffOp.d(1, 1))
         rh = rees_handle(1)
-        kept = HochschildChain(rh, 2, [(Laurent({2: 1}), (rh.unit, x, d))])
-        dropped = HochschildChain(rh, 2, [(Laurent({3: 1}), (rh.unit, x, d))])
+        kept = HochschildChain(rh, 2, [(laurent({2: 1}), (rh.unit, x, d))])
+        dropped = HochschildChain(rh, 2, [(laurent({3: 1}), (rh.unit, x, d))])
         assert not induced_chain_map(localization_morphism(1), kept).is_zero()
         assert induced_chain_map(localization_morphism(1), dropped).is_zero()
 
+    def test_into_weyl_rejects_negative_powers(self):
+        with pytest.raises(ChainError):
+            WH.coeff_into(laurent({-1: 2, 0: 1}, -1, 4))
+        assert WH.coeff_into(laurent({0: 1, 2: 3}, 0, 4)) == laurent({0: 1, 2: 3}, 0, 4)
+
     def test_into_poly_keeps_t0_only(self):
-        assert PH.coeff_into(Laurent({-1: 2, 0: 3, 1: 4})) == Laurent({0: 3})
-        assert PH.coeff_into(Laurent({1: 4}, 0, 5)).is_zero()
+        assert PH.coeff_into(laurent({-1: 2, 0: 3, 1: 4})) == laurent({0: 3})
+        assert PH.coeff_into(laurent({1: 4}, 0, 5)).is_zero()
 
     def test_t_power_rules(self):
         c = HochschildChain.single(PH, (px, py))
@@ -503,4 +513,14 @@ class TestCoefficientWindows:
         with pytest.raises(ChainError):
             w.scale(1, tpow=-1)
         assert not w.scale(1, tpow=2).is_zero()
+
+    def test_t_power_rules_hold_when_a_coefficient_enters(self):
+        x = Poly.gen(("x",), "x")
+        with pytest.raises(ChainError):
+            HochschildChain(poly_handle(("x",)), 0, [(laurent({1: 1}), (x,))])
+        with pytest.raises(ChainError):
+            HochschildChain(WH, 1, [(laurent({-1: 1}, -1, 9), (wx, wxi))])
+        for h, c in ((PH, laurent({0: 2})), (WH, laurent({2: 1}, 0, 9)), (WLOC, laurent({-1: 1}, -1, 4))):
+            word = (pone, px) if h is PH else (wx, wxi)
+            assert HochschildChain(h, 1, [(c, word)]).term_count() == 1
 

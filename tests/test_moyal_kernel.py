@@ -85,7 +85,7 @@ def reference_moyal_star(f, g, mutate_kernel_sign=False):
                 sign = 1 if (mutate_kernel_sign or sum(beta) % 2 == 0) else -1
                 coef = Fraction(sign, 2**k * multi_factorial(alpha) * multi_factorial(beta))
                 accumulate(out, m + n + k, p1 * p2 * coef)
-    return WeylElement(TSeries(gens, out, lower, trunc), d)
+    return WeylElement(TSeries(Poly.zero(gens), out, lower, trunc), d)
 
 
 def products(mutate):
@@ -107,7 +107,7 @@ def random_operand(rng, d, trunc):
             exp = tuple(rng.randint(0, 3) for _ in gens)
             accumulate(terms, exp, random_fraction(rng))
         coeffs[m] = Poly(gens, terms)
-    return WeylElement(TSeries(gens, coeffs, lower, trunc), d)
+    return WeylElement(TSeries(Poly.zero(gens), coeffs, lower, trunc), d)
 
 
 @pytest.mark.parametrize("mutate", [False, True])

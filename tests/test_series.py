@@ -10,9 +10,9 @@ from starhom.fedosov import FormalVectorField, fiber_z_names
 from starhom.hkr import DForm, wedge
 from starhom.rees import DiffOp, OpSeries
 from starhom.series import (
+    Q_ZERO,
     EmptyWindow,
     GeneratorMismatch,
-    Laurent,
     NegativeTPowers,
     Poly,
     SeriesError,
@@ -22,6 +22,7 @@ from starhom.series import (
 from starhom.weyl import LieElement, WeylElement, weyl_gens
 
 GENS = ("x", "xi")
+Z = Poly.zero(GENS)
 
 
 def P(**monomials):
@@ -107,64 +108,43 @@ class TestPolyRingAxioms:
 
 class TestTSeries:
     def test_set_t_zero(self):
-        assert (TSeries(GENS, {0: one, 1: x}, 0, 3)).set_t_zero() == one
-        s = TSeries(GENS, {0: x * xi, 1: Poly.const(GENS, Fraction(-1, 2))}, 0, 3)
+        assert (TSeries(Z, {0: one, 1: x}, 0, 3)).set_t_zero() == one
+        s = TSeries(Z, {0: x * xi, 1: Poly.const(GENS, Fraction(-1, 2))}, 0, 3)
         assert s.set_t_zero() == x * xi
 
     def test_set_t_zero_rejects_localized(self):
-        s = TSeries(GENS, {-1: x}, -1, 2)
+        s = TSeries(Z, {-1: x}, -1, 2)
         with pytest.raises(NegativeTPowers):
             s.set_t_zero()
 
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
-            TSeries(GENS, {}, 2, 2)
+            TSeries(Z, {}, 2, 2)
 
     def test_stored_exponent_below_lower_rejected(self):
         with pytest.raises(SeriesError):
-            TSeries(GENS, {-1: x}, 0, 3)
+            TSeries(Z, {-1: x}, 0, 3)
 
     def test_add_window_is_min(self):
-        a = TSeries(GENS, {0: x}, 0, 5)
-        b = TSeries(GENS, {2: xi}, 0, 3)
+        a = TSeries(Z, {0: x}, 0, 5)
+        b = TSeries(Z, {2: xi}, 0, 3)
         assert (a + b).trunc == 3
 
     def test_shift_is_exact(self):
-        a = TSeries(GENS, {0: x}, 0, 5)
+        a = TSeries(Z, {0: x}, 0, 5)
         assert a.shift(2).trunc == 7 and a.shift(2).coefficient(2) == x
 
     def test_generator_mismatch(self):
-        a = TSeries(GENS, {0: x}, 0, 5)
+        a = TSeries(Z, {0: x}, 0, 5)
         b = TSeries.const(("x", "y"), 1, 5)
         with pytest.raises(GeneratorMismatch):
             a + b
-
-
-small_series = st.builds(
-    lambda p, q, e1, e2, lo: TSeries(
-        GENS,
-        {e: r for e, r in ((e1, p), (e2, q)) if not r.is_zero() and e >= lo},
-        lo,
-        6,
-    ),
-    small_polys,
-    small_polys,
-    st.integers(-1, 3),
-    st.integers(-1, 3),
-    st.integers(-1, 0),
-)
 
 
 def revalidated_poly(p):
     """The same data passed through the validating constructor."""
     assert all(type(e) is tuple and type(q) is Fraction for e, q in p.terms.items())
     return Poly(p.gens, p.terms)
-
-
-def revalidated_series(s):
-    for p in s.coeffs.values():
-        assert p == revalidated_poly(p)
-    return TSeries(s.gens, s.coeffs, s.lower, s.trunc)
 
 
 class TestOperationsBuildCanonicalValues:
@@ -178,12 +158,6 @@ class TestOperationsBuildCanonicalValues:
         results += [a.partial(g) for g in GENS]
         for r in results:
             assert r == revalidated_poly(r)
-
-    @given(small_series, small_series)
-    @settings(max_examples=60, deadline=None)
-    def test_series_results(self, a, b):
-        for r in (a + b, a - a, a.scale(Fraction(1, 2)), a.shift(-1)):
-            assert r == revalidated_series(r)
 
     @given(small_polys, small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
@@ -241,13 +215,13 @@ RING_VALUES = [
     x - 2,
     TSeries.zero(GENS, 4),
     TSeries.from_poly(xi, 4, t_exp=1),
-    Laurent(),
-    Laurent({-1: 2}),
-    Laurent({}, 0, 4),
-    Laurent({3: 1}, 0, 4),
+    TSeries(Q_ZERO),
+    TSeries(Q_ZERO, {-1: Fraction(2)}),
+    TSeries(Q_ZERO, {}, 0, 4),
+    TSeries(Q_ZERO, {3: Fraction(1)}, 0, 4),
     DiffOp(1),
     DiffOp.x(1, 1),
-    OpSeries.zero(1),
+    OpSeries(1),
     OpSeries.from_op(DiffOp.const(1, 3), 2),
     WeylElement(TSeries.zero(W1, 4), 1),
     WeylElement.const(1, Fraction(1, 2), 4),
@@ -353,3 +327,122 @@ class TestPower:
         for _ in range(n):
             product = product * p
         assert p ** n == product
+
+
+# -- the one t-series type over each coefficient ring --------------------------
+
+W1 = weyl_gens(1)
+small_fractions = st.fractions(-3, 3, max_denominator=3)
+COEFFICIENTS = {
+    "Fraction": (Q_ZERO, small_fractions),
+    "Poly": (
+        Poly.zero(W1),
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3
+        ).map(lambda terms: Poly(W1, terms)),
+    ),
+    "DiffOp": (
+        DiffOp(1),
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3
+        ).map(lambda terms: DiffOp(1, {((i,), (j,)): q for (i, j), q in terms.items()})),
+    ),
+}
+# a series over each ring with coefficients of another ring or rank
+FOREIGN = {
+    "Fraction": [TSeries(Poly.zero(W1), {0: Poly.gen(W1, "x1")}), OpSeries.from_op(DiffOp.x(1, 1))],
+    "Poly": [
+        TSeries(Q_ZERO, {0: Fraction(1)}, 0, 6),
+        TSeries.from_poly(Poly.gen(weyl_gens(2), "x2"), 6),
+    ],
+    "DiffOp": [TSeries(Q_ZERO, {0: Fraction(1)}), OpSeries.from_op(DiffOp.x(2, 1))],
+}
+
+
+def series_over(ring: str, data, window: bool) -> TSeries:
+    """A series over ``ring`` with a few t-powers in [-1, 3]; windowed ones
+    have lower in {-1, 0} and trunc in 1..4.  Exact series over DiffOp are
+    ``OpSeries``, so that their product is drawn too."""
+    zero, coefficient = COEFFICIENTS[ring]
+    lower = data.draw(st.integers(-1, 0)) if window else None
+    trunc = data.draw(st.integers(1, 4)) if window else None
+    powers = st.integers(-1 if lower is None else lower, 3)
+    coeffs = data.draw(st.dictionaries(powers, coefficient, max_size=3))
+    if ring == "DiffOp" and not window:
+        return OpSeries(1, coeffs)
+    return TSeries(zero, coeffs, lower, trunc)
+
+
+def revalidated(s: TSeries) -> TSeries:
+    """The same data passed through the checked constructors."""
+    for c in s.coeffs.values():
+        assert c
+        if isinstance(c, Poly):
+            assert c == revalidated_poly(c)
+        elif isinstance(c, DiffOp):
+            assert all(type(q) is Fraction for q in c.terms.values())
+            assert c == DiffOp(c.dim, c.terms)
+    return TSeries(s.ring, s.coeffs, s.lower, s.trunc)
+
+
+@pytest.mark.parametrize("ring", sorted(COEFFICIENTS))
+class TestSeriesLaws:
+    """The laws of ``TSeries`` over Q, over Poly and over DiffOp."""
+
+    @given(data=st.data(), window=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_results_equal_checked_constructor(self, ring, data, window):
+        a, b = series_over(ring, data, window), series_over(ring, data, window)
+        q = Fraction(2, 3)
+        results = [a + b, a - b, a - a, -a, a.scale(q), a.shift(-1), a.mul_monomial(q, 2)]
+        results += [a.mul_monomial(0, 1), a.map_coeffs(lambda c: c * q)]
+        if window:
+            results.append(a.with_lower(-2))
+        if isinstance(a, OpSeries):
+            results += [a * b, a * b - b * a, a.scalar_part()]
+        for r in results:
+            assert r == revalidated(r)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sum_takes_the_smaller_bounds_and_drops_above_trunc(self, ring, data):
+        a, b = series_over(ring, data, True), series_over(ring, data, True)
+        total = a + b
+        trunc = min(a.trunc, b.trunc)
+        assert (total.lower, total.trunc) == (min(a.lower, b.lower), trunc)
+        for e in range(-1, 4):
+            want = a.coefficient(e) + b.coefficient(e) if e < trunc else COEFFICIENTS[ring][0]
+            assert total.coefficient(e) == want
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_plus_windowed_raises(self, ring, data):
+        exact, windowed = series_over(ring, data, False), series_over(ring, data, True)
+        for left, right in ((exact, windowed), (windowed, exact)):
+            with pytest.raises(SeriesError):
+                left + right
+
+    @given(data=st.data(), window=st.booleans(), m=st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_monomial_shifts_the_window(self, ring, data, window, m):
+        a = series_over(ring, data, window)
+        q = Fraction(-1, 2)
+        got = a.mul_monomial(q, m)
+        if window:
+            assert (got.lower, got.trunc) == (a.lower + m, a.trunc + m)
+        else:
+            assert (got.lower, got.trunc) == (None, None)
+        assert got.coeffs == {e + m: c * q for e, c in a.coeffs.items()}
+        assert got.shift(-m) == a.scale(q)
+
+    def test_ring_mismatch_raises(self, ring):
+        zero, _ = COEFFICIENTS[ring]
+        for other in FOREIGN[ring]:
+            # the same window kind, so that only the rings differ
+            mine = TSeries(zero, {}, other.lower, other.trunc)
+            with pytest.raises(SeriesError):
+                mine + other
+            with pytest.raises(SeriesError):
+                other + mine
+            with pytest.raises(SeriesError):
+                TSeries(zero, {0: other.coefficient(0)}, other.lower, other.trunc)

@@ -31,7 +31,7 @@ from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gen
 
 def default_trunc(s):
     top = 0
-    for p, op in s.comps.items():
+    for p, op in s.coeffs.items():
         for (xe, de), _ in op.terms.items():
             top = max(top, p - sum(de) + min(sum(xe), sum(de)))
     return top + 1
@@ -40,7 +40,7 @@ def default_trunc(s):
 def truncated(s, trunc):
     """``s`` in the window [s.lower, min(s.trunc, trunc)), through the
     checked constructor, which drops exponents at or above the window."""
-    return TSeries(s.gens, s.coeffs, s.lower, min(s.trunc, trunc))
+    return TSeries(s.ring, s.coeffs, s.lower, min(s.trunc, trunc))
 
 
 def reference_localized_to_weyl(s, trunc=None, gens=None):
@@ -49,11 +49,11 @@ def reference_localized_to_weyl(s, trunc=None, gens=None):
     if trunc is None:
         trunc = default_trunc(s)
     lower = 0
-    for p, op in s.comps.items():
+    for p, op in s.coeffs.items():
         for (_, de), _ in op.terms.items():
             lower = min(lower, p - sum(de))
     acc = WeylElement(TSeries.zero(gens, trunc, lower=lower), dim)
-    for p, op in s.comps.items():
+    for p, op in s.coeffs.items():
         for (xe, de), q in op.terms.items():
             x_part = WeylElement.from_poly(
                 Poly.monomial(gens, tuple(xe) + (0,) * dim, q), dim, trunc + sum(de) + 1
@@ -116,7 +116,7 @@ def random_op_series(rng, dim):
 def below_window(s, trunc):
     """``s`` without its terms x^a d^b in grade p with p - |b| >= trunc."""
     comps = {}
-    for p, op in s.comps.items():
+    for p, op in s.coeffs.items():
         comps[p] = DiffOp(s.dim, {k: q for k, q in op.terms.items() if p - sum(k[1]) < trunc})
     return OpSeries(s.dim, comps)
 
@@ -200,9 +200,14 @@ class TestReesElementIsAnOpSeries:
             a, b = random_rees(rng, d), random_rees(rng, d)
             ab = a * b
             want = {}
-            for p, x in a.comps.items():
-                for q, y in b.comps.items():
+            for p, x in a.coeffs.items():
+                for q, y in b.coeffs.items():
                     accumulate(want, p + q, diffop_mul(x, y))
             assert type(ab) is OpSeries
             assert ab == OpSeries(d, want)
-            assert ReesElement(d, ab.comps) == ab
+            assert ReesElement(d, ab.coeffs) == ab
+
+    def test_shift_is_a_plain_op_series(self):
+        shifted = ReesElement(1, {1: DiffOp.d(1, 1)}).shift(-1)
+        assert type(shifted) is OpSeries
+        assert shifted == OpSeries.from_op(DiffOp.d(1, 1))

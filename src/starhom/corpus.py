@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .hochschild import AlgebraHandle, HochschildChain
 from .rees import DiffOp, OpSeries, ReesElement
-from .series import Poly, accumulate
+from .series import Poly, TSeries, accumulate
 from .weyl import WeylElement, weyl_gens
 
 
@@ -28,17 +28,17 @@ def random_poly(
     nonzero: bool = False,
 ) -> Poly:
     gens = tuple(gens)
-    p = Poly.zero(gens)
+    table: dict[tuple, Fraction] = {}
     for _ in range(terms):
         exp = [0] * len(gens)
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(len(gens))] += 1
-        p = p + Poly.monomial(gens, exp, random_fraction(rng))
-    if nonzero and p.is_zero():
+        accumulate(table, tuple(exp), random_fraction(rng))
+    if nonzero and not table:
         exp = [0] * len(gens)
         exp[rng.randrange(len(gens))] = rng.randint(1, max_degree)
-        p = p + Poly.monomial(gens, exp, 1)
-    return p
+        table[tuple(exp)] = Fraction(1)
+    return Poly._raw(gens, table)
 
 
 def random_weyl(
@@ -51,18 +51,16 @@ def random_weyl(
     min_t: int = 0,
 ) -> WeylElement:
     gens = weyl_gens(dim)
-    coeffs = {}
+    coeffs: dict[int, Poly] = {}
     for _ in range(terms):
         e = rng.randint(min_t, max_t)
         accumulate(coeffs, e, random_poly(rng, gens, max_degree, 1))
-    w = WeylElement.from_poly(Poly.zero(gens), dim, trunc)
-    for e, p in coeffs.items():
-        w = w + WeylElement.from_poly(p, dim, trunc, t_exp=e)
-    if w.is_zero():
-        w = WeylElement.from_poly(
+    kept = {e: p for e, p in coeffs.items() if e < trunc}
+    if not kept:
+        return WeylElement.from_poly(
             Poly.gen(gens, gens[rng.randrange(len(gens))]), dim, trunc
         )
-    return w
+    return WeylElement(TSeries._raw(Poly.zero(gens), kept, min([0, *coeffs]), trunc), dim)
 
 
 def random_diffop(rng: random.Random, dim: int) -> DiffOp:

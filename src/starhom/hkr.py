@@ -5,6 +5,12 @@ algebra to (1/p!) f_0 df_1 ^ ... ^ df_p.  The 1/p! factor is kept as an
 exact rational so the normalization statements downstream are bit-exact.
 Composed with b it vanishes; composed with B it becomes the exterior
 derivative, which is the commuting square the cyclic machinery needs.
+
+The map does not wedge one-forms: the coefficient of dx_I in
+df_1 ^ ... ^ df_p is the p x p minor of the Jacobian (d f_k / d x_i) on
+the columns I, taken by Laplace expansion from partials computed once per
+distinct slot.  ``wedge`` and ``de_rham`` are the exterior algebra's own
+operations, used by the checks on the map.
 """
 
 from __future__ import annotations
@@ -154,23 +160,53 @@ def hkr_map(c: HochschildChain) -> DForm:
     """f_0 (x) ... (x) f_p  ->  (1/p!) f_0 df_1 ^ ... ^ df_p, extended
     linearly.  Only defined over the commutative polynomial algebra.
 
-    df is computed once per distinct slot in positions >= 1, and every
-    word's form is added into one dict."""
+    df_1 ^ ... ^ df_p is the sum over increasing p-subsets I of the
+    variables of det(d f_k / d x_i, i in I) dx_I.  The partials of each
+    distinct slot in positions >= 1 are computed once, each word's minors
+    come from ``_jacobian_minors``, and every word's form is added into
+    one dict.  A p-form in fewer than p variables is zero."""
     if c.handle.kind != "poly":
         raise ChainError(f"chains over {c.handle.kind!r} are not in the domain")
     variables = c.handle.unit.gens
     p = c.degree
+    if p > len(variables):
+        return DForm(variables)
     factor = Fraction(1, math.factorial(p))
     words = c.terms.values()
     inner = dict.fromkeys(itertools.chain.from_iterable(word[1:] for _, word in words))
-    d = {s: de_rham(DForm.from_poly(c.slots[s])) for s in inner}
+    partials = {s: [c.slots[s].partial(v) for v in variables] for s in inner}
     out: dict[tuple, Poly] = {}
     for coeff, word in words:
-        form = DForm.from_poly(c.slots[word[0]] * (coeff.coefficient(0) * factor))
-        for s in word[1:]:
-            form = wedge(form, d[s])
-            if form.is_zero():
-                break
-        for idx, poly in form.terms.items():
-            accumulate(out, idx, poly)
+        f0 = c.slots[word[0]] * (coeff.coefficient(0) * factor)
+        minors = _jacobian_minors([partials[s] for s in word[1:]], c.handle.unit)
+        for idx, det in minors.items():
+            accumulate(out, idx, f0 * det)
     return DForm(variables, out)
+
+
+def _jacobian_minors(rows: list, one: Poly) -> dict[tuple, Poly]:
+    """{I: det(rows[k][i], i in I)} over the increasing len(rows)-subsets I
+    of the columns, zero minors left out; ``one`` is the constant 1 over
+    the columns' variables, the minor of no rows.  Laplace expansion along
+    the first row, built up from the last row: the r x r minors of the
+    last r rows come from the (r - 1) x (r - 1) minors of the rows below
+    their first one."""
+    n = len(one.gens)
+    minors = {(): one}
+    for r, row in enumerate(reversed(rows), 1):
+        level = {}
+        for cols in itertools.combinations(range(n), r):
+            det = None
+            for k, i in enumerate(cols):
+                rest = cols[:k] + cols[k + 1 :]
+                if not row[i] or rest not in minors:
+                    continue
+                term = row[i] if r == 1 else row[i] * minors[rest]
+                if det is None:
+                    det = -term if k % 2 else term
+                else:
+                    det = det - term if k % 2 else det + term
+            if det:
+                level[cols] = det
+        minors = level
+    return minors

@@ -52,10 +52,11 @@ slot-0 flag) once, keyed on identity and holding the objects so that no
 ``id`` is reused; slot 0 keeps its scalar part.  ``diff_b`` multiplies
 each ordered pair of slot indices once, ``diff_B`` appends the unit to
 the slot values and rotates int words, and ``is_zero`` expands each slot
-into monomials once.  ``induced_chain_map`` maps each distinct value once
-(keyed on the values themselves) and checks each ordered pair of slot
-indices once.  ``+`` re-indexes the other chain once per distinct slot:
-by full value into this chain's slots and by ``key()`` into its classes.
+into integer monomials once, over one common denominator.
+``induced_chain_map`` maps each distinct value once (keyed on the values
+themselves) and checks each ordered pair of slot indices once.  ``+``
+re-indexes the other chain once per distinct slot: by full value into
+this chain's slots and by ``key()`` into its classes.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable
 
-from .series import Q_ZERO, Poly, SeriesError, TSeries, accumulate, as_fraction
+from .series import Q_ZERO, Poly, SeriesError, TSeries, as_fraction
 from .rees import DiffOp, OpSeries
 from .weyl import WeylElement, weyl_gens
 
@@ -88,11 +90,15 @@ class AlgebraHandle:
 
     def coerce_coeff(self, c) -> TSeries:
         """A word coefficient: a series over Q, or a Fraction / int / 'p/q'
-        string taken as a constant; its t-powers must obey this algebra's
-        rule (``check_t_powers``)."""
+        string taken as a constant.  A series must be exact over poly and
+        rees and windowed over the weyl kinds, and its t-powers must obey
+        this algebra's rule (``check_t_powers``)."""
         if isinstance(c, TSeries):
             if not isinstance(c.ring, Fraction):
                 raise ChainError(f"a chain coefficient is a series over Q, not {c!r}")
+            if (c.trunc is None) != (self.trunc is None):
+                kind = "an exact" if c.trunc is None else "a windowed"
+                raise ChainError(f"{kind} coefficient over the {self.kind} algebra")
             self.check_t_powers(c.coeffs)
             return c
         q = as_fraction(c)
@@ -217,22 +223,62 @@ class HochschildChain:
         a (x) (u+v) (x) b = a (x) u (x) b + a (x) v (x) b are decided.
         Each distinct slot is expanded once.
 
-        Contributions are added one at a time with the window rule of
-        ``TSeries``; stored slots have no negative t-power over ``weyl``,
-        so no t-power rule can fail here."""
+        The expansion runs on integers.  All slot monomials share one
+        common denominator and all word coefficients another; every word
+        has the same length, so every contribution carries the same
+        dropped factor and the verdict is unchanged.  Each basis key holds
+        a plain {t-power: int} dict and the window of its sum, and the
+        contributions are added one at a time with the rule of
+        ``TSeries.__add__``: the sum's trunc is the smaller one, every
+        exponent at or above it is dropped from either side, a key whose
+        dict empties is dropped with its window, and an exact value
+        meeting a windowed one raises ``SeriesError``.  Stored slots have
+        no negative t-power over ``weyl``, so no t-power rule can fail
+        here."""
         if not self.terms:
             return True
         monomials = [a.monomials() for a in self.slots]
-        table: dict[Any, TSeries] = {}
-        for coeff, word in self.terms.values():
-            for combo in itertools.product(*map(monomials.__getitem__, word)):
-                q = Fraction(1)
-                m = 0
-                for mono_q, mono_m, _ in combo:
-                    q *= mono_q
-                    m += mono_m
-                key = tuple(mono_key for _, _, mono_key in combo)
-                accumulate(table, key, coeff.mul_monomial(q, m))
+        sden = lcm(*[q.denominator for mono in monomials for q, _, _ in mono])
+        expanded = [
+            [(q.numerator * (sden // q.denominator), m, key) for q, m, key in mono]
+            for mono in monomials
+        ]
+        words = self.terms.values()
+        cden = lcm(*[q.denominator for coeff, _ in words for q in coeff.coeffs.values()])
+        table: dict[Any, list] = {}
+        for coeff, word in words:
+            c = [(e, q.numerator * (cden // q.denominator)) for e, q in coeff.coeffs.items()]
+            trunc = coeff.trunc
+            combos = [(1, 0, ())]
+            for s in word:
+                combos = [
+                    (n * mono_n, m + mono_m, key + (mono_key,))
+                    for n, m, key in combos
+                    for mono_n, mono_m, mono_key in expanded[s]
+                ]
+            for n, m, key in combos:
+                top = None if trunc is None else trunc + m
+                entry = table.get(key)
+                if entry is None:
+                    table[key] = [{e + m: v * n for e, v in c}, top]
+                    continue
+                sums, old = entry
+                if (old is None) != (top is None):
+                    raise SeriesError("exact and windowed series do not mix")
+                if top is not None and top < old:
+                    sums = entry[0] = {e: v for e, v in sums.items() if e < top}
+                    entry[1] = old = top
+                for e, v in c:
+                    e += m
+                    if old is not None and e >= old:
+                        continue
+                    v = sums.get(e, 0) + v * n
+                    if v:
+                        sums[e] = v
+                    else:
+                        del sums[e]
+                if not sums:
+                    del table[key]
         return not table
 
     def term_count(self) -> int:

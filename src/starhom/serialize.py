@@ -5,7 +5,8 @@ documents carry an "algebra" discriminator ("poly" | "weyl" | "rees" |
 "weyl-loc") that selects the coefficient algebra.  A word coefficient is a
 "p/q" string, or a scalar series in that algebra's own format: a t-series
 document over weyl and weyl-loc, an operator series over rees.  A series
-that is not constant in x, xi and d is rejected.
+that is not constant in x, xi and d is rejected, and so is a t-series
+over poly: it is windowed, and the chain takes exact scalars only.
 
 Every integer field must be a JSON integer: a float, a boolean or a
 numeric string is malformed input, never truncated into some other value.
@@ -282,10 +283,8 @@ def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> TSeries:
         return handle.coerce_coeff(_fraction_from(doc))
     if handle.kind == "rees":
         series = opseries_from_json(doc, dim)
-    elif handle.kind != "poly":
-        series = tseries_from_json(doc, handle.unit.gens)
     else:
-        raise DecodeError("polynomial chains take rational coefficients only")
+        series = tseries_from_json(doc, handle.unit.gens)
     if not all(v.is_constant() for v in series.coeffs.values()):
         raise DecodeError("a chain coefficient must be constant in x, xi and d")
     consts = {e: v.constant_term() for e, v in series.coeffs.items()}

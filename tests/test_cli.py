@@ -643,6 +643,11 @@ class TestChainDocumentShape:
                 "coef": _t_series(-1, 8, {-1: _poly((0, 0, "1/1"))}),
                 "word": [_poly((0, 0, "1/1")), _poly((1, 0, "1/1")), _poly((0, 1, "1/1"))],
             }]},
+            # a windowed coefficient over the exact polynomial algebra
+            {"algebra": "poly", "degree": 1, "terms": [{
+                "coef": _t_series(0, 5, {0: _poly((0, 0, "1/1"))}),
+                "word": [_poly((0, 0, "1/1")), _poly((1, 0, "1/1"))],
+            }]},
         ],
     )
     def test_wrong_shapes_exit_2(self, capsys, monkeypatch, doc):

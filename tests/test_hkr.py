@@ -1,12 +1,12 @@
 """Exterior algebra and the chains-to-forms map."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-import starhom.hkr
 from starhom.corpus import random_chain, random_poly
 from starhom.hkr import DForm, FormError, de_rham, hkr_map, wedge
 from starhom.hochschild import (
@@ -92,6 +92,15 @@ class TestHkrMap:
         with pytest.raises(ChainError):
             hkr_map(c)
 
+    def test_top_degree_is_the_volume_form_over_p_factorial(self):
+        c = HochschildChain.single(PH, (one, x, y, z))
+        assert hkr_map(c) == DForm(V, {(0, 1, 2): Poly.const(V, Fraction(1, 6))})
+
+    def test_p_form_in_fewer_variables_is_zero_without_partials(self, monkeypatch):
+        c = HochschildChain.single(PH, (one, x, y, z, x * y))
+        monkeypatch.setattr(Poly, "partial", None)
+        assert hkr_map(c) == DForm(V)
+
     def test_chain_map_identities_random(self):
         rng = random.Random("hkr")
         for _ in range(60):
@@ -100,25 +109,53 @@ class TestHkrMap:
             assert hkr_map(diff_b(c)).is_zero()
             assert hkr_map(diff_B(c)) == de_rham(hkr_map(c))
 
-
-    def test_de_rham_runs_once_per_distinct_inner_slot(self, monkeypatch):
+    def test_partials_once_per_distinct_inner_slot(self, monkeypatch):
         rng = random.Random("hkr-once")
         pool = [slot(rng) for _ in range(4)]
         words = [tuple(rng.choice(pool) for _ in range(4)) for _ in range(12)]
         c = HochschildChain(PH, 3, [(k + 1, w) for k, w in enumerate(words)])
-        want = DForm(V)
-        for coeff, word in c.items():
-            form = DForm.from_poly(word[0] * (coeff.coefficient(0) / 6))
-            for a in word[1:]:
-                form = wedge(form, de_rham(DForm.from_poly(a)))
-            want = want + form
+        want = wedge_chain_hkr_map(c)
         calls = Counter()
-        d = starhom.hkr.de_rham
+        partial = Poly.partial
 
-        def counting(form):
-            calls[form.terms[()]] += 1
-            return d(form)
+        def counting(p, name):
+            calls[p, name] += 1
+            return partial(p, name)
 
-        monkeypatch.setattr(starhom.hkr, "de_rham", counting)
+        monkeypatch.setattr(Poly, "partial", counting)
         assert hkr_map(c) == want
-        assert calls == Counter({a for _, word in c.items() for a in word[1:]})
+        inner = {a for _, word in c.items() for a in word[1:]}
+        assert calls == Counter({(a, v): 1 for a in inner for v in V})
+
+
+def wedge_chain_hkr_map(c: HochschildChain) -> DForm:
+    """The chains-to-forms map as a chain of wedges: f_0 times
+    d f_1 ^ ... ^ d f_p from ``de_rham`` and ``wedge``, word by word; an
+    independent reference for the Jacobian minors of ``hkr_map``."""
+    p = c.degree
+    out = DForm(c.handle.unit.gens)
+    for coeff, word in c.items():
+        form = DForm.from_poly(word[0] * (coeff.coefficient(0) / math.factorial(p)))
+        for a in word[1:]:
+            form = wedge(form, de_rham(DForm.from_poly(a)))
+        out = out + form
+    return out
+
+
+class TestJacobianMinorsMatchWedgeChains:
+    @pytest.mark.parametrize("variables", [V, ("w", "x", "y", "z")], ids=["3vars", "4vars"])
+    def test_random_chains_and_their_b_and_B_images(self, variables):
+        rng = random.Random(f"hkr-minors-{len(variables)}")
+        handle = poly_handle(variables)
+
+        def maker(r):
+            return random_poly(r, variables, max_degree=2, terms=2, nonzero=True)
+
+        zeros = 0
+        for n in range(60):
+            c = random_chain(rng, handle, n % 6, maker, words=3)
+            for chain in (c, diff_b(c), diff_B(c)):
+                got = hkr_map(chain)
+                assert got == wedge_chain_hkr_map(chain)
+                zeros += got.is_zero()
+        assert 0 < zeros < 180

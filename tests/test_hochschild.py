@@ -27,7 +27,7 @@ from starhom.hochschild import (
     weyl_handle,
 )
 from starhom.rees import DiffOp, OpSeries, ReesElement, rees_sigma
-from starhom.series import Q_ZERO, Poly, TSeries
+from starhom.series import Q_ZERO, Poly, SeriesError, TSeries, accumulate
 from starhom.suite import localization_morphism
 from starhom.weyl import WeylElement, weyl_gens
 
@@ -514,6 +514,21 @@ class TestCoefficientWindows:
             w.scale(1, tpow=-1)
         assert not w.scale(1, tpow=2).is_zero()
 
+    def test_window_kind_is_checked_when_a_coefficient_enters(self):
+        # exact scalars over poly and rees, windowed ones over the weyl kinds
+        rh = rees_handle(1)
+        rx, rd = OpSeries.from_op(DiffOp.x(1, 1)), OpSeries.from_op(DiffOp.d(1, 1))
+        wrong = [
+            (PH, laurent({0: 1}, 0, 5), (PH.unit, px)),
+            (rh, laurent({0: 1}, 0, 5), (rh.unit, rx)),
+            (WH, laurent({0: 1}), (wx, wxi)),
+            (WLOC, laurent({-1: 1}), (wx, wxi)),
+        ]
+        for h, c, word in wrong:
+            with pytest.raises(ChainError):
+                HochschildChain(h, 1, [(c, word)])
+        assert HochschildChain(rh, 1, [(laurent({-1: 1}), (rx, rd))]).term_count() == 1
+
     def test_t_power_rules_hold_when_a_coefficient_enters(self):
         x = Poly.gen(("x",), "x")
         with pytest.raises(ChainError):
@@ -524,3 +539,127 @@ class TestCoefficientWindows:
             word = (pone, px) if h is PH else (wx, wxi)
             assert HochschildChain(h, 1, [(c, word)]).term_count() == 1
 
+
+
+def fraction_expansion_is_zero(c: HochschildChain) -> bool:
+    """The zero test as one ``TSeries`` sum per basis key: every monomial
+    combination of every word is added as coeff * q * t^m through
+    ``accumulate``, in the order of ``itertools.product``; an independent
+    reference for the integer kernel of ``HochschildChain.is_zero``."""
+    table = {}
+    monomials = [a.monomials() for a in c.slots]
+    for coeff, word in c.terms.values():
+        for combo in itertools.product(*map(monomials.__getitem__, word)):
+            q = Fraction(1)
+            m = 0
+            for mono_q, mono_m, _ in combo:
+                q *= mono_q
+                m += mono_m
+            accumulate(table, tuple(key for _, _, key in combo), coeff.mul_monomial(q, m))
+    return not table
+
+
+def split_words(rng, c: HochschildChain, maker) -> HochschildChain:
+    """c again, with one slot of every word split as (a - u) + u for a
+    random u: equal to c in the normalized complex, word for word different."""
+    raw = []
+    for coeff, word in c.items():
+        i = rng.randrange(len(word))
+        u = maker(rng)
+        raw.append((coeff, word[:i] + (word[i] - u,) + word[i + 1 :]))
+        raw.append((coeff, word[:i] + (u,) + word[i + 1 :]))
+    return HochschildChain(c.handle, c.degree, raw)
+
+
+def narrowed(c: HochschildChain) -> HochschildChain:
+    """c with every coefficient window one t-power shorter."""
+    raw = [
+        (TSeries(Q_ZERO, coeff.coeffs, coeff.lower, coeff.trunc - 1), word)
+        for coeff, word in c.items()
+    ]
+    return HochschildChain(c.handle, c.degree, raw)
+
+
+def windowed_chain(rng, handle, degree: int, maker, words: int = 3) -> HochschildChain:
+    """Random words whose coefficients carry windows of their own: two
+    t-powers from [lowest, 3), lowest -1 over weyl-loc and 0 over weyl,
+    and a trunc drawn from 3 .. handle.trunc."""
+    lowest = -1 if handle.kind == "weyl-loc" else 0
+    raw = []
+    for _ in range(words):
+        coeffs = {
+            e: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            for e in rng.sample(range(lowest, 3), 2)
+        }
+        trunc = rng.randint(3, handle.trunc)
+        word = tuple(maker(rng) for _ in range(degree + 1))
+        raw.append((TSeries(Q_ZERO, coeffs, lowest, trunc), word))
+    return HochschildChain(handle, degree, raw)
+
+
+class TestIntegerZeroTestMatchesFractionExpansion:
+    """``is_zero`` against ``fraction_expansion_is_zero`` on random chains,
+    their b and B images, b^2, B^2, bB + Bb, split words and narrowed
+    windows; about half of the verdicts are zero."""
+
+    @staticmethod
+    def verdicts(rng, c, maker, windows: bool):
+        b, B = diff_b(c), diff_B(c)
+        chains = [c, b, B, diff_b(b), diff_B(B), diff_b(B) + diff_B(b), c - split_words(rng, c, maker)]
+        if windows:
+            chains.append(c - narrowed(c))
+        return [(chain.is_zero(), fraction_expansion_is_zero(chain)) for chain in chains]
+
+    @pytest.mark.parametrize("variables", [PG, ("w", "x", "y", "z")], ids=["3vars", "4vars"])
+    def test_poly_chains_of_degree_0_to_5(self, variables):
+        rng = random.Random(f"zero-test-poly-{len(variables)}")
+        handle = poly_handle(variables)
+
+        def maker(r):
+            return random_poly(r, variables, max_degree=2, terms=2, nonzero=True)
+
+        pairs = []
+        for n in range(72):
+            c = random_chain(rng, handle, n % 6, maker, words=3)
+            pairs += self.verdicts(rng, c, maker, windows=False)
+        assert all(got == want for got, want in pairs)
+        zeros = sum(got for got, _ in pairs)
+        assert 0.3 < zeros / len(pairs) < 0.9
+
+    @pytest.mark.parametrize("localized", [False, True], ids=["weyl", "weyl-loc"])
+    def test_weyl_chains_with_mixed_windows(self, localized):
+        rng = random.Random(f"zero-test-weyl-{localized}")
+        handle = weyl_handle(1, trunc=6, localized=localized)
+
+        def maker(r):
+            return random_weyl(r, 1, 6, max_degree=2, terms=2, min_t=-1 if localized else 0)
+
+        pairs = []
+        for n in range(60):
+            c = windowed_chain(rng, handle, 1 + n % 3, maker)
+            pairs += self.verdicts(rng, c, maker, windows=True)
+        assert all(got == want for got, want in pairs)
+        zeros = sum(got for got, _ in pairs)
+        assert 0.3 < zeros / len(pairs) < 0.9
+
+    @pytest.mark.parametrize("order", ["narrow-first", "wide-first"])
+    def test_a_sum_drops_the_wider_sides_powers_at_or_above_trunc(self, order):
+        # 1 (x) (x + xi) with t^0 in [0, 3), then 1 (x) x and 1 (x) xi with
+        # -t^0 + t^4 in [0, 5): on each basis key the sum has trunc 3, so
+        # t^4 is dropped although trunc does not fall when it arrives
+        narrow = (laurent({0: 1}, 0, 3), (WH.unit, wx + wxi))
+        wide = [(laurent({0: -1, 4: 1}, 0, 5), (WH.unit, a)) for a in (wx, wxi)]
+        raw = [narrow, *wide] if order == "narrow-first" else [*wide, narrow]
+        c = HochschildChain(WH, 1, raw)
+        assert c.is_zero() and fraction_expansion_is_zero(c)
+
+    def test_exact_meeting_windowed_raises_in_both(self):
+        # two words on one basis key, one exact and one windowed coefficient
+        two_x = wx * Fraction(2)
+        c = HochschildChain._raw(
+            WH, 1, (wx, two_x, wxi),
+            {(0, 2): (laurent({0: 1}), (0, 2)), (1, 2): (laurent({0: 1}, 0, 9), (1, 2))},
+        )
+        for zero_test in (HochschildChain.is_zero, fraction_expansion_is_zero):
+            with pytest.raises(SeriesError):
+                zero_test(c)

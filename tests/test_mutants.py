@@ -116,6 +116,30 @@ MUTANTS = [
         None,
     ),
     (
+        "hkr-laplace-sign-flipped",
+        "hkr.py",
+        "det = det - term if k % 2 else det + term",
+        "det = det + term if k % 2 else det - term",
+        "check_hkr_chain_map",
+        None,
+    ),
+    (
+        "zero-test-coefficient-denominators-ignored",
+        "hochschild.py",
+        "c = [(e, q.numerator * (cden // q.denominator)) for e, q in coeff.coeffs.items()]",
+        "c = [(e, q.numerator) for e, q in coeff.coeffs.items()]",
+        "check_hochschild_identities",
+        None,
+    ),
+    (
+        "zero-test-monomial-t-powers-dropped",
+        "hochschild.py",
+        "[(q.numerator * (sden // q.denominator), m, key) for q, m, key in mono]",
+        "[(q.numerator * (sden // q.denominator), 0, key) for q, m, key in mono]",
+        "check_hochschild_identities",
+        None,
+    ),
+    (
         "cyclic-B-rotation-sign",
         "hochschild.py",
         "signed[(p * i) % 2]",

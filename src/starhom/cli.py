@@ -79,7 +79,7 @@ def cmd_star(args) -> int:
     f = serialize.weyl_from_json(doc["f"], dim=args.dim, trunc=args.trunc_t)
     g = serialize.weyl_from_json(doc["g"], dim=args.dim, trunc=args.trunc_t)
     product = moyal_star(f, g)
-    _emit(serialize.weyl_to_json(product), f"star product computed (trunc {product.value.trunc})")
+    _emit(serialize.weyl_to_json(product), f"star product computed (trunc {product.trunc})")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .hochschild import AlgebraHandle, HochschildChain
 from .rees import DiffOp, OpSeries, ReesElement
-from .series import Poly, TSeries, accumulate
+from .series import Poly, accumulate
 from .weyl import WeylElement, weyl_gens
 
 
@@ -57,10 +57,8 @@ def random_weyl(
         accumulate(coeffs, e, random_poly(rng, gens, max_degree, 1))
     kept = {e: p for e, p in coeffs.items() if e < trunc}
     if not kept:
-        return WeylElement.from_poly(
-            Poly.gen(gens, gens[rng.randrange(len(gens))]), dim, trunc
-        )
-    return WeylElement(TSeries._raw(Poly.zero(gens), kept, min([0, *coeffs]), trunc), dim)
+        return WeylElement.from_poly(Poly.gen(gens, gens[rng.randrange(len(gens))]), trunc)
+    return WeylElement._raw(Poly.zero(gens), kept, min([0, *coeffs]), trunc)
 
 
 def random_diffop(rng: random.Random, dim: int) -> DiffOp:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .hkr import _merge_sign
-from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
+from .series import Poly, SeriesError, accumulate, as_fraction
 from .weyl import LieElement, WeylElement, weyl_gens, weyl_ordered
 
 
@@ -176,7 +176,7 @@ def gl_to_vf(matrix, dim: int, fiber_trunc: int) -> FormalVectorField:
     return FormalVectorField(dim, comps, fiber_trunc)
 
 
-def i_map(v: FormalVectorField, t_trunc: int = 8) -> LieElement:
+def i_map(v: FormalVectorField, t_trunc: int = 8) -> WeylElement:
     """Weyl-ordered realization sum_j P_j(zh) * (xih_j / t).
 
     On linear fields this is the gl embedding with its central -tr/2
@@ -188,24 +188,22 @@ def i_map(v: FormalVectorField, t_trunc: int = 8) -> LieElement:
     return LieElement(weyl_ordered(terms, d, -1, t_trunc, fiber_weyl_names(d)))
 
 
-def _lie_filter(a: LieElement, keep) -> LieElement:
+def _lie_filter(a: WeylElement, keep) -> WeylElement:
     """The monomials q t^e w^exp of a Lie value with ``keep(e, exp)``; the
     window is unchanged."""
-    w = a.value
-    out = {}
-    for e, p in w.value.coeffs.items():
-        kept = Poly(p.gens, {exp: q for exp, q in p.terms.items() if keep(e, exp)})
-        if not kept.is_zero():
-            out[e] = kept
-    return LieElement(WeylElement(TSeries(w.value.ring, out, w.value.lower, w.value.trunc), w.dim))
+    kept = {
+        e: Poly._raw(a.gens, {exp: q for exp, q in p.terms.items() if keep(e, exp)})
+        for e, p in a.coeffs.items()
+    }
+    return WeylElement(a.ring, kept, a.lower, a.trunc)
 
 
 class LieValuedForm:
     """Differential form on a chart with Lie-algebra values.
 
     ``terms`` maps (wedge-index tuple, base-monomial exponent) to a value:
-    a FormalVectorField (kind 'vf') or a LieElement (kind 'lie').  Base
-    coefficients are central for the value bracket.
+    a FormalVectorField (kind 'vf') or a WeylElement in (1/t)W (kind
+    'lie').  Base coefficients are central for the value bracket.
     """
 
     __slots__ = ("base", "kind", "terms")
@@ -494,7 +492,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
 def central_scalar_form(base, dim: int, entries, t_trunc: int = 8) -> LieValuedForm:
     """Scalar-valued form embedded as central Lie values: each entry
     (widx, base Poly) times the fiber unit."""
-    unit = LieElement(WeylElement(TSeries.const(fiber_weyl_names(dim), 1, t_trunc), dim))
+    unit = WeylElement.const(fiber_weyl_names(dim), 1, t_trunc)
     return LieValuedForm.from_entries(base, "lie", [(widx, p, unit) for widx, p in entries])
 
 
@@ -529,9 +527,7 @@ def shift_conjugator(base, dim: int, t_trunc: int = 10) -> LieValuedForm:
     for i in range(dim):
         bexp = [0] * len(base)
         bexp[dim + i] = 1
-        val = LieElement(
-            WeylElement.from_poly(Poly.gen(gens, gens[i]), dim, t_trunc, t_exp=-1)
-        ).scale(-1)
+        val = WeylElement.from_poly(Poly.gen(gens, gens[i]), t_trunc, t_exp=-1).scale(-1)
         entries.append(
             ((), Poly.monomial(base, bexp, 1), val)
         )

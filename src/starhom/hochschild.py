@@ -13,9 +13,10 @@ A (x) Abar^p).  Four algebras are wired in:
 
 The slot values (``Poly``, ``WeylElement``, ``OpSeries``) answer the chain
 layer themselves: ``*``, ``-``, ``is_zero``, ``key``, ``scalar_part``,
-``monomials`` and ``lowest_term``; the last two are written once on
-``series.TSeries``, which ``WeylElement`` wraps and ``OpSeries`` is.  An ``AlgebraHandle`` is plain data: the
-kind, the unit and the window of the scalars.
+``monomials`` and ``lowest_term``.  ``WeylElement`` and ``OpSeries`` are
+the two subclasses of ``series.TSeries``, and all but their ``*`` and
+``scalar_part`` is written once there.  An ``AlgebraHandle`` is plain
+data: the kind, the unit and the window of the scalars.
 
 Every word coefficient is a ``TSeries`` over Q: a sparse Laurent
 polynomial in t.  Over ``weyl`` and ``weyl-loc`` it carries a window
@@ -150,7 +151,7 @@ def weyl_handle(dim: int, trunc: int = 8, localized: bool = False) -> AlgebraHan
     ``localized`` admits negative t-powers (scalars Laurent in t); the
     plain algebra keeps everything in nonnegative powers.
     """
-    unit = WeylElement.const(dim, 1, trunc)
+    unit = WeylElement.const(weyl_gens(dim), 1, trunc)
     return AlgebraHandle("weyl-loc" if localized else "weyl", unit, trunc)
 
 
@@ -551,11 +552,11 @@ def phi_A(dim: int) -> HochschildChain:
     h = weyl_handle(dim, trunc=trunc, localized=True)
     gens = weyl_gens(dim)
     xs = [
-        WeylElement.from_poly(Poly.gen(gens, gens[i]), dim, trunc)
+        WeylElement.from_poly(Poly.gen(gens, gens[i]), trunc)
         for i in range(dim)
     ]
     xis = [
-        WeylElement.from_poly(Poly.gen(gens, gens[dim + i]), dim, trunc, t_exp=-1)
+        WeylElement.from_poly(Poly.gen(gens, gens[dim + i]), trunc, t_exp=-1)
         for i in range(dim)
     ]
     return alt_chain(h, h.unit, xs + xis)

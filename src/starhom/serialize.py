@@ -6,7 +6,9 @@ documents carry an "algebra" discriminator ("poly" | "weyl" | "rees" |
 "p/q" string, or a scalar series in that algebra's own format: a t-series
 document over weyl and weyl-loc, an operator series over rees.  A series
 that is not constant in x, xi and d is rejected, and so is a t-series
-over poly: it is windowed, and the chain takes exact scalars only.
+over poly: it is windowed, and the chain takes exact scalars only.  An
+operator series is exact too, so a "lower" or "trunc" key in its
+document is malformed input.
 
 Every integer field must be a JSON integer: a float, a boolean or a
 numeric string is malformed input, never truncated into some other value.
@@ -138,10 +140,10 @@ def poly_from_json(doc: dict, gens=None) -> Poly:
         raise DecodeError(str(exc)) from None
 
 
-# -- TSeries / WeylElement -----------------------------------------------------
+# -- WeylElement ---------------------------------------------------------------
 
 
-def tseries_to_json(s: TSeries) -> dict:
+def tseries_to_json(s: WeylElement) -> dict:
     return {
         "lower": s.lower,
         "trunc": s.trunc,
@@ -149,7 +151,7 @@ def tseries_to_json(s: TSeries) -> dict:
     }
 
 
-def tseries_from_json(doc: dict, gens=None) -> TSeries:
+def tseries_from_json(doc: dict, gens=None) -> WeylElement:
     coeffs_doc = _need_mapping(doc, "coeffs")
     coeffs = {}
     for e_str, p_doc in coeffs_doc.items():
@@ -161,13 +163,13 @@ def tseries_from_json(doc: dict, gens=None) -> TSeries:
     lower = _int_from(_need(doc, "lower"), "lower bound")
     trunc = _int_from(_need(doc, "trunc"), "truncation")
     try:
-        return TSeries(Poly.zero(gens), coeffs, lower, trunc)
+        return WeylElement(Poly.zero(gens), coeffs, lower, trunc)
     except SeriesError as exc:
         raise DecodeError(str(exc)) from None
 
 
 def weyl_to_json(w: WeylElement) -> dict:
-    return {"dim": w.dim, "trunc": w.value.trunc, "value": tseries_to_json(w.value)}
+    return {"dim": w.dim, "trunc": w.trunc, "value": tseries_to_json(w)}
 
 
 def weyl_from_json(doc: dict, dim: int | None = None, trunc: int = 8) -> WeylElement:
@@ -177,13 +179,8 @@ def weyl_from_json(doc: dict, dim: int | None = None, trunc: int = 8) -> WeylEle
     gens = weyl_gens(dim)
     body = _object(doc.get("value", doc), "a Weyl element value")
     if "coeffs" in body:
-        series = tseries_from_json(body, gens)
-    else:
-        series = TSeries.from_poly(poly_from_json(body, gens), trunc)
-    try:
-        return WeylElement(series, dim)
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
+        return tseries_from_json(body, gens)
+    return WeylElement.from_poly(poly_from_json(body, gens), trunc)
 
 
 # -- differential operators ------------------------------------------------------
@@ -224,6 +221,8 @@ def opseries_to_json(s: OpSeries) -> dict:
 
 def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
     dim = _dim_from(_object(doc, "an operator series"), dim)
+    if "lower" in doc or "trunc" in doc:
+        raise DecodeError("an operator series is exact and takes no window")
     comps = {}
     for p_str, op_doc in _need_mapping(doc, "coeffs").items():
         op = diffop_from_json(op_doc, dim)
@@ -275,7 +274,7 @@ def _coeff_to_json(handle: AlgebraHandle, coeff: TSeries) -> object:
         )
     gens = handle.unit.gens
     consts = {e: Poly.const(gens, q) for e, q in coeff.coeffs.items()}
-    return tseries_to_json(TSeries(Poly.zero(gens), consts, coeff.lower, coeff.trunc))
+    return tseries_to_json(WeylElement(Poly.zero(gens), consts, coeff.lower, coeff.trunc))
 
 
 def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> TSeries:

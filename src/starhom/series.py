@@ -10,11 +10,14 @@ characteristic classes) is built on two types:
   over a coefficient ring, with an optional validity window
   ``[lower, trunc)``; binary operations intersect windows so that a
   truncated tail can never masquerade as an exact zero.  It is a module
-  over Q: sums, scalars and shifts by t^m.  Over ``Poly`` it holds the
-  values of the Weyl algebra, whose one product is the Moyal star
-  product, ``weyl.moyal_star``; over Q (``Q_ZERO``) the scalars of the
-  chain complexes; over ``rees.DiffOp`` the operator series of the Rees
-  model, ``rees.OpSeries``, which adds the operator product.
+  over Q: sums, scalars and shifts by t^m.  Two subclasses add a
+  product: over ``Poly``, ``weyl.WeylElement``, the values of the Weyl
+  algebra with the Moyal star product; over ``rees.DiffOp``,
+  ``rees.OpSeries``, the operator series of the Rees model with the
+  operator product.  Over Q (``Q_ZERO``) it holds the scalars of the
+  chain complexes.  Results are built through ``TSeries._raw`` on the
+  operand's own class, so a subclass value stays one under every
+  operation.
 
 Values are immutable after construction and all operations are pure.
 
@@ -353,11 +356,11 @@ class TSeries:
     ring: the one t-series type of the package.
 
     ``ring`` is the zero of the coefficient ring and names it.  A ``Poly``
-    ring over fixed generators gives the values of the Weyl algebra, the
-    ``Fraction`` zero ``Q_ZERO`` the scalars of the chain complexes, and a
-    ``rees.DiffOp`` ring the operator series of the Rees model
-    (``rees.OpSeries``).  A coefficient adds, negates, takes ``* q`` for a
-    rational q and is false exactly when it is zero.
+    ring over 2d Darboux generators gives the values of the Weyl algebra
+    (``weyl.WeylElement``), the ``Fraction`` zero ``Q_ZERO`` the scalars of
+    the chain complexes, and a ``rees.DiffOp`` ring the operator series of
+    the Rees model (``rees.OpSeries``).  A coefficient adds, negates, takes
+    ``* q`` for a rational q and is false exactly when it is zero.
 
     ``coeffs`` maps t-exponents to nonzero coefficients.  A windowed series
     keeps ``[lower, trunc)``: ``lower`` is a hard support bound
@@ -403,25 +406,6 @@ class TSeries:
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    # -- Poly series ---------------------------------------------------------
-
-    @staticmethod
-    def zero(gens, trunc: int, lower: int = 0) -> TSeries:
-        return TSeries(Poly.zero(gens), {}, lower, trunc)
-
-    @staticmethod
-    def const(gens, value, trunc: int) -> TSeries:
-        return TSeries.from_poly(Poly.const(gens, value), trunc)
-
-    @staticmethod
-    def from_poly(p: Poly, trunc: int, t_exp: int = 0) -> TSeries:
-        return TSeries(Poly.zero(p.gens), {t_exp: p}, min(t_exp, 0), trunc)
-
-    @property
-    def gens(self) -> tuple:
-        """The generators of a Poly coefficient ring."""
-        return self.ring.gens
 
     # -- queries -----------------------------------------------------------
 

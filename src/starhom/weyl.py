@@ -23,9 +23,14 @@ With this sign convention [x_i, xi_j] = -t delta_ij, and every downstream
 identity is derived from the product itself rather than from external
 convention tables.
 
+A value of W is a ``WeylElement``: the ``series.TSeries`` over the
+Darboux polynomials, with the star product as its product.
+
 Lie-algebra side: (1/t)W is a central extension of the derivations of W,
 with bracket the star commutator computed in the localized algebra; gl(d)
-embeds with a central -tr/2 correction coming from Weyl ordering.
+embeds with a central -tr/2 correction coming from Weyl ordering.  Its
+values are ``WeylElement``s too, and ``LieElement`` is the checked
+constructor that keeps the t-exponents at -1 or above.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from fractions import Fraction
 from math import comb, perm
 
 from .series import (
-    GeneratorMismatch,
     Poly,
     SeriesError,
     TSeries,
@@ -53,143 +57,69 @@ def weyl_gens(dim: int, x_prefix: str = "x", xi_prefix: str = "xi") -> tuple[str
     )
 
 
-class WeylElement:
-    """A truncated t-series over 2d Darboux generators.
-
-    The dimension is carried explicitly; operations never infer it from
-    generator counts.
+class WeylElement(TSeries):
+    """A value of the Weyl algebra: a ``series.TSeries`` over the
+    polynomials in 2d Darboux generators, x_1..x_d then xi_1..xi_d (the
+    Fedosov fiber names them zh and xih).  Sums, scalars, shifts, windows,
+    keys and equality are the series' own, and their results are again
+    Weyl values; the product is the Moyal star product.
     """
 
-    __slots__ = ("value", "dim")
+    __slots__ = ()
 
-    def __init__(self, value: TSeries, dim: int):
-        if len(value.gens) != 2 * dim:
-            raise SeriesError(
-                f"expected {2 * dim} generators for dim {dim}, got {len(value.gens)}"
-            )
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "dim", int(dim))
-
-    def __setattr__(self, *_):
-        raise AttributeError("WeylElement is immutable")
+    def __init__(self, ring: Poly, coeffs, lower: int | None, trunc: int | None):
+        if not ring.gens or len(ring.gens) % 2:
+            raise SeriesError(f"a Weyl algebra has 2d generators, not {len(ring.gens)}")
+        super().__init__(ring, coeffs, lower, trunc)
 
     @classmethod
-    def from_poly(cls, p: Poly, dim: int, trunc: int, t_exp: int = 0) -> WeylElement:
-        return cls(TSeries.from_poly(p, trunc, t_exp), dim)
+    def zero(cls, gens, trunc: int, lower: int = 0) -> WeylElement:
+        return cls(Poly.zero(gens), {}, lower, trunc)
 
     @classmethod
-    def const(cls, dim: int, value, trunc: int) -> WeylElement:
-        return cls(TSeries.const(weyl_gens(dim), value, trunc), dim)
+    def const(cls, gens, value, trunc: int) -> WeylElement:
+        return cls.from_poly(Poly.const(gens, value), trunc)
+
+    @classmethod
+    def from_poly(cls, p: Poly, trunc: int, t_exp: int = 0) -> WeylElement:
+        return cls(Poly.zero(p.gens), {t_exp: p}, min(t_exp, 0), trunc)
 
     @property
-    def gens(self):
-        return self.value.gens
+    def gens(self) -> tuple:
+        return self.ring.gens
 
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def key(self):
-        return self.value.key()
+    @property
+    def dim(self) -> int:
+        return len(self.ring.gens) // 2
 
     def scalar_part(self) -> WeylElement:
-        return WeylElement(self.value.map_coeffs(lambda p: p.scalar_part()), self.dim)
-
-    def lowest_term(self) -> tuple[Fraction, int]:
-        return self.value.lowest_term()
-
-    def monomials(self) -> list:
-        return self.value.monomials()
-
-    def _check(self, other: WeylElement):
-        if self.dim != other.dim:
-            raise SeriesError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.gens != other.gens:
-            raise GeneratorMismatch(f"{self.gens} vs {other.gens}")
-
-    def __add__(self, other: WeylElement) -> WeylElement:
-        self._check(other)
-        return WeylElement(self.value + other.value, self.dim)
-
-    def __sub__(self, other: WeylElement) -> WeylElement:
-        self._check(other)
-        return WeylElement(self.value - other.value, self.dim)
-
-    def __neg__(self) -> WeylElement:
-        return WeylElement(-self.value, self.dim)
+        return self.map_coeffs(Poly.scalar_part)
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             return moyal_star(self, other)
-        return WeylElement(self.value.scale(other), self.dim)
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, WeylElement):
-            return moyal_star(other, self)
-        return WeylElement(self.value.scale(other), self.dim)
+    def __rmul__(self, q):
+        return self.scale(q)
 
-    def scale(self, q) -> WeylElement:
-        return WeylElement(self.value.scale(q), self.dim)
-
-    def mul_monomial(self, q, m: int = 0) -> WeylElement:
-        return WeylElement(self.value.mul_monomial(q, m), self.dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.dim == other.dim
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.value))
-
-    def __repr__(self):
-        return f"WeylElement({self.value!r})"
-
-
-class LieElement:
-    """Element of (1/t) * (Weyl algebra): t-exponents bounded below by -1."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: WeylElement):
-        m = value.value.min_exponent()
-        if m is not None and m < -1:
-            raise SeriesError(f"t-exponent {m} below -1; not in (1/t)W")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LieElement is immutable")
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __add__(self, other: LieElement) -> LieElement:
-        return LieElement(self.value + other.value)
-
-    def __sub__(self, other: LieElement) -> LieElement:
-        return LieElement(self.value - other.value)
-
-    def __neg__(self) -> LieElement:
-        return LieElement(-self.value)
-
-    def scale(self, q) -> LieElement:
-        return LieElement(self.value.scale(q))
-
-    def bracket(self, other: LieElement) -> LieElement:
+    def bracket(self, other: WeylElement) -> WeylElement:
+        """The bracket of (1/t)W, ``lie_bracket``."""
         return lie_bracket(self, other)
 
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.value == other.value
 
-    def __repr__(self):
-        return f"LieElement({self.value.value!r})"
+def LieElement(w: WeylElement) -> WeylElement:
+    """An element of (1/t)W: the Weyl value ``w`` itself, checked to have
+    no stored t-exponent below -1.
+
+    Sums, scalars and brackets stay in (1/t)W, so they are plain Weyl
+    values; this checked constructor brings a value into (1/t)W and raises
+    SeriesError when it is not there.
+    """
+    m = w.min_exponent()
+    if m is not None and m < -1:
+        raise SeriesError(f"t-exponent {m} below -1; not in (1/t)W")
+    return w
 
 
 # -- the star product ---------------------------------------------------------
@@ -226,12 +156,11 @@ def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> Weyl
     """
     f._check(g)
     d = f.dim
-    fv, gv = f.value, g.value
-    lower = fv.lower + gv.lower
-    trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
-    f_den, f_rows = _numerators(*(p.terms for p in fv.coeffs.values()))
-    g_den, g_rows = _numerators(*(p.terms for p in gv.coeffs.values()))
-    f_terms, g_terms = list(zip(fv.coeffs, f_rows)), list(zip(gv.coeffs, g_rows))
+    lower = f.lower + g.lower
+    trunc = min(f.trunc + g.lower, g.trunc + f.lower)
+    f_den, f_rows = _numerators(*(p.terms for p in f.coeffs.values()))
+    g_den, g_rows = _numerators(*(p.terms for p in g.coeffs.values()))
+    f_terms, g_terms = list(zip(f.coeffs, f_rows)), list(zip(g.coeffs, g_rows))
     top = trunc - 1 - lower
     # the axis whose combos take the order-k factor; none for a product
     odd_axis = d - 1 if commutator else d
@@ -272,7 +201,7 @@ def _kernel(f: WeylElement, g: WeylElement, sign: int, commutator: bool) -> Weyl
     den = (f_den * g_den) << top
     terms = {p: {exp: Fraction(v, den) for exp, v in row.items() if v} for p, row in sums.items()}
     out = {p: Poly._raw(f.gens, row) for p, row in terms.items() if row}
-    return WeylElement(TSeries._raw(fv.ring, out, lower, trunc), d)
+    return WeylElement._raw(f.ring, out, lower, trunc)
 
 
 def moyal_star(f: WeylElement, g: WeylElement) -> WeylElement:
@@ -285,21 +214,20 @@ def star_commutator(f: WeylElement, g: WeylElement) -> WeylElement:
     return _kernel(f, g, -1, True)
 
 
-def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
+def lie_bracket(a: WeylElement, b: WeylElement) -> WeylElement:
     """Bracket on (1/t)W: the star commutator in the localized algebra.
 
     For a = f/t, b = g/t the t^-2 coefficient of a*b - b*a is the symbol
     commutator, of order 0, and is never built; the result lives back in
     (1/t)W.
     """
-    c = star_commutator(a.value, b.value)
-    cv = c.value
-    m = cv.min_exponent()
+    c = star_commutator(a, b)
+    m = c.min_exponent()
     if m is not None and m < -1:
         raise SeriesError(
             f"bracket escaped (1/t)W: leading t-exponent {m} did not cancel"
         )
-    return LieElement(WeylElement(cv.with_lower(max(cv.lower, -1)), c.dim))
+    return c.with_lower(max(c.lower, -1))
 
 
 # -- quadratic embeddings ------------------------------------------------------
@@ -321,21 +249,19 @@ def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElem
     groups: dict[tuple, dict] = {}
     for a, b, m, q in terms:
         accumulate(groups.setdefault((m, b), {}), a + (0,) * dim, q)
-    acc = TSeries.zero(gens, trunc, lower=lower)
+    acc = WeylElement.zero(gens, trunc, lower=lower)
     for (m, b), x_terms in groups.items():
         if m >= trunc:
             continue
         window = trunc - m
-        x_part = WeylElement(TSeries.from_poly(Poly._raw(gens, x_terms), window), dim)
-        xi_part = WeylElement(
-            TSeries.from_poly(Poly._raw(gens, {(0,) * dim + b: Fraction(1)}), window), dim
-        )
-        word = moyal_star(x_part, xi_part).value.shift(m)
+        x_part = WeylElement.from_poly(Poly._raw(gens, x_terms), window)
+        xi_part = WeylElement.from_poly(Poly._raw(gens, {(0,) * dim + b: Fraction(1)}), window)
+        word = moyal_star(x_part, xi_part).shift(m)
         acc = acc + word.with_lower(lower)
-    return WeylElement(acc, dim)
+    return acc
 
 
-def gl_embed(a_matrix, dim: int, trunc: int = 8) -> LieElement:
+def gl_embed(a_matrix, dim: int, trunc: int = 8) -> WeylElement:
     """gl(d) into (1/t)W via Weyl-ordered products.
 
     (a_ij) maps to sum_ij a_ij x_i * (xi_j / t), which expands to the

@@ -575,7 +575,8 @@ def _op_series(coeffs):
 
 class TestPinnedStdout:
     """Recorded stdout bytes of three one-check commands and of the
-    negative controls; ``suite.report`` builds each of these reports."""
+    negative controls, which ``suite.report`` builds, and of ``hb`` and
+    ``star`` on fixed documents."""
 
     @pytest.mark.parametrize(
         "argv,md5",
@@ -628,6 +629,22 @@ class TestPinnedStdout:
         assert code == EXIT_OK and out
         assert hashlib.md5(out.encode()).hexdigest() == md5
 
+    def test_star_stdout_md5(self, capsys, monkeypatch):
+        """The Weyl JSON format: a windowed value with a t^-1 term times a
+        plain polynomial in the default window."""
+        doc = {
+            "f": {"dim": 1, "trunc": 4, "value": _t_series(-1, 4, {
+                -1: _poly((0, 1, "1/1")),
+                0: _poly((1, 1, "1/2"), (0, 0, "-2/1")),
+                2: _poly((2, 0, "3/1")),
+            })},
+            "g": _poly((2, 0, "1/1"), (1, 2, "-1/3")),
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "star", "--json", "-")
+        assert code == EXIT_OK
+        assert hashlib.md5(out.encode()).hexdigest() == "4fe9c75819f793fb7e2e4975e1f600f9"
+
 
 class TestChainDocumentShape:
     @pytest.mark.parametrize(
@@ -647,6 +664,11 @@ class TestChainDocumentShape:
             {"algebra": "poly", "degree": 1, "terms": [{
                 "coef": _t_series(0, 5, {0: _poly((0, 0, "1/1"))}),
                 "word": [_poly((0, 0, "1/1")), _poly((1, 0, "1/1"))],
+            }]},
+            # a window declared on an exact operator series, with a t^3 term above it
+            {"algebra": "rees", "degree": 1, "dim": 1, "terms": [{
+                "coef": {**_op_series({3: _op((0, 0, "1/1"))}), "lower": 0, "trunc": 1},
+                "word": [_op_series({0: _op((0, 0, "1/1"))}), _op_series({0: _op((1, 0, "1/1"))})],
             }]},
         ],
     )

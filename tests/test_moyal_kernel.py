@@ -18,7 +18,7 @@ import pytest
 
 from starhom import suite, weyl
 from starhom.corpus import random_fraction
-from starhom.series import Poly, TSeries, accumulate
+from starhom.series import Poly, accumulate
 from starhom.weyl import (
     LieElement,
     WeylElement,
@@ -66,14 +66,13 @@ def reference_moyal_star(f, g, mutate_kernel_sign=False):
     d = f.dim
     gens = f.gens
     xs, xis = gens[:d], gens[d:]
-    fv, gv = f.value, g.value
-    lower = fv.lower + gv.lower
-    trunc = min(fv.trunc + gv.lower, gv.trunc + fv.lower)
+    lower = f.lower + g.lower
+    trunc = min(f.trunc + g.lower, g.trunc + f.lower)
     out = {}
-    g_tables = {n: bidiff_table(gn, xs, xis) for n, gn in gv.coeffs.items()}
-    for m, fm in fv.coeffs.items():
+    g_tables = {n: bidiff_table(gn, xs, xis) for n, gn in g.coeffs.items()}
+    for m, fm in f.coeffs.items():
         f_table = bidiff_table(fm, xis, xs)
-        for n in gv.coeffs:
+        for n in g.coeffs:
             if m + n >= trunc:
                 continue
             budget = trunc - 1 - (m + n)
@@ -85,7 +84,7 @@ def reference_moyal_star(f, g, mutate_kernel_sign=False):
                 sign = 1 if (mutate_kernel_sign or sum(beta) % 2 == 0) else -1
                 coef = Fraction(sign, 2**k * multi_factorial(alpha) * multi_factorial(beta))
                 accumulate(out, m + n + k, p1 * p2 * coef)
-    return WeylElement(TSeries(Poly.zero(gens), out, lower, trunc), d)
+    return WeylElement(Poly.zero(gens), out, lower, trunc)
 
 
 def products(mutate):
@@ -107,7 +106,7 @@ def random_operand(rng, d, trunc):
             exp = tuple(rng.randint(0, 3) for _ in gens)
             accumulate(terms, exp, random_fraction(rng))
         coeffs[m] = Poly(gens, terms)
-    return WeylElement(TSeries(Poly.zero(gens), coeffs, lower, trunc), d)
+    return WeylElement(Poly.zero(gens), coeffs, lower, trunc)
 
 
 @pytest.mark.parametrize("mutate", [False, True])
@@ -123,9 +122,9 @@ def test_kernel_matches_reference(d, mutate):
             got = star(f, g)
             want = reference_moyal_star(f, g, mutate_kernel_sign=mutate)
             assert got.dim == want.dim
-            assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
-            assert got.value.coeffs == want.value.coeffs
-            negative += -1 in f.value.coeffs
+            assert (got.lower, got.trunc) == (want.lower, want.trunc)
+            assert got.coeffs == want.coeffs
+            negative += -1 in f.coeffs
             fractional += any(q.denominator > 1 for q, _, _ in f.monomials())
     assert negative and fractional
 
@@ -144,8 +143,8 @@ def test_commutator_is_the_difference_of_products(d, mutate):
             g = random_operand(rng, d, rng.randint(1, 9))
             got = commutator(f, g)
             want = star(f, g) - star(g, f)
-            assert (got.value.lower, got.value.trunc) == (want.value.lower, want.value.trunc)
-            assert got.value.coeffs == want.value.coeffs
+            assert (got.lower, got.trunc) == (want.lower, want.trunc)
+            assert got.coeffs == want.coeffs
             assert commutator(g, f) == -got
             nonzero += not got.is_zero()
     assert bool(nonzero) is not mutate

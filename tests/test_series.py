@@ -19,7 +19,7 @@ from starhom.series import (
     TSeries,
     accumulate,
 )
-from starhom.weyl import LieElement, WeylElement, weyl_gens
+from starhom.weyl import LieElement, WeylElement, star_commutator, weyl_gens
 
 GENS = ("x", "xi")
 Z = Poly.zero(GENS)
@@ -136,7 +136,7 @@ class TestTSeries:
 
     def test_generator_mismatch(self):
         a = TSeries(Z, {0: x}, 0, 5)
-        b = TSeries.const(("x", "y"), 1, 5)
+        b = TSeries(Poly.zero(("x", "y")), {0: Poly.const(("x", "y"), 1)}, 0, 5)
         with pytest.raises(GeneratorMismatch):
             a + b
 
@@ -210,32 +210,42 @@ class TestAccumulate:
 
 
 W1 = weyl_gens(1)
-RING_VALUES = [
-    Poly.zero(GENS),
-    x - 2,
-    TSeries.zero(GENS, 4),
-    TSeries.from_poly(xi, 4, t_exp=1),
-    TSeries(Q_ZERO),
-    TSeries(Q_ZERO, {-1: Fraction(2)}),
-    TSeries(Q_ZERO, {}, 0, 4),
-    TSeries(Q_ZERO, {3: Fraction(1)}, 0, 4),
-    DiffOp(1),
-    DiffOp.x(1, 1),
-    OpSeries(1),
-    OpSeries.from_op(DiffOp.const(1, 3), 2),
-    WeylElement(TSeries.zero(W1, 4), 1),
-    WeylElement.const(1, Fraction(1, 2), 4),
-    LieElement(WeylElement(TSeries.zero(W1, 4), 1)),
-    LieElement(WeylElement.from_poly(Poly.gen(W1, "x1"), 1, 4, t_exp=-1)),
-    FormalVectorField(2, [Poly.zero(fiber_z_names(2))] * 2, 4),
-    FormalVectorField.d_zh(2, 2, 4),
-]
+# values of each ring type, by the constructor that builds them
+RING_VALUES = {
+    "Poly": [Poly.zero(GENS), x - 2],
+    "TSeries": [
+        TSeries(Z, {}, 0, 4),
+        TSeries(Z, {1: xi}, 0, 4),
+        TSeries(Q_ZERO),
+        TSeries(Q_ZERO, {-1: Fraction(2)}),
+        TSeries(Q_ZERO, {}, 0, 4),
+        TSeries(Q_ZERO, {3: Fraction(1)}, 0, 4),
+    ],
+    "DiffOp": [DiffOp(1), DiffOp.x(1, 1)],
+    "OpSeries": [OpSeries(1), OpSeries.from_op(DiffOp.const(1, 3), 2)],
+    "WeylElement": [WeylElement.zero(W1, 4), WeylElement.const(W1, Fraction(1, 2), 4)],
+    "LieElement": [
+        LieElement(WeylElement.zero(W1, 4)),
+        LieElement(WeylElement.from_poly(Poly.gen(W1, "x1"), 4, t_exp=-1)),
+    ],
+    "FormalVectorField": [
+        FormalVectorField(2, [Poly.zero(fiber_z_names(2))] * 2, 4),
+        FormalVectorField.d_zh(2, 2, 4),
+    ],
+}
 
 
 class TestTruthiness:
     """The ring types are false exactly when they are zero, as Fraction is."""
 
-    @pytest.mark.parametrize("value", RING_VALUES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(v, id=f"{name}{i}")
+            for name, values in RING_VALUES.items()
+            for i, v in enumerate(values)
+        ],
+    )
     def test_bool_is_not_is_zero(self, value):
         assert bool(value) == (not value.is_zero())
         cancelled = value + (-value)
@@ -350,10 +360,13 @@ COEFFICIENTS = {
 }
 # a series over each ring with coefficients of another ring or rank
 FOREIGN = {
-    "Fraction": [TSeries(Poly.zero(W1), {0: Poly.gen(W1, "x1")}), OpSeries.from_op(DiffOp.x(1, 1))],
+    "Fraction": [
+        WeylElement(Poly.zero(W1), {0: Poly.gen(W1, "x1")}, None, None),
+        OpSeries.from_op(DiffOp.x(1, 1)),
+    ],
     "Poly": [
         TSeries(Q_ZERO, {0: Fraction(1)}, 0, 6),
-        TSeries.from_poly(Poly.gen(weyl_gens(2), "x2"), 6),
+        WeylElement.from_poly(Poly.gen(weyl_gens(2), "x2"), 6),
     ],
     "DiffOp": [TSeries(Q_ZERO, {0: Fraction(1)}), OpSeries.from_op(DiffOp.x(2, 1))],
 }
@@ -361,13 +374,16 @@ FOREIGN = {
 
 def series_over(ring: str, data, window: bool) -> TSeries:
     """A series over ``ring`` with a few t-powers in [-1, 3]; windowed ones
-    have lower in {-1, 0} and trunc in 1..4.  Exact series over DiffOp are
-    ``OpSeries``, so that their product is drawn too."""
+    have lower in {-1, 0} and trunc in 1..4.  Series over Poly are
+    ``WeylElement`` values and exact series over DiffOp are ``OpSeries``,
+    so that their products are drawn too."""
     zero, coefficient = COEFFICIENTS[ring]
     lower = data.draw(st.integers(-1, 0)) if window else None
     trunc = data.draw(st.integers(1, 4)) if window else None
     powers = st.integers(-1 if lower is None else lower, 3)
     coeffs = data.draw(st.dictionaries(powers, coefficient, max_size=3))
+    if ring == "Poly":
+        return WeylElement(zero, coeffs, lower, trunc)
     if ring == "DiffOp" and not window:
         return OpSeries(1, coeffs)
     return TSeries(zero, coeffs, lower, trunc)
@@ -387,7 +403,8 @@ def revalidated(s: TSeries) -> TSeries:
 
 @pytest.mark.parametrize("ring", sorted(COEFFICIENTS))
 class TestSeriesLaws:
-    """The laws of ``TSeries`` over Q, over Poly and over DiffOp."""
+    """The laws of ``TSeries`` over Q, over Poly (as ``WeylElement``) and
+    over DiffOp; every result keeps the operands' type."""
 
     @given(data=st.data(), window=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -398,9 +415,14 @@ class TestSeriesLaws:
         results += [a.mul_monomial(0, 1), a.map_coeffs(lambda c: c * q)]
         if window:
             results.append(a.with_lower(-2))
+        if isinstance(a, (OpSeries, WeylElement)):
+            results += [a * q, q * a, a.scalar_part()]
         if isinstance(a, OpSeries):
-            results += [a * b, a * b - b * a, a.scalar_part()]
+            results += [a * b, a * b - b * a]
+        if isinstance(a, WeylElement) and window:
+            results += [a * b, star_commutator(a, b), a.bracket(b)]
         for r in results:
+            assert type(r) is type(a)
             assert r == revalidated(r)
 
     @given(data=st.data())

@@ -22,25 +22,25 @@ x = Poly.gen(G1, "x1")
 xi = Poly.gen(G1, "xi1")
 
 
-def lift(p, dim=1, trunc=6, t_exp=0):
-    return WeylElement.from_poly(p, dim, trunc, t_exp)
+def lift(p, trunc=6, t_exp=0):
+    return WeylElement.from_poly(p, trunc, t_exp)
 
 
 def t_times(q, dim=1, trunc=6, e=1):
     gens = weyl_gens(dim)
-    return WeylElement.from_poly(Poly.const(gens, q), dim, trunc, t_exp=e)
+    return WeylElement.from_poly(Poly.const(gens, q), trunc, t_exp=e)
 
 
 def symbol_bracket(f, g):
     """The t^1 coefficient of the star commutator of the t-independent lifts."""
-    return star_commutator(lift(f, trunc=2), lift(g, trunc=2)).value.coefficient(1)
+    return star_commutator(lift(f, trunc=2), lift(g, trunc=2)).coefficient(1)
 
 
 class TestMoyalStar:
     def test_x_star_xi(self):
         got = moyal_star(lift(x), lift(xi))
         want = TSeries(Poly.zero(G1), {0: x * xi, 1: Poly.const(G1, Fraction(-1, 2))}, 0, 6)
-        assert got.value == want
+        assert got == want
 
     def test_unit(self):
         f = lift(x * xi + x)
@@ -59,18 +59,18 @@ class TestMoyalStar:
             0,
             6,
         )
-        assert got.value == want
+        assert got == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(SeriesError):
-            moyal_star(lift(x), WeylElement.from_poly(Poly.gen(weyl_gens(2), "x1"), 2, 6))
+            moyal_star(lift(x), lift(Poly.gen(weyl_gens(2), "x1")))
 
     def test_associativity_random(self):
         rng = random.Random(20)
         for _ in range(25):
             d = rng.choice((1, 2))
             f, g, h = (
-                lift(random_poly(rng, weyl_gens(d), max_degree=4, terms=3), d)
+                lift(random_poly(rng, weyl_gens(d), max_degree=4, terms=3))
                 for _ in range(3)
             )
             lhs = moyal_star(moyal_star(f, g), h)
@@ -86,7 +86,7 @@ class TestMoyalStar:
         f = lift(x * xi)      # weight 2
         g = lift(xi * xi)     # weight 2
         prod = moyal_star(f, g)
-        for e, p in prod.value.coeffs.items():
+        for e, p in prod.coeffs.items():
             for exp in p.terms:
                 assert sum(exp) + 2 * e == 4
 
@@ -98,8 +98,8 @@ class TestBrackets:
 
     def test_same_block_brackets_vanish(self):
         g2 = weyl_gens(2)
-        x1, x2 = (lift(Poly.gen(g2, n), 2) for n in ("x1", "x2"))
-        xi1, xi2 = (lift(Poly.gen(g2, n), 2) for n in ("xi1", "xi2"))
+        x1, x2 = (lift(Poly.gen(g2, n)) for n in ("x1", "x2"))
+        xi1, xi2 = (lift(Poly.gen(g2, n)) for n in ("xi1", "xi2"))
         assert star_commutator(x1, x2).is_zero()
         assert star_commutator(xi1, xi2).is_zero()
 
@@ -137,7 +137,7 @@ class TestLieAlgebra:
         b = LieElement(lift(xi * xi, t_exp=-1))
         got = lie_bracket(a, b)
         want = lift(x * xi * Fraction(-4), t_exp=-1)
-        assert (got.value - want).is_zero()
+        assert (got - want).is_zero()
 
     def test_central_elements(self):
         g = LieElement(lift(x * xi + x, t_exp=-1))
@@ -149,16 +149,43 @@ class TestLieAlgebra:
         h = LieElement(lift(x * xi, t_exp=-1))
         z = LieElement(lift(x, t_exp=-1))
         got = lie_bracket(h, z)
-        assert (got.value - lift(x, t_exp=-1)).is_zero()
+        assert (got - lift(x, t_exp=-1)).is_zero()
 
 
-def ad_matrix(elem: LieElement, dim: int):
+class TestLieElementIsAWeylElement:
+    def test_t_minus_two_rejected(self):
+        with pytest.raises(SeriesError):
+            LieElement(lift(x, t_exp=-2))
+
+    def test_returns_its_argument(self):
+        w = lift(x * xi, t_exp=-1)
+        assert LieElement(w) is w
+        assert type(w) is WeylElement
+
+    def test_bracket_is_a_plain_weyl_element(self):
+        rng = random.Random("lie-bracket")
+        for _ in range(20):
+            a, b = (LieElement(lift(random_poly(rng, G1, 3, 2), t_exp=-1)) for _ in range(2))
+            got = a.bracket(b)
+            assert type(got) is WeylElement
+            assert got == lie_bracket(a, b)
+            assert LieElement(got) is got
+            assert got.lower == -1
+
+    def test_sums_and_scalars_stay_weyl_elements(self):
+        a, b = LieElement(lift(x * x, t_exp=-1)), LieElement(lift(xi, t_exp=-1))
+        for got in (a + b, a - b, -a, a.scale(3), a * Fraction(1, 2), 2 * a):
+            assert type(got) is WeylElement
+            assert LieElement(got) is got
+
+
+def ad_matrix(elem: WeylElement, dim: int):
     """Matrix of [elem, -] on the span of the 2d linear generators."""
     gens = weyl_gens(dim)
     cols = []
     for name in gens:
-        v = LieElement(WeylElement.from_poly(Poly.gen(gens, name), dim, 6))
-        image = lie_bracket(elem, v).value.value
+        v = LieElement(WeylElement.from_poly(Poly.gen(gens, name), 6))
+        image = lie_bracket(elem, v)
         col = []
         linear = image.coefficient(0)
         for target in gens:
@@ -169,7 +196,7 @@ def ad_matrix(elem: LieElement, dim: int):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def quadratic_form(q, dim: int) -> LieElement:
+def quadratic_form(q, dim: int) -> WeylElement:
     """(sum_{u,v} Q_uv w_u w_v) / t with w = (x_1..x_d, xi_1..xi_d)."""
     gens = weyl_gens(dim)
     n = 2 * dim
@@ -181,7 +208,7 @@ def quadratic_form(q, dim: int) -> LieElement:
                 exp[u] += 1
                 exp[v] += 1
                 quad = quad + Poly.monomial(gens, exp, q[u][v])
-    return LieElement(WeylElement.from_poly(quad, dim, 8, t_exp=-1))
+    return LieElement(WeylElement.from_poly(quad, 8, t_exp=-1))
 
 
 class TestEmbeddings:
@@ -211,7 +238,7 @@ class TestEmbeddings:
     def test_gl_embed_displays_trace_correction(self):
         got = gl_embed([[1]], 1)
         want = TSeries(Poly.zero(G1), {-1: x * xi, 0: Poly.const(G1, Fraction(-1, 2))}, -1, 8)
-        assert got.value.value == want
+        assert got == want
 
     def test_gl_embed_zero(self):
         assert gl_embed([[0, 0], [0, 0]], 2).is_zero()
@@ -230,7 +257,7 @@ class TestEmbeddings:
             ]
             lhs = lie_bracket(gl_embed(a, 2), gl_embed(b, 2))
             rhs = gl_embed(comm, 2, trunc=7)
-            assert (lhs.value - rhs.value).is_zero()
+            assert (lhs - rhs).is_zero()
 
     def test_gl_vs_quadratic_embedding_differ_by_center(self):
         g2 = weyl_gens(2)
@@ -243,8 +270,8 @@ class TestEmbeddings:
                     exp[i] += 1
                     exp[2 + j] += 1
                     quad = quad + Poly.monomial(g2, exp, a[i][j])
-        std = WeylElement.from_poly(quad, 2, 8, t_exp=-1)
-        diff = gl_embed(a, 2).value - std
-        for e, p in diff.value.coeffs.items():
+        std = WeylElement.from_poly(quad, 8, t_exp=-1)
+        diff = gl_embed(a, 2) - std
+        for e, p in diff.coeffs.items():
             assert p.is_constant()
 

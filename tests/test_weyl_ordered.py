@@ -25,7 +25,7 @@ from starhom.rees import (
     diffop_mul,
     localized_to_weyl,
 )
-from starhom.series import EmptyWindow, Poly, SeriesError, TSeries, accumulate
+from starhom.series import EmptyWindow, Poly, SeriesError, accumulate
 from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gens
 
 
@@ -40,7 +40,7 @@ def default_trunc(s):
 def truncated(s, trunc):
     """``s`` in the window [s.lower, min(s.trunc, trunc)), through the
     checked constructor, which drops exponents at or above the window."""
-    return TSeries(s.ring, s.coeffs, s.lower, min(s.trunc, trunc))
+    return WeylElement(s.ring, s.coeffs, s.lower, min(s.trunc, trunc))
 
 
 def reference_localized_to_weyl(s, trunc=None, gens=None):
@@ -52,47 +52,45 @@ def reference_localized_to_weyl(s, trunc=None, gens=None):
     for p, op in s.coeffs.items():
         for (_, de), _ in op.terms.items():
             lower = min(lower, p - sum(de))
-    acc = WeylElement(TSeries.zero(gens, trunc, lower=lower), dim)
+    acc = WeylElement.zero(gens, trunc, lower=lower)
     for p, op in s.coeffs.items():
         for (xe, de), q in op.terms.items():
             x_part = WeylElement.from_poly(
-                Poly.monomial(gens, tuple(xe) + (0,) * dim, q), dim, trunc + sum(de) + 1
+                Poly.monomial(gens, tuple(xe) + (0,) * dim, q), trunc + sum(de) + 1
             )
             xi_part = WeylElement.from_poly(
-                Poly.monomial(gens, (0,) * dim + tuple(de), 1), dim, trunc + sum(de) + 1
+                Poly.monomial(gens, (0,) * dim + tuple(de), 1), trunc + sum(de) + 1
             )
-            word = moyal_star(x_part, xi_part).value.shift(p - sum(de))
-            acc = acc + WeylElement(truncated(word, trunc).with_lower(lower), dim)
+            word = moyal_star(x_part, xi_part).shift(p - sum(de))
+            acc = acc + truncated(word, trunc).with_lower(lower)
     return acc
 
 
 def reference_gl_embed(rows, dim, trunc=8):
     gens = weyl_gens(dim)
-    acc = WeylElement(TSeries.zero(gens, trunc, lower=-1), dim)
+    acc = WeylElement.zero(gens, trunc, lower=-1)
     for i in range(dim):
-        lift_x = WeylElement(TSeries.from_poly(Poly.gen(gens, gens[i]), trunc + 1), dim)
+        lift_x = WeylElement.from_poly(Poly.gen(gens, gens[i]), trunc + 1)
         for j in range(dim):
             if not rows[i][j]:
                 continue
-            xi_over_t = WeylElement(
-                TSeries.from_poly(Poly.gen(gens, gens[dim + j]), trunc + 1, t_exp=-1), dim
-            )
+            xi_over_t = WeylElement.from_poly(Poly.gen(gens, gens[dim + j]), trunc + 1, t_exp=-1)
             acc = acc + moyal_star(lift_x, xi_over_t).scale(rows[i][j])
-    return LieElement(WeylElement(truncated(acc.value, trunc), dim))
+    return LieElement(truncated(acc, trunc))
 
 
 def reference_i_map(v, t_trunc=8):
     d = v.dim
     gens = fiber_weyl_names(d)
-    acc = WeylElement(TSeries.zero(gens, t_trunc, lower=-1), d)
+    acc = WeylElement.zero(gens, t_trunc, lower=-1)
     for j in range(d):
         p = v.comps[j]
         if p.is_zero():
             continue
         ext = Poly(gens, {exp + (0,) * d: q for exp, q in p.terms.items()})
-        left = WeylElement.from_poly(ext, d, t_trunc + 1)
-        right = WeylElement.from_poly(Poly.gen(gens, gens[d + j]), d, t_trunc + 1, t_exp=-1)
-        acc = acc + WeylElement(truncated(moyal_star(left, right).value, t_trunc), d)
+        left = WeylElement.from_poly(ext, t_trunc + 1)
+        right = WeylElement.from_poly(Poly.gen(gens, gens[d + j]), t_trunc + 1, t_exp=-1)
+        acc = acc + truncated(moyal_star(left, right), t_trunc)
     return LieElement(acc)
 
 
@@ -102,8 +100,7 @@ def outcome(fn, *args, **kwargs):
         w = fn(*args, **kwargs)
     except SeriesError as exc:
         return type(exc), str(exc)
-    w = w.value if isinstance(w, LieElement) else w
-    return w.value.lower, w.value.trunc, w.value.coeffs
+    return w.lower, w.trunc, w.coeffs
 
 
 def random_op_series(rng, dim):
@@ -138,7 +135,7 @@ def test_localized_to_weyl_matches_reference(trunc):
         assert got[:2] == (lower, want_trunc)
         assert {e: p for e, p in got[2].items() if e < top} == coeffs
         # a reference window wide enough for every grade agrees on all of [lower, trunc)
-        wide = reference_localized_to_weyl(kept, trunc=want_trunc + 9).value
+        wide = reference_localized_to_weyl(kept, trunc=want_trunc + 9)
         wide = truncated(wide, want_trunc)
         assert got == (wide.lower, wide.trunc, wide.coeffs)
     assert shrunk > 0
@@ -153,7 +150,7 @@ def test_window_rule_examples():
     x = DiffOp.x(1, 1)
     cut = localized_to_weyl(OpSeries.from_op(x, 5) + OpSeries.from_op(x, 0), trunc=2)
     assert cut == localized_to_weyl(OpSeries.from_op(x, 0), trunc=2)
-    deep = localized_to_weyl(OpSeries.from_op(x, -3), trunc=5).value
+    deep = localized_to_weyl(OpSeries.from_op(x, -3), trunc=5)
     assert (deep.lower, deep.trunc) == (-3, 5)
 
 

@@ -67,7 +67,7 @@ def random_diffop(rng: random.Random, dim: int) -> DiffOp:
     for _ in range(2):
         xe = tuple(rng.randint(0, 2) for _ in range(dim))
         de = tuple(rng.randint(0, 2) for _ in range(dim))
-        accumulate(table, (xe, de), random_fraction(rng))
+        accumulate(table, xe + de, random_fraction(rng))
     op = DiffOp(dim, table)
     if op.is_zero():
         op = DiffOp.x(dim, 1)

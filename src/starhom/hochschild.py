@@ -14,9 +14,9 @@ A (x) Abar^p).  Four algebras are wired in:
 The slot values (``Poly``, ``WeylElement``, ``OpSeries``) answer the chain
 layer themselves: ``*``, ``-``, ``is_zero``, ``key``, ``scalar_part``,
 ``monomials`` and ``lowest_term``.  ``WeylElement`` and ``OpSeries`` are
-the two subclasses of ``series.TSeries``, and all but their ``*`` and
-``scalar_part`` is written once there.  An ``AlgebraHandle`` is plain
-data: the kind, the unit and the window of the scalars.
+the two subclasses of ``series.TSeries``, and all but their ``*`` is
+written once there.  An ``AlgebraHandle`` is plain data: the kind, the
+unit and the window of the scalars.
 
 Every word coefficient is a ``TSeries`` over Q: a sparse Laurent
 polynomial in t.  Over ``weyl`` and ``weyl-loc`` it carries a window

@@ -1,7 +1,9 @@
 """Polynomial differential operators, their order filtration, and the Rees ring.
 
 A ``DiffOp`` is stored in normal order (all coordinate factors to the left
-of all derivatives); products are normal-ordered through the Leibniz rule
+of all derivatives) as a ``series.Poly`` over x_1..x_d, D_1..D_d, so its
+symbol d -> xi renames generators and keeps the terms.  Products are
+normal-ordered through the Leibniz rule
 
     d^b x^c = sum_k  C(b,k) c!/(c-k)!  x^(c-k) d^(b-k).
 
@@ -26,8 +28,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, perm
+from operator import add, sub
 
-from .series import Poly, SeriesError, TSeries, accumulate, as_fraction
+from .series import Poly, SeriesError, TSeries, _numerators, accumulate
 from .weyl import WeylElement, weyl_gens, weyl_ordered
 
 
@@ -35,162 +38,86 @@ class FiltrationError(SeriesError):
     """An operator was placed below its filtration level."""
 
 
-class DiffOp:
-    """Normal-ordered polynomial differential operator in d variables.
-
-    ``terms`` maps pairs (x-multi-index, d-multi-index) to Fractions.
+class DiffOp(Poly):
+    """Normal-ordered polynomial differential operator in d variables: a
+    ``Poly`` over x_1..x_d, D_1..D_d whose term x^a D^b is the operator
+    x^a d^b.  A term's key is one exponent tuple, the x-part then the
+    d-part.  Sums, scalars, keys and equality are Poly's own, and their
+    results are again operators; the product is ``diffop_mul``, and Poly's
+    commutative ``mul_truncated`` and ``substitute`` do not apply.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms=None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for (xe, de), coef in terms.items():
-                xe, de = tuple(int(e) for e in xe), tuple(int(e) for e in de)
-                if len(xe) != dim or len(de) != dim:
-                    raise SeriesError(f"multi-index length mismatch for dim {dim}")
-                if any(e < 0 for e in xe + de):
-                    raise SeriesError("negative multi-index entry")
-                accumulate(clean, (xe, de), as_fraction(coef))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "terms", clean)
+        super().__init__(weyl_gens(dim, "x", "D"), terms)
 
-    @classmethod
-    def _raw(cls, dim: int, terms: dict) -> DiffOp:
-        """Trusted constructor for results of DiffOp's own operations:
-        ``terms`` has (x, d) tuple-pair keys of length ``dim`` and no zero
-        coefficients.  Nothing is copied or checked."""
-        op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "terms", terms)
-        return op
-
-    def __setattr__(self, *_):
-        raise AttributeError("DiffOp is immutable")
+    @property
+    def dim(self) -> int:
+        return len(self.gens) // 2
 
     @classmethod
     def one(cls, dim: int) -> DiffOp:
-        z = (0,) * dim
-        return cls(dim, {(z, z): 1})
-
-    @classmethod
-    def const(cls, dim: int, q) -> DiffOp:
-        z = (0,) * dim
-        return cls(dim, {(z, z): q})
+        return cls(dim, {(0,) * (2 * dim): 1})
 
     @classmethod
     def x(cls, dim: int, i: int) -> DiffOp:
         """The multiplication operator by x_i (1-based)."""
-        xe = tuple(1 if j == i - 1 else 0 for j in range(dim))
-        return cls(dim, {(xe, (0,) * dim): 1})
+        return cls(dim, {tuple(int(j == i - 1) for j in range(2 * dim)): 1})
 
     @classmethod
     def d(cls, dim: int, i: int) -> DiffOp:
         """The derivative d/dx_i (1-based)."""
-        de = tuple(1 if j == i - 1 else 0 for j in range(dim))
-        return cls(dim, {((0,) * dim, de): 1})
+        return cls(dim, {tuple(int(j == dim + i - 1) for j in range(2 * dim)): 1})
 
     def order(self) -> int:
         """Maximal total derivative degree; -1 for the zero operator."""
-        if not self.terms:
-            return -1
-        return max(sum(de) for _, de in self.terms)
+        d = self.dim
+        return max((sum(e[d:]) for e in self.terms), default=-1)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def order_part(self, p: int) -> DiffOp:
+        d = self.dim
+        return self._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e[d:]) == p})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_constant(self) -> bool:
-        return all(not any(xe) and not any(de) for xe, de in self.terms)
-
-    def constant_term(self) -> Fraction:
-        z = (0,) * self.dim
-        return self.terms.get((z, z), Fraction(0))
-
-    def key(self):
-        return tuple(sorted(self.terms.items()))
-
-    def _check(self, other: DiffOp):
-        if self.dim != other.dim:
-            raise SeriesError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: DiffOp) -> DiffOp:
-        self._check(other)
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            accumulate(out, key, q)
-        return DiffOp._raw(self.dim, out)
-
-    def __neg__(self) -> DiffOp:
-        return DiffOp._raw(self.dim, {k: -q for k, q in self.terms.items()})
-
-    def __sub__(self, other: DiffOp) -> DiffOp:
-        return self + (-other)
-
-    def scale(self, q) -> DiffOp:
-        q = as_fraction(q)
-        if not q:
-            return DiffOp._raw(self.dim, {})
-        return DiffOp._raw(self.dim, {k: c * q for k, c in self.terms.items()})
+    def symbol(self) -> Poly:
+        """Full symbol: x^a d^b -> x^a xi^b over the 2d Darboux generators."""
+        return Poly._raw(weyl_gens(self.dim), self.terms)
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
             return diffop_mul(self, other)
-        return self.scale(other)
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 
-    def order_part(self, p: int) -> DiffOp:
-        return DiffOp._raw(self.dim, {k: q for k, q in self.terms.items() if sum(k[1]) == p})
-
-    def symbol(self) -> Poly:
-        """Full symbol: x^a d^b -> x^a xi^b over the 2d Darboux generators."""
-        out = {}
-        for (xe, de), q in self.terms.items():
-            out[tuple(xe) + tuple(de)] = q
-        return Poly(weyl_gens(self.dim), out)
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, self.key()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (xe, de), q in sorted(self.terms.items()):
-            mono = "".join(
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(xe) if e
-            ) + "".join(
-                f"D{i + 1}^{e}" if e > 1 else f"D{i + 1}" for i, e in enumerate(de) if e
-            )
-            bits.append(f"{q}*{mono}" if mono else str(q))
-        return " + ".join(bits)
-
 
 def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Normal-ordered product; order(ab) <= order(a) + order(b)."""
+    """Normal-ordered product; order(ab) <= order(a) + order(b).
+
+    It runs on integer numerators over one common denominator per operand,
+    as ``Poly`` products do, with the integer Leibniz weights above, and
+    builds one Fraction per nonzero output term."""
     a._check(b)
     dim = a.dim
-    out: dict[tuple, Fraction] = {}
-    for (ax, ad), qa in a.terms.items():
-        for (bx, bd), qb in b.terms.items():
+    aden, (left,) = _numerators(a.terms)
+    bden, (right,) = _numerators(b.terms)
+    sums: dict[tuple, int] = {}
+    for ae, na in left:
+        ad = ae[dim:]
+        for be, nb in right:
+            bx = be[:dim]
             # commute d^ad past x^bx one variable at a time
             ranges = [range(min(ad[i], bx[i]) + 1) for i in range(dim)]
+            base = tuple(map(add, ae, be))
             for kvec in itertools.product(*ranges):
-                coef = qa * qb
+                w = na * nb
                 for i, k in enumerate(kvec):
                     if k:
-                        coef *= comb(ad[i], k) * perm(bx[i], k)
-                xe = tuple(ax[i] + bx[i] - kvec[i] for i in range(dim))
-                de = tuple(ad[i] + bd[i] - kvec[i] for i in range(dim))
-                accumulate(out, (xe, de), coef)
-    return DiffOp._raw(dim, out)
+                        w *= comb(ad[i], k) * perm(bx[i], k)
+                exp = tuple(map(sub, base, kvec + kvec))
+                sums[exp] = sums.get(exp, 0) + w
+    den = aden * bden
+    return a._raw(a.gens, {exp: Fraction(v, den) for exp, v in sums.items() if v})
 
 
 class OpSeries(TSeries):
@@ -214,9 +141,6 @@ class OpSeries(TSeries):
     @classmethod
     def from_op(cls, op: DiffOp, t_exp: int = 0) -> OpSeries:
         return cls(op.dim, {t_exp: op})
-
-    def scalar_part(self) -> OpSeries:
-        return self.map_coeffs(lambda op: DiffOp.const(self.dim, op.constant_term()))
 
     def __mul__(self, other):
         if not isinstance(other, OpSeries):
@@ -267,8 +191,10 @@ def localized_to_weyl(s: OpSeries, trunc: int | None = None) -> WeylElement:
     """
     terms = []
     top = lower = 0
+    d = s.dim
     for p, op in s.coeffs.items():
-        for (xe, de), q in op.terms.items():
+        for e, q in op.terms.items():
+            xe, de = e[:d], e[d:]
             m = p - sum(de)
             terms.append((xe, de, m, q))
             top = max(top, m + min(sum(xe), sum(de)))

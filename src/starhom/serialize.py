@@ -173,25 +173,35 @@ def weyl_to_json(w: WeylElement) -> dict:
 
 
 def weyl_from_json(doc: dict, dim: int | None = None, trunc: int = 8) -> WeylElement:
+    """A Weyl value: a windowed series, or a polynomial placed in the window
+    [0, trunc).  The document's own "trunc" is that window, in place of the
+    one passed in, and must be a windowed value's own."""
     dim = _dim_from(_object(doc, "a Weyl element"), dim)
     if dim is None:
         raise DecodeError("dimension required")
     gens = weyl_gens(dim)
+    declared = "trunc" in doc
+    if declared:
+        trunc = _int_from(doc["trunc"], "truncation")
     body = _object(doc.get("value", doc), "a Weyl element value")
-    if "coeffs" in body:
-        return tseries_from_json(body, gens)
-    return WeylElement.from_poly(poly_from_json(body, gens), trunc)
+    if "coeffs" not in body:
+        return WeylElement.from_poly(poly_from_json(body, gens), trunc)
+    w = tseries_from_json(body, gens)
+    if declared and w.trunc != trunc:
+        raise DecodeError(f"declared truncation {trunc} is not the value's {w.trunc}")
+    return w
 
 
 # -- differential operators ------------------------------------------------------
 
 
 def diffop_to_json(op: DiffOp) -> dict:
+    d = op.dim
     return {
-        "dim": op.dim,
+        "dim": d,
         "terms": [
-            {"x": list(xe), "d": list(de), "coef": format_fraction(q)}
-            for (xe, de), q in sorted(op.terms.items())
+            {"x": list(e[:d]), "d": list(e[d:]), "coef": format_fraction(q)}
+            for e, q in sorted(op.terms.items())
         ],
     }
 
@@ -204,7 +214,9 @@ def diffop_from_json(doc: dict, dim: int | None = None) -> DiffOp:
     for item in _need_objects(doc, "terms"):
         xe = _ints_from(_need(item, "x"), "x multi-index")
         de = _ints_from(_need(item, "d"), "d multi-index")
-        key = (xe, de)
+        if len(xe) != dim or len(de) != dim:
+            raise DecodeError(f"multi-index length mismatch for dim {dim}")
+        key = xe + de
         terms[key] = terms.get(key, Fraction(0)) + _fraction_from(_need(item, "coef"))
     try:
         return DiffOp(dim, terms)
@@ -270,7 +282,7 @@ def _coeff_to_json(handle: AlgebraHandle, coeff: TSeries) -> object:
     if handle.kind == "rees":
         dim = handle.unit.dim
         return opseries_to_json(
-            OpSeries(dim, {e: DiffOp.const(dim, q) for e, q in coeff.coeffs.items()})
+            OpSeries(dim, {e: DiffOp.one(dim) * q for e, q in coeff.coeffs.items()})
         )
     gens = handle.unit.gens
     consts = {e: Poly.const(gens, q) for e, q in coeff.coeffs.items()}

@@ -1,11 +1,15 @@
 """Exact polynomial and truncated t-series arithmetic.
 
 Everything downstream (star products, Hochschild chains, curvature forms,
-characteristic classes) is built on two types:
+characteristic classes, differential operators) is built on two types:
 
-* ``Poly``: a multivariate polynomial over a fixed, ordered tuple of
-  generator names, with ``fractions.Fraction`` coefficients.  Exact, no
-  floating point anywhere.
+* ``Poly``: a sparse multivariate polynomial over a fixed, ordered tuple
+  of generator names, with ``fractions.Fraction`` coefficients.  Exact, no
+  floating point anywhere.  Its subclass ``rees.DiffOp`` is the
+  normal-ordered differential operators, a Poly over x_1..x_d, D_1..D_d
+  with the operator product.  Sums, negation and scalars are built
+  through ``Poly._raw`` on the operand's own class, so an operator stays
+  one.
 * ``TSeries``: a sparse Laurent polynomial in a central variable ``t``
   over a coefficient ring, with an optional validity window
   ``[lower, trunc)``; binary operations intersect windows so that a
@@ -174,7 +178,7 @@ class Poly:
         return self.terms.get((0,) * len(self.gens), Fraction(0))
 
     def scalar_part(self) -> Poly:
-        return Poly.const(self.gens, self.constant_term())
+        return self.const(self.gens, self.constant_term())
 
     def lowest_term(self) -> tuple[Fraction, int]:
         """(q, 0) for the coefficient q of the least exponent; nonzero only."""
@@ -203,21 +207,21 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(self.gens, other)
+            other = self.const(self.gens, other)
         self._check(other)
         out = dict(self.terms)
         for exp, q in other.terms.items():
             accumulate(out, exp, q)
-        return Poly._raw(self.gens, out)
+        return self._raw(self.gens, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.gens, {e: -q for e, q in self.terms.items()})
+        return self._raw(self.gens, {e: -q for e, q in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(self.gens, other)
+            other = self.const(self.gens, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -227,8 +231,8 @@ class Poly:
         if not isinstance(other, Poly):
             q = as_fraction(other)
             if not q:
-                return Poly._raw(self.gens, {})
-            return Poly._raw(self.gens, {e: c * q for e, c in self.terms.items()})
+                return self._raw(self.gens, {})
+            return self._raw(self.gens, {e: c * q for e, c in self.terms.items()})
         return self._product(other, None)
 
     __rmul__ = __mul__
@@ -265,7 +269,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.const(self.gens, 1)
+        result = self.const(self.gens, 1)
         base = self
         while n:
             if n & 1:
@@ -425,14 +429,18 @@ class TSeries:
     def lowest_term(self) -> tuple[Fraction, int]:
         """(q, m): the least t-power m and, inside its coefficient's
         ``terms``, the coefficient q of the least basis key; defined on
-        nonzero series over Poly or DiffOp."""
+        nonzero series over Poly, a DiffOp ring included."""
         m = min(self.coeffs)
         c = self.coeffs[m]
         return c.terms[min(c.terms)], m
 
     def monomials(self) -> list:
-        """The terms as (q, t-power, basis key) triples, over Poly or DiffOp."""
+        """The terms as (q, t-power, basis key) triples, over Poly."""
         return [(q, e, key) for e, c in self.coeffs.items() for key, q in c.terms.items()]
+
+    def scalar_part(self) -> TSeries:
+        """The constant term of every coefficient, over Poly."""
+        return self.map_coeffs(Poly.scalar_part)
 
     def key(self):
         """Canonical hashable form; deliberately ignores the window so that
@@ -545,8 +553,8 @@ Q_ZERO = Fraction(0)
 
 def _check_ring(zero, c) -> None:
     """Raise a SeriesError unless ``c`` lies in the ring whose zero is
-    ``zero``: the same type and, for a Poly or a DiffOp, the ring's own
-    check of generators or dimension."""
+    ``zero``: the same type and, for a Poly (a DiffOp is one), the same
+    generators."""
     if type(c) is not type(zero):
         raise SeriesError(
             f"a {type(c).__name__} coefficient in a series over {type(zero).__name__}"

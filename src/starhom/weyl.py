@@ -92,9 +92,6 @@ class WeylElement(TSeries):
     def dim(self) -> int:
         return len(self.ring.gens) // 2
 
-    def scalar_part(self) -> WeylElement:
-        return self.map_coeffs(Poly.scalar_part)
-
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             return moyal_star(self, other)

@@ -670,6 +670,14 @@ class TestChainDocumentShape:
                 "coef": {**_op_series({3: _op((0, 0, "1/1"))}), "lower": 0, "trunc": 1},
                 "word": [_op_series({0: _op((0, 0, "1/1"))}), _op_series({0: _op((1, 0, "1/1"))})],
             }]},
+            # an x multi-index of length 2 and a d multi-index of length 0 at dim 1
+            {"algebra": "rees", "degree": 1, "dim": 1, "terms": [{
+                "coef": "1/1",
+                "word": [
+                    _op_series({0: _op((0, 0, "1/1"))}),
+                    _op_series({0: {"dim": 1, "terms": [{"x": [1, 0], "d": [], "coef": "1/1"}]}}),
+                ],
+            }]},
         ],
     )
     def test_wrong_shapes_exit_2(self, capsys, monkeypatch, doc):
@@ -716,6 +724,28 @@ class TestChainDocumentShape:
         code, out, err = run_cli(capsys, "hb", "--json", "-")
         assert code == EXIT_MALFORMED
         assert out == "" and "dimension" in err
+
+
+class TestWeylDocumentWindow:
+    """A Weyl document's "trunc" is the window of its value: it must be a
+    windowed value's own, and it places a polynomial value in [0, trunc)
+    in place of --trunc-t."""
+
+    @pytest.mark.parametrize("trunc", [99, "abc"])
+    def test_trunc_other_than_the_value_s_exits_2(self, capsys, monkeypatch, trunc):
+        f = {"dim": 1, "trunc": trunc, "value": _t_series(0, 3, {0: _poly((1, 0, "1/1"))})}
+        doc = {"f": f, "g": _poly((0, 1, "1/1"))}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "star", "--json", "-")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error:")
+
+    def test_trunc_windows_a_polynomial(self, capsys, monkeypatch):
+        doc = {"f": {"dim": 1, "trunc": 3, "value": _poly((1, 0, "1/1"))}, "g": _poly((0, 1, "1/1"))}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "star", "--trunc-t", "6", "--json", "-")
+        assert code == EXIT_OK
+        assert json.loads(out)["trunc"] == 3
 
 
 WEYL_SLOT = {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}

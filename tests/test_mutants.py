@@ -29,8 +29,8 @@ MUTANTS = [
     (
         "diffop-binomial",
         "rees.py",
-        "coef *= comb(ad[i], k) * perm(bx[i], k)",
-        "coef *= comb(ad[i], k) * comb(bx[i], k)",
+        "w *= comb(ad[i], k) * perm(bx[i], k)",
+        "w *= comb(ad[i], k) * comb(bx[i], k)",
         "check_rees_structure",
         None,
     ),

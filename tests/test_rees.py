@@ -1,8 +1,10 @@
 """Differential operators, the graded ring of the order filtration, and
 its structure maps."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from starhom.rees import (
     localized_to_weyl,
     rees_sigma,
 )
-from starhom.series import Poly
+from starhom.series import GeneratorMismatch, Poly, accumulate
 from starhom.weyl import WeylElement, moyal_star, star_commutator, weyl_gens
 
 D = DiffOp.d(1, 1)
@@ -28,14 +30,14 @@ G1 = weyl_gens(1)
 
 class TestDiffOp:
     def test_leibniz(self):
-        assert diffop_mul(D, X) == DiffOp(1, {((1,), (1,)): 1, ((0,), (0,)): 1})
+        assert diffop_mul(D, X) == DiffOp(1, {(1, 1): 1, (0, 0): 1})
 
     def test_already_ordered(self):
-        assert diffop_mul(X, D) == DiffOp(1, {((1,), (1,)): 1})
+        assert diffop_mul(X, D) == DiffOp(1, {(1, 1): 1})
 
     def test_iterated_leibniz(self):
         got = diffop_mul(diffop_mul(D, D), X)
-        assert got == DiffOp(1, {((1,), (2,)): 1, ((0,), (1,)): 2})
+        assert got == DiffOp(1, {(1, 2): 1, (0, 1): 2})
 
     def test_order_bound(self):
         rng = random.Random("order")
@@ -170,7 +172,7 @@ class TestWeylImage:
 
 
 small_ops = st.builds(
-    lambda terms: DiffOp(1, {((i,), (j,)): Fraction(c) for (i, j), c in terms}),
+    lambda terms: DiffOp(1, {(i, j): Fraction(c) for (i, j), c in terms}),
     st.lists(
         st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3)),
         max_size=3,
@@ -191,5 +193,86 @@ class TestOperationsBuildCanonicalValues:
     def test_diffop_product_that_cancels(self):
         # (x + D)(x - D) = x^2 - xD + (xD + 1) - D^2: the xD terms cancel
         r = diffop_mul(X + D, X - D)
-        assert r.terms == {((2,), (0,)): 1, ((0,), (0,)): 1, ((0,), (2,)): -1}
+        assert r.terms == {(2, 0): 1, (0, 0): 1, (0, 2): -1}
         assert all(type(q) is Fraction for q in r.terms.values())
+
+
+class TestDiffOpIsAPoly:
+    """An operator is a Poly over x_1..x_d, D_1..D_d: Poly's sums, scalars
+    and scalar part return operators, and only ``*`` differs."""
+
+    A = DiffOp(2, {(1, 0, 0, 2): Fraction(1, 2), (0, 1, 1, 0): -2, (0, 0, 0, 0): 3})
+    B = DiffOp.d(2, 1) + DiffOp.x(2, 2)
+
+    def test_generators(self):
+        assert isinstance(self.A, Poly) and DiffOp.__slots__ == ()
+        assert self.A.gens == weyl_gens(2, "x", "D") and self.A.dim == 2
+
+    def test_ring_operations_stay_operators(self):
+        a, b = self.A, self.B
+        q = Fraction(2, 3)
+        results = [a + b, a - b, -a, a * q, q * a, a * 0, a + 1, a.scalar_part(), a.order_part(2)]
+        for got in results:
+            assert type(got) is DiffOp
+            assert got == DiffOp(got.dim, got.terms)
+        assert a.scalar_part() == DiffOp.one(2) * 3
+        assert a.order_part(2) == DiffOp(2, {(1, 0, 0, 2): Fraction(1, 2)})
+
+    def test_poly_over_darboux_generators_is_another_ring(self):
+        p = Poly.gen(weyl_gens(2), "x1")
+        for op in (lambda: self.A + p, lambda: p + self.A, lambda: self.A * p, lambda: p * self.A):
+            with pytest.raises(GeneratorMismatch):
+                op()
+
+    def test_symbol_renames_the_generators(self):
+        sym = self.A.symbol()
+        assert type(sym) is Poly
+        assert sym.gens == weyl_gens(2)
+        assert sym.terms == self.A.terms
+
+
+def reference_diffop_mul(a, b):
+    """The Fraction Leibniz loop that ``diffop_mul`` replaced: one Fraction
+    product per pair of terms and per power commuted."""
+    dim = a.dim
+    out = {}
+    for ae, qa in a.terms.items():
+        ax, ad = ae[:dim], ae[dim:]
+        for be, qb in b.terms.items():
+            bx, bd = be[:dim], be[dim:]
+            ranges = [range(min(ad[i], bx[i]) + 1) for i in range(dim)]
+            for kvec in itertools.product(*ranges):
+                coef = qa * qb
+                for i, k in enumerate(kvec):
+                    if k:
+                        coef *= comb(ad[i], k) * perm(bx[i], k)
+                xe = tuple(ax[i] + bx[i] - kvec[i] for i in range(dim))
+                de = tuple(ad[i] + bd[i] - kvec[i] for i in range(dim))
+                accumulate(out, xe + de, coef)
+    return out
+
+
+def operators(dim):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * (2 * dim)),
+        st.fractions(-4, 4, max_denominator=6),
+        max_size=4,
+    ).map(lambda terms: DiffOp(dim, terms))
+
+
+operator_pairs = st.integers(1, 3).flatmap(lambda d: st.tuples(operators(d), operators(d)))
+
+
+class TestIntegerLeibnizKernel:
+    """``diffop_mul`` equals the Fraction Leibniz loop term by term."""
+
+    @given(operator_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fraction_loop(self, pair):
+        a, b = pair
+        # (a + b)(a - b) cancels the terms where a and b commute
+        for left, right in ((a, b), (b, a), (a + b, a - b)):
+            got = diffop_mul(left, right)
+            assert type(got) is DiffOp and got.gens == a.gens
+            assert got.terms == reference_diffop_mul(left, right)
+            assert all(type(q) is Fraction and q for q in got.terms.values())

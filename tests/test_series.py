@@ -222,7 +222,7 @@ RING_VALUES = {
         TSeries(Q_ZERO, {3: Fraction(1)}, 0, 4),
     ],
     "DiffOp": [DiffOp(1), DiffOp.x(1, 1)],
-    "OpSeries": [OpSeries(1), OpSeries.from_op(DiffOp.const(1, 3), 2)],
+    "OpSeries": [OpSeries(1), OpSeries.from_op(DiffOp.one(1) * 3, 2)],
     "WeylElement": [WeylElement.zero(W1, 4), WeylElement.const(W1, Fraction(1, 2), 4)],
     "LieElement": [
         LieElement(WeylElement.zero(W1, 4)),
@@ -355,7 +355,7 @@ COEFFICIENTS = {
         DiffOp(1),
         st.dictionaries(
             st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3
-        ).map(lambda terms: DiffOp(1, {((i,), (j,)): q for (i, j), q in terms.items()})),
+        ).map(lambda terms: DiffOp(1, terms)),
     ),
 }
 # a series over each ring with coefficients of another ring or rank
@@ -393,11 +393,11 @@ def revalidated(s: TSeries) -> TSeries:
     """The same data passed through the checked constructors."""
     for c in s.coeffs.values():
         assert c
-        if isinstance(c, Poly):
-            assert c == revalidated_poly(c)
-        elif isinstance(c, DiffOp):
+        if isinstance(c, DiffOp):
             assert all(type(q) is Fraction for q in c.terms.values())
             assert c == DiffOp(c.dim, c.terms)
+        elif isinstance(c, Poly):
+            assert c == revalidated_poly(c)
     return TSeries(s.ring, s.coeffs, s.lower, s.trunc)
 
 

@@ -29,10 +29,16 @@ from starhom.series import EmptyWindow, Poly, SeriesError, accumulate
 from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gens
 
 
+def split(op, e):
+    """The x- and d-multi-indices of an operator's term key."""
+    return e[:op.dim], e[op.dim:]
+
+
 def default_trunc(s):
     top = 0
     for p, op in s.coeffs.items():
-        for (xe, de), _ in op.terms.items():
+        for e in op.terms:
+            xe, de = split(op, e)
             top = max(top, p - sum(de) + min(sum(xe), sum(de)))
     return top + 1
 
@@ -50,11 +56,12 @@ def reference_localized_to_weyl(s, trunc=None, gens=None):
         trunc = default_trunc(s)
     lower = 0
     for p, op in s.coeffs.items():
-        for (_, de), _ in op.terms.items():
-            lower = min(lower, p - sum(de))
+        for e in op.terms:
+            lower = min(lower, p - sum(split(op, e)[1]))
     acc = WeylElement.zero(gens, trunc, lower=lower)
     for p, op in s.coeffs.items():
-        for (xe, de), q in op.terms.items():
+        for e, q in op.terms.items():
+            xe, de = split(op, e)
             x_part = WeylElement.from_poly(
                 Poly.monomial(gens, tuple(xe) + (0,) * dim, q), trunc + sum(de) + 1
             )
@@ -114,7 +121,7 @@ def below_window(s, trunc):
     """``s`` without its terms x^a d^b in grade p with p - |b| >= trunc."""
     comps = {}
     for p, op in s.coeffs.items():
-        comps[p] = DiffOp(s.dim, {k: q for k, q in op.terms.items() if p - sum(k[1]) < trunc})
+        comps[p] = DiffOp(s.dim, {k: q for k, q in op.terms.items() if p - sum(split(op, k)[1]) < trunc})
     return OpSeries(s.dim, comps)
 
 

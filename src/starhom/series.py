@@ -34,7 +34,8 @@ Products run on integers.  ``_numerators`` scales each operand to one
 common denominator; the product loop multiplies and sums int numerators
 per output exponent and builds one ``Fraction`` per nonzero output term,
 over the product of the two denominators.  ``Poly`` products (``*`` and
-``mul_truncated``) and the Moyal kernel in ``weyl`` share that helper.
+``mul_truncated``), the Moyal kernel in ``weyl`` and the operator product
+in ``rees`` share that helper.
 """
 
 from __future__ import annotations

@@ -121,7 +121,8 @@ def below_window(s, trunc):
     """``s`` without its terms x^a d^b in grade p with p - |b| >= trunc."""
     comps = {}
     for p, op in s.coeffs.items():
-        comps[p] = DiffOp(s.dim, {k: q for k, q in op.terms.items() if p - sum(split(op, k)[1]) < trunc})
+        kept = {k: q for k, q in op.terms.items() if p - sum(split(op, k)[1]) < trunc}
+        comps[p] = DiffOp(s.dim, kept)
     return OpSeries(s.dim, comps)
 
 

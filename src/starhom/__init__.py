@@ -32,7 +32,7 @@ from .hochschild import (
     rees_handle,
     weyl_handle,
 )
-from .hkr import DForm, de_rham, hkr_map, wedge
+from .hkr import DForm, de_rham, hkr_map
 from .charclass import (
     ChernClassExpr,
     ChernRootSeries,

@@ -116,8 +116,8 @@ def cmd_verify_cycle(args) -> int:
 
 def cmd_hkr(args) -> int:
     chain = _load_chain(args)
-    form = hkr_map(chain)
-    _emit(serialize.dform_to_json(form), f"form with {len(form.terms)} term(s)")
+    doc = serialize.dform_to_json(hkr_map(chain))
+    _emit(doc, f"form with {len(doc['terms'])} term(s)")
     return EXIT_OK
 
 

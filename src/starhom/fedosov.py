@@ -6,7 +6,12 @@ Geometry model: a chart with base coordinates z_1..z_d (or z's and xi's on
 the cotangent chart), and a formal fiber with coordinates zh_1..zh_d and,
 on the Lie side, momenta xih_1..xih_d plus the central deformation
 variable t.  Base functions are polynomials and commute with fiber values,
-so a form is stored as wedge-index -> base-monomial -> fiber value.
+so a connection form is an ``hkr.DForm`` over the ring of its values,
+keyed by (wedge index, base exponent): sums, scalars, the exterior
+derivative and the graded bracket are the form's own.  ``LieValuedForm``
+adds the half square (1/2)[A, A] of a 1-form and the cut at a fiber
+degree.  A scalar form times the fiber unit is a central Lie-valued form
+(``central_scalar_form``).
 
 The flatness recursion solves
 
@@ -20,12 +25,14 @@ delta again; a nonzero residue means the input connection had torsion.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
-from .hkr import _merge_sign
+from .hkr import DForm, _merge_sign
 from .series import Poly, SeriesError, accumulate, as_fraction
 from .weyl import LieElement, WeylElement, weyl_gens, weyl_ordered
 
@@ -80,6 +87,11 @@ class FormalVectorField:
         raise AttributeError("FormalVectorField is immutable")
 
     @classmethod
+    def zero(cls, dim: int, fiber_trunc: int) -> FormalVectorField:
+        """The zero field: it names the ring of vector-field-valued forms."""
+        return cls._raw(dim, (Poly.zero(fiber_z_names(dim)),) * dim, fiber_trunc)
+
+    @classmethod
     def d_zh(cls, dim: int, i: int, fiber_trunc: int) -> FormalVectorField:
         """The constant field d/dzh_i (1-based)."""
         names = fiber_z_names(dim)
@@ -108,12 +120,13 @@ class FormalVectorField:
         )
 
     def __neg__(self) -> FormalVectorField:
-        return self.scale(-1)
+        return self * -1
 
     def __sub__(self, other: FormalVectorField) -> FormalVectorField:
         return self + (-other)
 
-    def scale(self, q) -> FormalVectorField:
+    def __mul__(self, q) -> FormalVectorField:
+        """Exact multiplication by a rational q."""
         return FormalVectorField._raw(
             self.dim, tuple(p * q for p in self.comps), self.fiber_trunc
         )
@@ -198,163 +211,31 @@ def _lie_filter(a: WeylElement, keep) -> WeylElement:
     return WeylElement(a.ring, kept, a.lower, a.trunc)
 
 
-class LieValuedForm:
-    """Differential form on a chart with Lie-algebra values.
+class LieValuedForm(DForm):
+    """A connection form on a chart: an ``hkr.DForm`` whose values are
+    FormalVectorFields (its ring a ``FormalVectorField.zero``) or
+    WeylElements in (1/t)W (its ring a ``WeylElement`` zero).  Sums,
+    scalars, ``exterior_d``, ``bracket`` and ``map_values`` are the form's
+    own, and their results are again connection forms."""
 
-    ``terms`` maps (wedge-index tuple, base-monomial exponent) to a value:
-    a FormalVectorField (kind 'vf') or a WeylElement in (1/t)W (kind
-    'lie').  Base coefficients are central for the value bracket.
-    """
-
-    __slots__ = ("base", "kind", "terms")
-
-    def __init__(self, base, kind: str, terms=None):
-        base = tuple(base)
-        if kind not in ("vf", "lie"):
-            raise SeriesError(f"unknown value kind {kind!r}")
-        clean = {}
-        for (widx, bexp), val in (terms or {}).items():
-            widx = tuple(int(i) for i in widx)
-            bexp = tuple(int(e) for e in bexp)
-            if list(widx) != sorted(set(widx)):
-                raise SeriesError(f"wedge indices must be strictly increasing: {widx}")
-            if widx and (widx[0] < 0 or widx[-1] >= len(base)):
-                raise SeriesError(f"wedge index out of range: {widx}")
-            if len(bexp) != len(base):
-                raise SeriesError("base exponent length mismatch")
-            accumulate(clean, (widx, bexp), val)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LieValuedForm is immutable")
-
-    @classmethod
-    def zero(cls, base, kind: str) -> LieValuedForm:
-        return cls(base, kind, {})
-
-    @classmethod
-    def from_entries(cls, base, kind: str, entries) -> LieValuedForm:
-        """entries: iterable of (widx, base Poly, value); the polynomial is
-        expanded into monomials with rational factors folded into values."""
-        base = tuple(base)
-        terms: dict = {}
-        for widx, bpoly, val in entries:
-            if bpoly.gens != base:
-                raise SeriesError("base polynomial over the wrong chart")
-            for bexp, q in bpoly.terms.items():
-                accumulate(terms, (tuple(widx), bexp), val.scale(q))
-        return cls(base, kind, terms)
-
-    def _check(self, other: LieValuedForm):
-        if self.base != other.base or self.kind != other.kind:
-            raise SeriesError("form type mismatch")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def form_degrees(self) -> list[int]:
-        return sorted({len(w) for w, _ in self.terms})
-
-    def __add__(self, other: LieValuedForm) -> LieValuedForm:
-        self._check(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            accumulate(out, key, val)
-        return LieValuedForm(self.base, self.kind, out)
-
-    def __neg__(self) -> LieValuedForm:
-        return self.scale(-1)
-
-    def __sub__(self, other: LieValuedForm) -> LieValuedForm:
-        return self + (-other)
-
-    def scale(self, q) -> LieValuedForm:
-        return LieValuedForm(
-            self.base, self.kind, {k: v.scale(q) for k, v in self.terms.items()}
-        )
-
-    def map_values(self, fn, kind: str | None = None) -> LieValuedForm:
-        out = {}
-        for key, val in self.terms.items():
-            new = fn(val)
-            if not new.is_zero():
-                out[key] = new
-        return LieValuedForm(self.base, kind or self.kind, out)
-
-    def exterior_d(self) -> LieValuedForm:
-        """Base exterior derivative; fiber values ride along."""
-        out: dict = {}
-        for (widx, bexp), val in self.terms.items():
-            for i in range(len(self.base)):
-                if not bexp[i]:
-                    continue
-                merged = _merge_sign((i,), widx)
-                if merged is None:
-                    continue
-                sign, new_widx = merged
-                new_bexp = list(bexp)
-                new_bexp[i] -= 1
-                accumulate(
-                    out, (new_widx, tuple(new_bexp)), val.scale(Fraction(sign) * bexp[i])
-                )
-        return LieValuedForm(self.base, self.kind, out)
-
-    def _bracket_pairs(self, pairs) -> LieValuedForm:
-        """The sum over ``pairs`` of terms (((w1, b1), v1), ((w2, b2), v2))
-        of the wedge of w1 and w2 on the base times [v1, v2] on values."""
-        out: dict = {}
-        for ((w1, b1), v1), ((w2, b2), v2) in pairs:
-            merged = _merge_sign(w1, w2)
-            if merged is None:
-                continue
-            sign, widx = merged
-            val = v1.bracket(v2)
-            if val.is_zero():
-                continue
-            bexp = tuple(a + b for a, b in zip(b1, b2))
-            accumulate(out, (widx, bexp), val.scale(sign))
-        return LieValuedForm(self.base, self.kind, out)
-
-    def bracket(self, other: LieValuedForm) -> LieValuedForm:
-        """Graded bracket: wedge on the base, Lie bracket on values."""
-        self._check(other)
-        return self._bracket_pairs(product(self.terms.items(), other.terms.items()))
+    __slots__ = ()
 
     def half_square(self) -> LieValuedForm:
         """(1/2)[A, A] of a 1-form, summed once per unordered pair of terms:
         the ordered pairs (s, t) and (t, s) of [A, A] contribute the same,
         since the wedge sign and the value bracket both flip, and a term's
         wedge with itself vanishes."""
-        if self.form_degrees() not in ([], [1]):
+        if any(len(widx) != 1 for widx, _ in self.terms):
             raise SeriesError("the half square is summed only on a pure 1-form")
-        return self._bracket_pairs(combinations(self.terms.items(), 2))
+        return self._graded(combinations(self.terms.items(), 2), lambda u, v: u.bracket(v))
 
     def fiber_truncate(self, k: int) -> LieValuedForm:
         """Drop all graded pieces of fiber degree above k."""
-        if self.kind == "vf":
+        if isinstance(self.ring, FormalVectorField):
             return self.map_values(
                 lambda v: v.map_components(lambda p: p.truncate_degree(k + 1))
             )
         return self.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) + 2 * e <= k))
-
-    def __eq__(self, other):
-        if not isinstance(other, LieValuedForm):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if not self.terms:
-            return f"0 ({self.kind} form)"
-        bits = []
-        for (widx, bexp) in sorted(self.terms, key=lambda k: (len(k[0]), k)):
-            wedge = "^".join(f"d{self.base[i]}" for i in widx) or "1"
-            mono = "".join(
-                f"{g}^{e}" if e > 1 else g for g, e in zip(self.base, bexp) if e
-            ) or ""
-            bits.append(f"{mono}{wedge}(x){self.terms[(widx, bexp)]!r}")
-        return " + ".join(bits)
 
 
 def curvature(a: LieValuedForm) -> LieValuedForm:
@@ -379,8 +260,8 @@ def _delta(form: LieValuedForm) -> LieValuedForm:
             if merged is None:
                 continue
             sign, new_widx = merged
-            accumulate(out, (new_widx, bexp), dval.scale(sign))
-    return LieValuedForm(form.base, "vf", out)
+            accumulate(out, (new_widx, bexp), dval * sign)
+    return form._raw(form.base, form.ring, out)
 
 
 def _delta_star(form: LieValuedForm) -> LieValuedForm:
@@ -391,26 +272,26 @@ def _delta_star(form: LieValuedForm) -> LieValuedForm:
         for pos, i in enumerate(widx):
             sign = (-1) ** pos
             zi = Poly.gen(names, names[i])
-            new_val = val.map_components(lambda p, z=zi: p * z).scale(sign)
+            new_val = val.map_components(lambda p, z=zi: p * z) * sign
             if new_val.is_zero():
                 continue
             new_widx = widx[:pos] + widx[pos + 1 :]
             accumulate(out, (new_widx, bexp), new_val)
-    return LieValuedForm(form.base, "vf", out)
+    return form._raw(form.base, form.ring, out)
 
 
 def _delta_inv(form: LieValuedForm) -> LieValuedForm:
     """delta^* scaled by 1/(m+q) on each (fiber degree m, form degree q)
     piece; the unique delta-exact preimage when the input is delta-closed."""
-    out = LieValuedForm.zero(form.base, "vf")
+    out = LieValuedForm(form.base, form.ring, {})
     for (widx, bexp), val in form.terms.items():
         q_deg = len(widx)
         for m in {sum(e) for p in val.comps for e in p.terms}:
             piece = val.map_components(lambda p, m=m: p.homogeneous_part(m))
             if piece.is_zero() or m + q_deg == 0:
                 continue
-            single = LieValuedForm(form.base, "vf", {(widx, bexp): piece})
-            out = out + _delta_star(single).scale(Fraction(1, m + q_deg))
+            single = form._raw(form.base, form.ring, {(widx, bexp): piece})
+            out = out + _delta_star(single) * Fraction(1, m + q_deg)
     return out
 
 
@@ -424,10 +305,7 @@ class AssembledConnection:
     components: dict
 
     def total(self) -> LieValuedForm:
-        out = LieValuedForm.zero(self.base, "vf")
-        for form in self.components.values():
-            out = out + form
-        return out
+        return functools.reduce(operator.add, self.components.values())
 
 
 def tautological_shift_form(base, dim: int, fiber_trunc: int) -> LieValuedForm:
@@ -435,10 +313,8 @@ def tautological_shift_form(base, dim: int, fiber_trunc: int) -> LieValuedForm:
     base = tuple(base)
     terms = {}
     for i in range(dim):
-        terms[((i,), (0,) * len(base))] = FormalVectorField.d_zh(
-            dim, i + 1, fiber_trunc
-        ).scale(-1)
-    return LieValuedForm(base, "vf", terms)
+        terms[((i,), (0,) * len(base))] = -FormalVectorField.d_zh(dim, i + 1, fiber_trunc)
+    return LieValuedForm(base, FormalVectorField.zero(dim, fiber_trunc), terms)
 
 
 def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
@@ -454,7 +330,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     The obstruction sums [A^(i), A^(j)] once for each i < j, and the half
     square (1/2)[A^(i), A^(i)] for i == j; components are 1-forms.
     """
-    if a0.kind != "vf":
+    if not isinstance(a0.ring, FormalVectorField):
         raise SeriesError("expected a vector-field-valued form")
     dim = len(a0.base)
     fiber_trunc = fiber_deg + 4
@@ -465,7 +341,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     torsion = comps[-1].exterior_d() + comps[-1].bracket(comps[0])
     if not torsion.is_zero():
         raise TorsionError("degree -1 obstruction nonzero: the connection has torsion")
-    zero_form = LieValuedForm.zero(a0.base, "vf")
+    zero_form = LieValuedForm(a0.base, a0.ring, {})
     for k in range(0, fiber_deg + 1):
         obstruction = comps.get(k, zero_form).exterior_d()
         for i in range(0, k + 1):
@@ -489,32 +365,35 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
 # -- lifting and conjugation ----------------------------------------------------
 
 
-def central_scalar_form(base, dim: int, entries, t_trunc: int = 8) -> LieValuedForm:
-    """Scalar-valued form embedded as central Lie values: each entry
-    (widx, base Poly) times the fiber unit."""
-    unit = WeylElement.const(fiber_weyl_names(dim), 1, t_trunc)
-    return LieValuedForm.from_entries(base, "lie", [(widx, p, unit) for widx, p in entries])
+def central_scalar_form(form: DForm, dim: int, t_trunc: int = 8) -> LieValuedForm:
+    """A scalar form times the fiber unit: a form with central Lie values."""
+    gens = fiber_weyl_names(dim)
+    unit = WeylElement.const(gens, 1, t_trunc)
+    terms = {key: unit * q for key, q in form.terms.items()}
+    return LieValuedForm(form.base, WeylElement.zero(gens, t_trunc), terms)
 
 
 def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int = 8) -> LieValuedForm:
     """Apply the Weyl-ordered realization valuewise and add the central
     half-trace 1-form.  When ``a`` is flat through fiber degree K, the
     curvature of the lift is central through degree K."""
-    if a.kind != "vf":
+    if not isinstance(a.ring, FormalVectorField):
         raise SeriesError("expected a vector-field-valued form")
-    return a.map_values(lambda v: i_map(v, t_trunc=t_trunc), kind="lie") + half_trace
+    return a.map_values(lambda v: i_map(v, t_trunc=t_trunc)) + half_trace
+
+
+def trace_form(mform: dict, base, dim: int) -> DForm:
+    """The scalar form tr(a) of a matrix form {widx: matrix of base Polys}."""
+    zero = Poly.zero(base)
+    return DForm.scalar(
+        base, {widx: sum((m[i][i] for i in range(dim)), zero) for widx, m in mform.items()}
+    )
 
 
 def half_trace_form(a0_matrix_form: dict, base, dim: int, t_trunc: int = 8) -> LieValuedForm:
-    """(1/2) tr of a gl-valued matrix 1-form {widx: matrix of Polys}."""
-    entries = []
-    base = tuple(base)
-    for widx, matrix in a0_matrix_form.items():
-        tr = Poly.zero(base)
-        for i in range(dim):
-            tr = tr + matrix[i][i]
-        entries.append((widx, tr * Fraction(1, 2)))
-    return central_scalar_form(base, dim, entries, t_trunc=t_trunc)
+    """(1/2) tr of a gl-valued matrix 1-form {widx: matrix of Polys}, central."""
+    half_trace = trace_form(a0_matrix_form, base, dim) * Fraction(1, 2)
+    return central_scalar_form(half_trace, dim, t_trunc=t_trunc)
 
 
 def shift_conjugator(base, dim: int, t_trunc: int = 10) -> LieValuedForm:
@@ -523,21 +402,19 @@ def shift_conjugator(base, dim: int, t_trunc: int = 10) -> LieValuedForm:
     if len(base) != 2 * dim:
         raise SeriesError("the shift conjugation lives on a 2d-dimensional chart")
     gens = fiber_weyl_names(dim)
-    entries = []
+    terms = {}
     for i in range(dim):
         bexp = [0] * len(base)
         bexp[dim + i] = 1
         val = WeylElement.from_poly(Poly.gen(gens, gens[i]), t_trunc, t_exp=-1).scale(-1)
-        entries.append(
-            ((), Poly.monomial(base, bexp, 1), val)
-        )
-    return LieValuedForm.from_entries(base, "lie", entries)
+        terms[((), tuple(bexp))] = val
+    return LieValuedForm(base, WeylElement.zero(gens, t_trunc), terms)
 
 
 def _ad_series(h: LieValuedForm, form: LieValuedForm, weights) -> LieValuedForm:
     """sum_n weight(n) ad_h^n(form); terminates because ad_h lowers the
     fiber momentum degree strictly."""
-    out = form.scale(weights(0))
+    out = form * weights(0)
     current = form
     n = 0
     while not current.is_zero():
@@ -547,7 +424,7 @@ def _ad_series(h: LieValuedForm, form: LieValuedForm, weights) -> LieValuedForm:
         current = h.bracket(current)
         if current.is_zero():
             break
-        out = out + current.scale(weights(n))
+        out = out + current * weights(n)
     return out
 
 
@@ -560,7 +437,7 @@ def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int = 10)
     finite on polynomial values; the result is truncated at fiber degree
     fiber_deg (polynomial degree in the fiber variables).
     """
-    if a.kind != "lie":
+    if not isinstance(a.ring, WeylElement):
         raise SeriesError("expected a Lie-algebra-valued form")
     if fiber_deg < 2:
         # the cut would drop i(A^0), the quadratic gl(d) part of every lift
@@ -588,14 +465,12 @@ def _per_monomial(matrix, dim: int) -> dict[tuple, list]:
 
 def matrix_form_to_vf(mform: dict, base, dim: int, fiber_trunc: int) -> LieValuedForm:
     """{widx: matrix of base Polys} -> gl-valued (linear fields) form."""
-    base = tuple(base)
-    entries = []
-    for widx, matrix in mform.items():
-        for bexp, const_matrix in _per_monomial(matrix, dim).items():
-            entries.append(
-                (tuple(widx), Poly.monomial(base, bexp, 1), gl_to_vf(const_matrix, dim, fiber_trunc))
-            )
-    return LieValuedForm.from_entries(base, "vf", entries)
+    terms = {
+        (widx, bexp): gl_to_vf(const_matrix, dim, fiber_trunc)
+        for widx, matrix in mform.items()
+        for bexp, const_matrix in _per_monomial(matrix, dim).items()
+    }
+    return LieValuedForm(base, FormalVectorField.zero(dim, fiber_trunc), terms)
 
 
 def extend_base(form: LieValuedForm, new_base) -> LieValuedForm:
@@ -608,4 +483,4 @@ def extend_base(form: LieValuedForm, new_base) -> LieValuedForm:
     terms = {
         (widx, bexp + (0,) * pad): val for (widx, bexp), val in form.terms.items()
     }
-    return LieValuedForm(new_base, form.kind, terms)
+    return form._raw(new_base, form.ring, terms)

@@ -25,6 +25,7 @@ monomial x^a (t d)^b as the star product x^a * xi^b in that written order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, perm
@@ -120,6 +121,13 @@ def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:
     return a._raw(a.gens, {exp: Fraction(v, den) for exp, v in sums.items() if v})
 
 
+@functools.cache
+def op_ring(dim: int) -> DiffOp:
+    """The zero operator in ``dim`` variables: the one ring of every operator
+    series of that dimension, so that their ring checks hit on identity."""
+    return DiffOp(dim)
+
+
 class OpSeries(TSeries):
     """Finite Laurent polynomial in central t with DiffOp coefficients: the
     localized model E[t, t^-1].  It is an exact series (no window), since
@@ -128,7 +136,7 @@ class OpSeries(TSeries):
     __slots__ = ()
 
     def __init__(self, dim: int, comps=None):
-        super().__init__(DiffOp(dim), comps)
+        super().__init__(op_ring(dim), comps)
 
     @property
     def dim(self) -> int:

@@ -399,11 +399,15 @@ def chart_from_json(doc, base) -> dict | None:
 
 
 def dform_to_json(f: DForm) -> dict:
+    """A scalar form as one polynomial coefficient per wedge index."""
+    coefs: dict[tuple, dict] = {}
+    for (idx, exp), q in f.terms.items():
+        coefs.setdefault(idx, {})[exp] = q
     return {
-        "vars": list(f.vars),
+        "vars": list(f.base),
         "terms": [
-            {"wedge": list(idx), "coef": poly_to_json(f.terms[idx])}
-            for idx in sorted(f.terms, key=lambda i: (len(i), i))
+            {"wedge": list(idx), "coef": poly_to_json(Poly._raw(f.base, coefs[idx]))}
+            for idx in sorted(coefs, key=lambda i: (len(i), i))
         ],
     }
 

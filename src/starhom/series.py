@@ -158,11 +158,12 @@ class Poly:
         if name not in gens:
             raise GeneratorMismatch(f"unknown generator {name!r} (have {gens})")
         exp = tuple(1 if g == name else 0 for g in gens)
-        return cls(gens, {exp: 1})
+        return cls._raw(gens, {exp: Fraction(1)})
 
     @classmethod
     def monomial(cls, gens, exp, coef=1) -> Poly:
-        return cls(gens, {tuple(exp): coef})
+        p = Poly(gens, {tuple(exp): coef})
+        return cls._raw(p.gens, p.terms)
 
     # -- queries -----------------------------------------------------------
 

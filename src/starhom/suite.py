@@ -254,9 +254,7 @@ def check_hkr_chain_map(seed: int, scale: str) -> CheckResult:
     failures = []
     x, y, one = Poly.gen(gens, "x"), Poly.gen(gens, "y"), Poly.const(gens, 1)
     normalization = hkr.hkr_map(HochschildChain.single(ph, (one, x, y)))
-    want = hkr.wedge(hkr.DForm.d_gen(gens, 0), hkr.DForm.d_gen(gens, 1)).scale(
-        Fraction(1, 2)
-    )
+    want = hkr.DForm.d_gen(gens, 0) * hkr.DForm.d_gen(gens, 1) * Fraction(1, 2)
     if normalization != want:
         failures.append({"case": "normalization", "got": repr(normalization)})
 
@@ -388,16 +386,9 @@ def lift_curvature(conn: ChartConnection) -> list:
     """The lift's curvature is the central form (1/2) d(tr a0).  The expected
     value comes from the matrix trace through ``hkr.de_rham``, not from the
     half-trace form that the lift adds."""
-    zero = Poly.zero(conn.base)
-    trace = hkr.DForm(
-        conn.base,
-        {widx: sum((m[i][i] for i in range(conn.dim)), zero) for widx, m in conn.a0.items()},
-    )
+    trace = fedosov.trace_form(conn.a0, conn.base, conn.dim)
     want = fedosov.central_scalar_form(
-        conn.base,
-        conn.dim,
-        hkr.de_rham(trace).scale(Fraction(1, 2)).terms.items(),
-        t_trunc=conn.t_trunc,
+        hkr.de_rham(trace) * Fraction(1, 2), conn.dim, t_trunc=conn.t_trunc
     )
     got = conn.lifted_curvature
     if got == want:
@@ -424,9 +415,8 @@ def check_fedosov_curvature(seed: int, scale: str) -> CheckResult:
     cid, name = "C09", "fedosov-lift-curvature-identity"
     conn = ChartConnection(default_chart(2), 4, 8)
     failures = kazhdan_flatness(conn) + lift_curvature(conn)
-    frozen = fedosov.central_scalar_form(
-        conn.base, 2, [((0, 1), Poly.const(conn.base, Fraction(-1, 2)))], t_trunc=8
-    )
+    volume = hkr.DForm.d_gen(conn.base, 0) * hkr.DForm.d_gen(conn.base, 1)
+    frozen = fedosov.central_scalar_form(volume * Fraction(-1, 2), 2, t_trunc=8)
     if conn.lifted_curvature != frozen:
         failures.append({"case": "frozen-value", "got": repr(conn.lifted_curvature)})
     return result(cid, name, failures, {"fiber_trunc": 4, "trunc_t": 8})

@@ -380,7 +380,7 @@ class TestHalfTraceNormalization:
         original = fedosov.half_trace_form
 
         def doubled(*args, **kwargs):
-            return original(*args, **kwargs).scale(2)
+            return original(*args, **kwargs) * 2
 
         monkeypatch.setattr(fedosov, "half_trace_form", doubled)
         assert suite.check_fedosov_curvature(0, "small").status == "violated"
@@ -564,6 +564,11 @@ def _t_series(lower, trunc, coeffs):
     return {"lower": lower, "trunc": trunc, "coeffs": {str(e): p for e, p in coeffs.items()}}
 
 
+def _xyz(*terms):
+    """A polynomial document over x, y, z from (x, y, z exponents, coef)."""
+    return {"gens": ["x", "y", "z"], "terms": [{"exp": [a, b, c], "coef": q} for a, b, c, q in terms]}
+
+
 def _op(*terms):
     """An operator document in dimension 1 from (x-exponent, d-exponent, coef)."""
     return {"dim": 1, "terms": [{"x": [a], "d": [b], "coef": q} for a, b, q in terms]}
@@ -574,9 +579,9 @@ def _op_series(coeffs):
 
 
 class TestPinnedStdout:
-    """Recorded stdout bytes of three one-check commands and of the
-    negative controls, which ``suite.report`` builds, and of ``hb`` and
-    ``star`` on fixed documents."""
+    """Recorded stdout bytes of five one-check commands and of the
+    negative controls, which ``suite.report`` builds, and of ``hb``,
+    ``hkr`` and ``star`` on fixed documents."""
 
     @pytest.mark.parametrize(
         "argv,md5",
@@ -585,10 +590,57 @@ class TestPinnedStdout:
             ("verify-cycle --chain phi_E --dim 2", "40306e7678d07f44617a3327f7c19d5f"),
             ("fedosov --check flat --dim 2 --fiber-trunc 4", "c527ef11e3a46b09120313e5efe0673b"),
             ("rees --check to-weyl", "610eb3dde5c9c06823ce8fcdb689ad07"),
+            ("fedosov --check lift-curvature --dim 2 --fiber-trunc 4",
+             "9d51caaa9de74e4ca83633edfa748278"),
+            ("fedosov --check psi --dim 1 --fiber-trunc 3", "c4983bbca781dee4591856d52306d6ec"),
         ],
     )
     def test_stdout_md5(self, capsys, argv, md5):
         _, out, _ = run_cli(capsys, *argv.split())
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+
+    @pytest.mark.parametrize(
+        "doc,md5",
+        [
+            # a 0-form with two monomials
+            (
+                {"algebra": "poly", "degree": 0, "terms": [
+                    {"coef": "3/2", "word": [_xyz((1, 1, 0, "1/1"), (0, 0, 1, "2/3"))]},
+                ]},
+                "580b9526ef34966602bee8a0413f8dff",
+            ),
+            # a 1-form with the monomial xy under dx and dy
+            (
+                {"algebra": "poly", "degree": 1, "terms": [
+                    {"coef": "1/1", "word": [_xyz((1, 1, 0, "1/1")),
+                                             _xyz((1, 0, 0, "1/1"), (0, 1, 0, "1/1"))]},
+                    {"coef": "-1/2", "word": [_xyz((0, 0, 1, "1/1")), _xyz((2, 0, 0, "1/1"))]},
+                ]},
+                "fc0ee4b41eaff8c11069190916d29e65",
+            ),
+            # a 2-form with each of yz, xz and xy under two wedge indices
+            (
+                {"algebra": "poly", "degree": 2, "terms": [
+                    {"coef": "1/1", "word": [
+                        _xyz((0, 0, 0, "1/1")),
+                        _xyz((1, 1, 1, "1/1")),
+                        _xyz((1, 0, 0, "1/1"), (0, 1, 0, "1/1"), (0, 0, 1, "1/1")),
+                    ]},
+                    {"coef": "2/3", "word": [
+                        _xyz((1, 0, 0, "1/1")), _xyz((0, 1, 0, "1/1")), _xyz((0, 0, 2, "1/1")),
+                    ]},
+                ]},
+                "9511fbf99c495ee31d7a247c3652dc81",
+            ),
+        ],
+        ids=["0-form", "1-form", "2-form"],
+    )
+    def test_hkr_stdout_md5(self, capsys, monkeypatch, doc, md5):
+        """The form JSON format: one entry per wedge index, its monomials
+        gathered into one polynomial."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "hkr", "--json", "-")
+        assert code == EXIT_OK
         assert hashlib.md5(out.encode()).hexdigest() == md5
 
     @pytest.mark.parametrize(

@@ -26,13 +26,27 @@ from starhom.fedosov import (
     shift_conjugator,
     tautological_shift_form,
 )
-from starhom.series import Poly, SeriesError
+from starhom.hkr import DForm
+from starhom.series import Poly, SeriesError, accumulate
 from starhom.suite import default_chart
 from starhom.weyl import LieElement, WeylElement, lie_bracket
 
 BASE2 = ("z1", "z2")
 N1 = fiber_z_names(1)
 N2 = fiber_z_names(2)
+# the value rings: vector fields and Weyl values over fibers of dimension 1, 2
+VF1, VF2 = FormalVectorField.zero(1, 8), FormalVectorField.zero(2, 8)
+LIE1, LIE2 = (WeylElement.zero(fiber_weyl_names(d), 8) for d in (1, 2))
+
+
+def from_entries(base, ring, entries):
+    """The form sum_(I, p, v) p dz_I (x) v over entries (I, base Poly p,
+    value v), each monomial's coefficient folded into its value."""
+    terms = {}
+    for widx, bpoly, val in entries:
+        for bexp, q in bpoly.terms.items():
+            accumulate(terms, (widx, bexp), val * q)
+    return LieValuedForm(base, ring, terms)
 
 
 def rvf(rng, dim=2, trunc=8, max_deg=2):
@@ -109,7 +123,7 @@ class TestVectorFields:
             assert u.bracket(v).comps == tuple(comps)
 
     def test_trusted_paths_equal_checked_constructor(self):
-        """``bracket``, ``scale``, ``+`` and ``-`` on fields of one
+        """``bracket``, ``* q``, ``+`` and ``-`` on fields of one
         fiber_trunc skip the constructor's cut; each result equals what the
         checked constructor gives on the uncut components."""
         rng = random.Random("trusted-paths")
@@ -129,7 +143,7 @@ class TestVectorFields:
                 for j in range(2)
             ]
             cases = [
-                (u.scale(q), [p * q for p in u.comps]),
+                (u * q, [p * q for p in u.comps]),
                 (u + v, [a + b for a, b in zip(u.comps, v.comps)]),
                 (u - v, [a - b for a, b in zip(u.comps, v.comps)]),
                 (-u, [-p for p in u.comps]),
@@ -193,14 +207,12 @@ class TestIMap:
 
 def e11_form(trunc=7):
     z2p = Poly.gen(BASE2, "z2")
-    return LieValuedForm.from_entries(
-        BASE2, "vf", [((0,), z2p, gl_to_vf([[1, 0], [0, 0]], 2, trunc))]
-    )
+    return from_entries(BASE2, VF2, [((0,), z2p, gl_to_vf([[1, 0], [0, 0]], 2, trunc))])
 
 
 class TestCurvature:
     def test_zero_connection(self):
-        assert curvature(LieValuedForm.zero(BASE2, "vf")).is_zero()
+        assert curvature(LieValuedForm(BASE2, VF2, {})).is_zero()
 
     def test_flat_shift_form(self):
         shift = tautological_shift_form(BASE2, 2, 6)
@@ -208,14 +220,14 @@ class TestCurvature:
 
     def test_gl_example(self):
         got = curvature(e11_form())
-        want = LieValuedForm.from_entries(
-            BASE2, "vf", [((0, 1), Poly.const(BASE2, -1), gl_to_vf([[1, 0], [0, 0]], 2, 7))]
+        want = from_entries(
+            BASE2, VF2, [((0, 1), Poly.const(BASE2, -1), gl_to_vf([[1, 0], [0, 0]], 2, 7))]
         )
         assert got == want
 
     def test_rejects_two_forms(self):
-        two_form = LieValuedForm.from_entries(
-            BASE2, "vf", [((0, 1), Poly.const(BASE2, 1), gl_to_vf([[1, 0], [0, 0]], 2, 6))]
+        two_form = from_entries(
+            BASE2, VF2, [((0, 1), Poly.const(BASE2, 1), gl_to_vf([[1, 0], [0, 0]], 2, 6))]
         )
         with pytest.raises(SeriesError):
             curvature(two_form)
@@ -241,7 +253,7 @@ def assert_same_terms(got, want):
     does not compare its fiber_trunc)."""
     assert got.terms == want.terms
     for key, val in got.terms.items():
-        if got.kind == "vf":
+        if isinstance(got.ring, FormalVectorField):
             assert val.fiber_trunc == want.terms[key].fiber_trunc
 
 
@@ -264,21 +276,22 @@ class TestHalfSquare:
         value = (lambda: rvf(rng, trunc=5)) if kind == "vf" else (lambda: random_lie_value(rng))
         for n in range(12):
             cancelling = n % 2 == 0
-            a = LieValuedForm(BASE2, kind, random_one_form(rng, value, cancelling))
-            want = a.exterior_d() + a.bracket(a).scale(Fraction(1, 2))
+            ring = VF2 if kind == "vf" else LIE1
+            a = LieValuedForm(BASE2, ring, random_one_form(rng, value, cancelling))
+            want = a.exterior_d() + a.bracket(a) * Fraction(1, 2)
             assert_same_terms(curvature(a), want)
-            assert_same_terms(a.half_square(), a.bracket(a).scale(Fraction(1, 2)))
+            assert_same_terms(a.half_square(), a.bracket(a) * Fraction(1, 2))
 
     def test_cancelling_brackets_leave_no_term(self):
         rng = random.Random("half-square-cancel")
-        a = LieValuedForm(BASE2, "vf", random_one_form(rng, lambda: rvf(rng, trunc=5), True))
+        a = LieValuedForm(BASE2, VF2, random_one_form(rng, lambda: rvf(rng, trunc=5), True))
         cancelled = LieValuedForm(
-            BASE2, "vf", {k: v for k, v in a.terms.items() if k[1] in ((1, 0), (0, 1))}
+            BASE2, VF2, {k: v for k, v in a.terms.items() if k[1] in ((1, 0), (0, 1))}
         )
         assert len(cancelled.terms) == 4
         got = cancelled.half_square()
         assert sorted(got.terms) == [((0, 1), (0, 2)), ((0, 1), (2, 0))]
-        assert_same_terms(got, cancelled.bracket(cancelled).scale(Fraction(1, 2)))
+        assert_same_terms(got, cancelled.bracket(cancelled) * Fraction(1, 2))
 
     def test_one_value_bracket_per_unordered_pair(self, monkeypatch):
         calls = []
@@ -291,7 +304,7 @@ class TestHalfSquare:
         monkeypatch.setattr(FormalVectorField, "bracket", counted)
         rng = random.Random("half-square-count")
         for _ in range(6):
-            a = LieValuedForm(BASE2, "vf", random_one_form(rng, lambda: rvf(rng, trunc=5), True))
+            a = LieValuedForm(BASE2, VF2, random_one_form(rng, lambda: rvf(rng, trunc=5), True))
             widx = [w for w, _ in a.terms]
             distinct = sum(
                 1 for s in range(len(widx)) for t in range(s + 1, len(widx)) if widx[s] != widx[t]
@@ -307,16 +320,60 @@ class TestHalfSquare:
             [((0, 1), one, value)],
             [((), one, value), ((0,), one, value)],
         ):
-            form = LieValuedForm.from_entries(BASE2, "vf", entries)
+            form = from_entries(BASE2, VF2, entries)
             with pytest.raises(SeriesError):
                 form.half_square()
             with pytest.raises(SeriesError):
                 curvature(form)
 
 
+class TestConnectionFormsAreDForms:
+    """A connection form is an ``hkr.DForm`` over its value ring: the form's
+    own operations return connection forms, built without the checked
+    constructor, and forms over different rings do not mix."""
+
+    @pytest.mark.parametrize("kind", ["vf", "lie"])
+    def test_operations_stay_connection_forms(self, kind):
+        rng = random.Random(f"dform-{kind}")
+        value = (lambda: rvf(rng, trunc=5)) if kind == "vf" else (lambda: random_lie_value(rng))
+        ring = VF2 if kind == "vf" else LIE1
+        for _ in range(4):
+            a = LieValuedForm(BASE2, ring, random_one_form(rng, value, False))
+            b = LieValuedForm(BASE2, ring, random_one_form(rng, value, True))
+            results = [
+                a + b, a - b, -a, a * Fraction(2, 3), a * 0, a.exterior_d(), a.bracket(b),
+                a.half_square(), curvature(b), a.fiber_truncate(1), a.map_values(lambda v: v * 2),
+            ]
+            for got in results:
+                assert type(got) is LieValuedForm and type(got.ring) is type(ring)
+                assert all(got.terms.values())
+                assert got.terms == LieValuedForm(BASE2, got.ring, got.terms).terms
+            assert (a * 0).terms == {} and a - a == LieValuedForm(BASE2, ring, {})
+
+    def test_rings_do_not_mix(self):
+        vf_form = e11_form()
+        lie_form = central_scalar_form(DForm.d_gen(BASE2, 0), 2, t_trunc=8)
+        for op in (lambda: vf_form + lie_form, lambda: vf_form.bracket(lie_form)):
+            with pytest.raises(SeriesError):
+                op()
+        with pytest.raises(SeriesError):
+            kazhdan_assemble(lie_form, 2)
+        with pytest.raises(SeriesError):
+            psi_conjugate(extend_base(vf_form, BASE2 + ("xi1", "xi2")), 2, 2)
+
+    def test_central_scalar_form_is_the_form_times_the_unit(self):
+        z1 = Poly.gen(BASE2, "z1")
+        form = DForm.scalar(BASE2, {(0,): z1 * 3 - 1, (0, 1): z1})
+        unit = WeylElement.const(fiber_weyl_names(2), 1, 8)
+        got = central_scalar_form(form, 2, t_trunc=8)
+        want = from_entries(BASE2, LIE2, [((0,), z1 * 3 - 1, unit), ((0, 1), z1, unit)])
+        assert type(got) is LieValuedForm and got == want
+        assert got.terms == {key: unit * q for key, q in form.terms.items()}
+
+
 class TestKazhdan:
     def test_flat_chart(self):
-        assembled = kazhdan_assemble(LieValuedForm.zero(BASE2, "vf"), 4)
+        assembled = kazhdan_assemble(LieValuedForm(BASE2, VF2, {}), 4)
         assert assembled.total() == tautological_shift_form(BASE2, 2, assembled.fiber_trunc)
         assert curvature(assembled.total()).is_zero()
 
@@ -332,9 +389,9 @@ class TestKazhdan:
         a1 = assembled.components[1]
         names = N2
         zh1, zh2 = Poly.gen(names, "zh1"), Poly.gen(names, "zh2")
-        want = LieValuedForm.from_entries(
+        want = from_entries(
             BASE2,
-            "vf",
+            VF2,
             [
                 ((0,), Poly.const(BASE2, Fraction(1, 3)),
                  FormalVectorField(2, [zh1 * zh2, Poly.zero(names)], assembled.fiber_trunc)),
@@ -368,8 +425,8 @@ class TestKazhdan:
                 assert value.comps == high[j].terms[key].comps
 
     def test_torsion_is_detected(self):
-        bad = LieValuedForm.from_entries(
-            BASE2, "vf", [((1,), Poly.gen(BASE2, "z1"), gl_to_vf([[1, 0], [0, 0]], 2, 7))]
+        bad = from_entries(
+            BASE2, VF2, [((1,), Poly.gen(BASE2, "z1"), gl_to_vf([[1, 0], [0, 0]], 2, 7))]
         )
         with pytest.raises(TorsionError):
             kazhdan_assemble(bad, 2)
@@ -377,8 +434,8 @@ class TestKazhdan:
 
 class TestLift:
     def test_flat_chart_lift(self):
-        assembled = kazhdan_assemble(LieValuedForm.zero(BASE2, "vf"), 3)
-        lifted = lift_connection(assembled.total(), LieValuedForm.zero(BASE2, "lie"), t_trunc=8)
+        assembled = kazhdan_assemble(LieValuedForm(BASE2, VF2, {}), 3)
+        lifted = lift_connection(assembled.total(), LieValuedForm(BASE2, LIE2, {}), t_trunc=8)
         gens = fiber_weyl_names(2)
         entries = [
             (
@@ -390,7 +447,7 @@ class TestLift:
             )
             for i in range(2)
         ]
-        assert lifted == LieValuedForm.from_entries(BASE2, "lie", entries)
+        assert lifted == from_entries(BASE2, LIE2, entries)
 
     def test_curvature_is_half_trace_curvature(self):
         fiber_deg = 4
@@ -401,9 +458,8 @@ class TestLift:
             assembled.total(), half_trace_form(mform, BASE2, 2, t_trunc=8), t_trunc=8
         )
         got = curvature(lifted).fiber_truncate(fiber_deg)
-        want = central_scalar_form(
-            BASE2, 2, [((0, 1), Poly.const(BASE2, Fraction(-1, 2)))], t_trunc=8
-        )
+        volume = DForm.scalar(BASE2, {(0, 1): Poly.const(BASE2, Fraction(-1, 2))})
+        want = central_scalar_form(volume, 2, t_trunc=8)
         assert got == want
 
 
@@ -416,9 +472,7 @@ def _exp_ad(h, form):
 class TestPsi:
     def build_lift(self):
         chart = ("z1",)
-        a0 = LieValuedForm.from_entries(
-            chart, "vf", [((0,), Poly.gen(chart, "z1"), gl_to_vf([[1]], 1, 7))]
-        )
+        a0 = from_entries(chart, VF1, [((0,), Poly.gen(chart, "z1"), gl_to_vf([[1]], 1, 7))])
         assembled = kazhdan_assemble(a0, 3)
         mform = {(0,): [[Poly.gen(chart, "z1")]]}
         lifted = lift_connection(
@@ -434,7 +488,7 @@ class TestPsi:
 
     def test_central_values_fixed(self):
         chart = ("z1", "xi1")
-        cs = central_scalar_form(chart, 1, [((0,), Poly.gen(chart, "xi1"))], t_trunc=10)
+        cs = central_scalar_form(DForm.scalar(chart, {(0,): Poly.gen(chart, "xi1")}), 1, 10)
         assert _exp_ad(shift_conjugator(chart, 1), cs) == cs
 
     def test_inverse_series(self):
@@ -447,11 +501,9 @@ class TestPsi:
                 exp = (rng.randint(0, 2), rng.randint(0, 2))
                 p = p + Poly.monomial(gens, exp, Fraction(rng.randint(-3, 3)))
             val = LieElement(WeylElement.from_poly(p, 12, t_exp=rng.choice((-1, 0))))
-            form = LieValuedForm.from_entries(
-                chart, "lie", [((0,), Poly.gen(chart, "xi1"), val)]
-            )
+            form = from_entries(chart, LIE1, [((0,), Poly.gen(chart, "xi1"), val)])
             h = shift_conjugator(chart, 1)
-            assert _exp_ad(h.scale(-1), _exp_ad(h, form)) == form
+            assert _exp_ad(h * -1, _exp_ad(h, form)) == form
 
 
 class TestMatrixFormHelpers:

@@ -83,6 +83,26 @@ MUTANTS = [
         "kazhdan-flatness",
     ),
     (
+        # the one exterior derivative: C06 reads it through de_rham
+        "form-d-exponent-factor-dropped",
+        "hkr.py",
+        "val * (sign * e)",
+        "val * sign",
+        "check_hkr_chain_map",
+        None,
+    ),
+    (
+        # and C09 through the connection forms.  Both sides of the lift
+        # identity take the one derivative, so the sign flips on both and
+        # only the frozen value sees it
+        "form-d-sign-on-the-right",
+        "hkr.py",
+        "_merge_sign((i,), widx)",
+        "_merge_sign(widx, (i,))",
+        "check_fedosov_curvature",
+        "frozen-value",
+    ),
+    (
         "half-square-skips-next-term",
         "fedosov.py",
         "combinations(self.terms.items(), 2)",

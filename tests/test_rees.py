@@ -20,6 +20,7 @@ from starhom.rees import (
     localized_to_weyl,
     rees_sigma,
 )
+from starhom.serialize import opseries_from_json, opseries_to_json
 from starhom.series import GeneratorMismatch, Poly, accumulate
 from starhom.weyl import WeylElement, moyal_star, star_commutator, weyl_gens
 
@@ -229,6 +230,27 @@ class TestDiffOpIsAPoly:
         assert type(sym) is Poly
         assert sym.gens == weyl_gens(2)
         assert sym.terms == self.A.terms
+
+    def test_gen_and_monomial_build_operators(self):
+        gens = weyl_gens(1, "x", "D")
+        for got in (DiffOp.gen(gens, "x1"), DiffOp.monomial(gens, (1, 0))):
+            assert type(got) is DiffOp
+            assert got == DiffOp.x(1, 1)
+
+
+class TestOneRingPerDimension:
+    """Every operator series of one dimension shares one ring object, so
+    that ring checks on sums and products hit on identity."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constructors_products_and_decoder_share_the_ring(self, dim):
+        one = OpSeries.one(dim)
+        x = OpSeries.from_op(DiffOp.x(dim, 1), 1)
+        d = ReesElement(dim, {1: DiffOp.d(dim, dim)})
+        decoded = opseries_from_json(opseries_to_json(x * d + one), dim)
+        for s in (OpSeries.one(dim), OpSeries(dim), x, d, x * d, d * x - x * d, x + one, decoded):
+            assert s.ring is one.ring
+        assert OpSeries.one(3 - dim).ring is not one.ring
 
 
 def reference_diffop_mul(a, b):

@@ -43,7 +43,6 @@ from .charclass import (
     todd,
 )
 from .fedosov import (
-    FormalVectorField,
     LieValuedForm,
     curvature,
     gl_to_vf,

@@ -77,18 +77,17 @@ class ChernRootSeries:
     """Symmetric polynomial in d Chern roots, exact below total degree trunc.
 
     Root degree is counted algebraically (each root has degree 1); the
-    cohomological degree of a degree-k piece is 2k.
+    cohomological degree of a degree-k piece is 2k.  Symmetry is checked
+    in one place, by ``to_chern_basis``.
     """
 
     __slots__ = ("roots", "trunc", "poly")
 
-    def __init__(self, roots, trunc: int, poly: Poly, check_symmetry: bool = True):
+    def __init__(self, roots, trunc: int, poly: Poly):
         roots = tuple(roots)
         if poly.gens != roots:
             raise SeriesError("polynomial generators do not match the roots")
         poly = poly.truncate_degree(trunc)
-        if check_symmetry and not _is_symmetric(poly):
-            raise SymmetryError("expression is not symmetric in the roots")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "trunc", int(trunc))
         object.__setattr__(self, "poly", poly)
@@ -122,19 +121,13 @@ class ChernRootSeries:
         if self.roots != other.roots:
             raise SeriesError("root mismatch")
         trunc = min(self.trunc, other.trunc)
-        return ChernRootSeries(
-            self.roots, trunc, self.poly.mul_truncated(other.poly, trunc),
-            check_symmetry=False,
-        )
+        return ChernRootSeries(self.roots, trunc, self.poly.mul_truncated(other.poly, trunc))
 
     def __sub__(self, other: ChernRootSeries) -> ChernRootSeries:
         if self.roots != other.roots:
             raise SeriesError("root mismatch")
         trunc = min(self.trunc, other.trunc)
-        return ChernRootSeries(
-            self.roots, trunc, (self.poly - other.poly).truncate_degree(trunc),
-            check_symmetry=False,
-        )
+        return ChernRootSeries(self.roots, trunc, self.poly - other.poly)
 
     def __eq__(self, other):
         return (
@@ -196,7 +189,7 @@ class ChernClassExpr:
             f"c{i}": elementary_symmetric(d, i) for i in range(1, d + 1)
         }
         expanded = self.poly.substitute(images).truncate_degree(trunc)
-        return ChernRootSeries(roots, trunc, expanded, check_symmetry=False)
+        return ChernRootSeries(roots, trunc, expanded)
 
 
 def _truncate_weighted(p: Poly, trunc: int) -> Poly:
@@ -248,7 +241,7 @@ def exp_class(theta: ChernClassExpr, trunc: int | None = None) -> ChernRootSerie
         if power.is_zero():
             break
         out = out + power * Fraction(1, math.factorial(k))
-    return ChernRootSeries(root_names(theta.dim), trunc, out, check_symmetry=False)
+    return ChernRootSeries(root_names(theta.dim), trunc, out)
 
 
 def to_chern_basis(s: ChernRootSeries) -> ChernClassExpr:

@@ -3,24 +3,29 @@
 half-trace correction, and the fiberwise shift conjugation.
 
 Geometry model: a chart with base coordinates z_1..z_d (or z's and xi's on
-the cotangent chart), and a formal fiber with coordinates zh_1..zh_d and,
-on the Lie side, momenta xih_1..xih_d plus the central deformation
+the cotangent chart), and a formal fiber.  A formal vector field
+sum_j P_j d/dx_j on the fiber is a first-order ``rees.DiffOp`` over
+x_1..x_d, D_1..D_d, each term carrying exactly one D; its bracket is the
+operator commutator, exact in every degree.  On the Lie side the fiber has
+coordinates zh_1..zh_d, momenta xih_1..xih_d and the central deformation
 variable t.  Base functions are polynomials and commute with fiber values,
-so a connection form is an ``hkr.DForm`` over the ring of its values,
-keyed by (wedge index, base exponent): sums, scalars, the exterior
-derivative and the graded bracket are the form's own.  ``LieValuedForm``
-adds the half square (1/2)[A, A] of a 1-form and the cut at a fiber
-degree.  A scalar form times the fiber unit is a central Lie-valued form
-(``central_scalar_form``).
+so a connection form is an ``hkr.DForm`` over the ring of its values
+(``rees.op_ring(d)`` for vector fields), keyed by (wedge index, base
+exponent): sums, scalars, the exterior derivative and the graded bracket
+are the form's own.  ``LieValuedForm`` adds the half square (1/2)[A, A]
+of a 1-form and the cut at a fiber degree.  A scalar form times the fiber
+unit is a central Lie-valued form (``central_scalar_form``).
 
 The flatness recursion solves
 
     delta(A^(k+1)) = dA^(k) + (1/2) sum_{i+j=k, i,j>=0} [A^(i), A^(j)]
 
-degree by degree, where delta contracts against sum_i dz_i d/dzh_i.  The
+degree by degree, where delta contracts against sum_i dz_i d/dx_i.  The
 normalization takes delta_inv = delta^* / (m + q) on pieces of fiber
 degree m and form degree q, and the solution is verified by applying
 delta again; a nonzero residue means the input connection had torsion.
+Each A^(k) is homogeneous of fiber degree k + 1, so the recursion needs
+no cut; a check cuts with ``fiber_truncate`` where it reads.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .hkr import DForm, _merge_sign
+from .rees import DiffOp, op_ring
 from .series import Poly, SeriesError, accumulate, as_fraction
 from .weyl import LieElement, WeylElement, weyl_gens, weyl_ordered
 
@@ -41,164 +47,34 @@ class TorsionError(SeriesError):
     """The flatness recursion hit a non-solvable obstruction."""
 
 
-def fiber_z_names(dim: int) -> tuple[str, ...]:
-    return tuple(f"zh{i}" for i in range(1, dim + 1))
-
-
 def fiber_weyl_names(dim: int) -> tuple[str, ...]:
     return weyl_gens(dim, "zh", "xih")
 
 
-class FormalVectorField:
-    """Derivation sum_j P_j(zh) d/dzh_j with polynomial components.
-
-    Components are truncated below fiber_trunc; the graded piece of
-    w-degree k has components homogeneous of degree k + 1.
-    """
-
-    __slots__ = ("dim", "fiber_trunc", "comps")
-
-    def __init__(self, dim: int, comps, fiber_trunc: int):
-        names = fiber_z_names(dim)
-        comps = tuple(comps)
-        if len(comps) != dim:
-            raise SeriesError(f"expected {dim} components")
-        cleaned = []
-        for p in comps:
-            if p.gens != names:
-                raise SeriesError("component generators must be the fiber variables")
-            cleaned.append(p.truncate_degree(fiber_trunc - 1))
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "fiber_trunc", int(fiber_trunc))
-        object.__setattr__(self, "comps", tuple(cleaned))
-
-    @classmethod
-    def _raw(cls, dim: int, comps: tuple, fiber_trunc: int) -> FormalVectorField:
-        """Trusted constructor for results of the field's own operations:
-        ``comps`` is a tuple of ``dim`` Polys over the fiber variables, each
-        of degree below ``fiber_trunc``.  Nothing is copied or checked."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "dim", dim)
-        object.__setattr__(v, "fiber_trunc", fiber_trunc)
-        object.__setattr__(v, "comps", comps)
-        return v
-
-    def __setattr__(self, *_):
-        raise AttributeError("FormalVectorField is immutable")
-
-    @classmethod
-    def zero(cls, dim: int, fiber_trunc: int) -> FormalVectorField:
-        """The zero field: it names the ring of vector-field-valued forms."""
-        return cls._raw(dim, (Poly.zero(fiber_z_names(dim)),) * dim, fiber_trunc)
-
-    @classmethod
-    def d_zh(cls, dim: int, i: int, fiber_trunc: int) -> FormalVectorField:
-        """The constant field d/dzh_i (1-based)."""
-        names = fiber_z_names(dim)
-        comps = [Poly.zero(names)] * dim
-        comps[i - 1] = Poly.const(names, 1)
-        return cls(dim, comps, fiber_trunc)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.comps)
-
-    def __bool__(self) -> bool:
-        return any(self.comps)
-
-    def _check(self, other: FormalVectorField):
-        if self.dim != other.dim:
-            raise SeriesError("dimension mismatch")
-
-    def __add__(self, other: FormalVectorField) -> FormalVectorField:
-        self._check(other)
-        comps = tuple(a + b for a, b in zip(self.comps, other.comps))
-        if self.fiber_trunc == other.fiber_trunc:
-            return FormalVectorField._raw(self.dim, comps, self.fiber_trunc)
-        # the wider operand may hold degrees that the narrower cut drops
-        return FormalVectorField(
-            self.dim, comps, min(self.fiber_trunc, other.fiber_trunc)
-        )
-
-    def __neg__(self) -> FormalVectorField:
-        return self * -1
-
-    def __sub__(self, other: FormalVectorField) -> FormalVectorField:
-        return self + (-other)
-
-    def __mul__(self, q) -> FormalVectorField:
-        """Exact multiplication by a rational q."""
-        return FormalVectorField._raw(
-            self.dim, tuple(p * q for p in self.comps), self.fiber_trunc
-        )
-
-    def map_components(self, fn) -> FormalVectorField:
-        """``fn`` on each component, cut again: ``fn`` may raise degrees."""
-        return FormalVectorField(self.dim, [fn(p) for p in self.comps], self.fiber_trunc)
-
-    def apply_to(self, p: Poly, max_deg: int) -> Poly:
-        """Act as a derivation on a fiber polynomial; terms of total degree
-        above ``max_deg`` are never built."""
-        names = fiber_z_names(self.dim)
-        out: dict = {}
-        for c, name in zip(self.comps, names):
-            for exp, q in c.mul_truncated(p.partial(name), max_deg).terms.items():
-                accumulate(out, exp, q)
-        return Poly._raw(names, out)
-
-    def bracket(self, other: FormalVectorField) -> FormalVectorField:
-        """Commutator of derivations; w-degrees add.  Both sides are capped
-        at the degree the constructor keeps, so the result is exact and
-        needs no second cut.  Swapping the operands negates the result
-        exactly."""
-        self._check(other)
-        trunc = min(self.fiber_trunc, other.fiber_trunc)
-        comps = tuple(
-            self.apply_to(other.comps[j], trunc - 1) - other.apply_to(self.comps[j], trunc - 1)
-            for j in range(self.dim)
-        )
-        return FormalVectorField._raw(self.dim, comps, trunc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalVectorField)
-            and self.dim == other.dim
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __repr__(self):
-        names = fiber_z_names(self.dim)
-        bits = [
-            f"({p!r}) d/d{name}" for p, name in zip(self.comps, names) if not p.is_zero()
-        ]
-        return " + ".join(bits) if bits else "0"
-
-
-def gl_to_vf(matrix, dim: int, fiber_trunc: int) -> FormalVectorField:
-    """(a_ij) -> sum_ij a_ij zh_i d/dzh_j, the linear-fields copy of gl(d)."""
-    names = fiber_z_names(dim)
+def gl_to_vf(matrix, dim: int) -> DiffOp:
+    """(a_ij) -> sum_ij a_ij x_i D_j, the linear-fields copy of gl(d)."""
     rows = [[as_fraction(e) for e in row] for row in matrix]
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise SeriesError(f"expected a {dim}x{dim} matrix")
-    comps = []
-    for j in range(dim):
-        p = Poly.zero(names)
-        for i in range(dim):
-            if rows[i][j]:
-                p = p + Poly.gen(names, names[i]) * rows[i][j]
-        comps.append(p)
-    return FormalVectorField(dim, comps, fiber_trunc)
+    unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    return DiffOp(dim, {unit[i] + unit[j]: rows[i][j] for i in range(dim) for j in range(dim)})
 
 
-def i_map(v: FormalVectorField, t_trunc: int = 8) -> WeylElement:
-    """Weyl-ordered realization sum_j P_j(zh) * (xih_j / t).
+def i_map(v: DiffOp, t_trunc: int = 8) -> WeylElement:
+    """Weyl-ordered realization: x^a D_j -> zh^a * (xih_j / t).
 
     On linear fields this is the gl embedding with its central -tr/2
     correction; in general it is a morphism of Lie algebras into (1/t)W.
     """
     d = v.dim
-    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    terms = [(exp, unit[j], -1, q) for j in range(d) for exp, q in v.comps[j].terms.items()]
+    terms = [(e[:d], e[d:], -1, q) for e, q in v.terms.items()]
     return LieElement(weyl_ordered(terms, d, -1, t_trunc, fiber_weyl_names(d)))
+
+
+def _x_filter(v: DiffOp, keep) -> DiffOp:
+    """The terms x^a D_j of a vector field with ``keep(|a|)``."""
+    d = v.dim
+    return v._raw(v.gens, {e: q for e, q in v.terms.items() if keep(sum(e[:d]))})
 
 
 def _lie_filter(a: WeylElement, keep) -> WeylElement:
@@ -213,10 +89,10 @@ def _lie_filter(a: WeylElement, keep) -> WeylElement:
 
 class LieValuedForm(DForm):
     """A connection form on a chart: an ``hkr.DForm`` whose values are
-    FormalVectorFields (its ring a ``FormalVectorField.zero``) or
-    WeylElements in (1/t)W (its ring a ``WeylElement`` zero).  Sums,
-    scalars, ``exterior_d``, ``bracket`` and ``map_values`` are the form's
-    own, and their results are again connection forms."""
+    formal vector fields (its ring ``rees.op_ring(d)``) or WeylElements in
+    (1/t)W (its ring a ``WeylElement`` zero).  Sums, scalars,
+    ``exterior_d``, ``bracket`` and ``map_values`` are the form's own, and
+    their results are again connection forms."""
 
     __slots__ = ()
 
@@ -230,11 +106,10 @@ class LieValuedForm(DForm):
         return self._graded(combinations(self.terms.items(), 2), lambda u, v: u.bracket(v))
 
     def fiber_truncate(self, k: int) -> LieValuedForm:
-        """Drop all graded pieces of fiber degree above k."""
-        if isinstance(self.ring, FormalVectorField):
-            return self.map_values(
-                lambda v: v.map_components(lambda p: p.truncate_degree(k + 1))
-            )
+        """Drop all graded pieces of fiber degree above k: a field term
+        x^a D_j has fiber degree |a| - 1."""
+        if isinstance(self.ring, DiffOp):
+            return self.map_values(lambda v: _x_filter(v, lambda m: m <= k + 1))
         return self.map_values(lambda v: _lie_filter(v, lambda e, exp: sum(exp) + 2 * e <= k))
 
 
@@ -248,12 +123,11 @@ def curvature(a: LieValuedForm) -> LieValuedForm:
 
 
 def _delta(form: LieValuedForm) -> LieValuedForm:
-    """sum_i dz_i wedge d/dzh_i, acting on vf-valued forms."""
-    names = fiber_z_names(len(form.base))
+    """sum_i dz_i wedge d/dx_i, acting on vf-valued forms."""
     out: dict = {}
     for (widx, bexp), val in form.terms.items():
-        for i, name in enumerate(names):
-            dval = val.map_components(lambda p, n=name: p.partial(n))
+        for i in range(len(form.base)):
+            dval = val.partial(val.gens[i])
             if dval.is_zero():
                 continue
             merged = _merge_sign((i,), widx)
@@ -265,18 +139,13 @@ def _delta(form: LieValuedForm) -> LieValuedForm:
 
 
 def _delta_star(form: LieValuedForm) -> LieValuedForm:
-    """sum_i zh_i iota(d/dz_i), the homotopy partner of delta."""
-    names = fiber_z_names(len(form.base))
+    """sum_i x_i iota(d/dz_i), the homotopy partner of delta."""
+    dim = len(form.base)
     out: dict = {}
     for (widx, bexp), val in form.terms.items():
         for pos, i in enumerate(widx):
-            sign = (-1) ** pos
-            zi = Poly.gen(names, names[i])
-            new_val = val.map_components(lambda p, z=zi: p * z) * sign
-            if new_val.is_zero():
-                continue
             new_widx = widx[:pos] + widx[pos + 1 :]
-            accumulate(out, (new_widx, bexp), new_val)
+            accumulate(out, (new_widx, bexp), DiffOp.x(dim, i + 1) * val * (-1) ** pos)
     return form._raw(form.base, form.ring, out)
 
 
@@ -284,12 +153,13 @@ def _delta_inv(form: LieValuedForm) -> LieValuedForm:
     """delta^* scaled by 1/(m+q) on each (fiber degree m, form degree q)
     piece; the unique delta-exact preimage when the input is delta-closed."""
     out = LieValuedForm(form.base, form.ring, {})
+    dim = len(form.base)
     for (widx, bexp), val in form.terms.items():
         q_deg = len(widx)
-        for m in {sum(e) for p in val.comps for e in p.terms}:
-            piece = val.map_components(lambda p, m=m: p.homogeneous_part(m))
-            if piece.is_zero() or m + q_deg == 0:
+        for m in {sum(e[:dim]) for e in val.terms}:
+            if m + q_deg == 0:
                 continue
+            piece = _x_filter(val, lambda n, m=m: n == m)
             single = form._raw(form.base, form.ring, {(widx, bexp): piece})
             out = out + _delta_star(single) * Fraction(1, m + q_deg)
     return out
@@ -301,20 +171,17 @@ class AssembledConnection:
 
     base: tuple
     dim: int
-    fiber_trunc: int
     components: dict
 
     def total(self) -> LieValuedForm:
         return functools.reduce(operator.add, self.components.values())
 
 
-def tautological_shift_form(base, dim: int, fiber_trunc: int) -> LieValuedForm:
-    """A^(-1) = - sum_i dz_i (x) d/dzh_i."""
+def tautological_shift_form(base, dim: int) -> LieValuedForm:
+    """A^(-1) = - sum_i dz_i (x) D_i."""
     base = tuple(base)
-    terms = {}
-    for i in range(dim):
-        terms[((i,), (0,) * len(base))] = -FormalVectorField.d_zh(dim, i + 1, fiber_trunc)
-    return LieValuedForm(base, FormalVectorField.zero(dim, fiber_trunc), terms)
+    terms = {((i,), (0,) * len(base)): -DiffOp.d(dim, i + 1) for i in range(dim)}
+    return LieValuedForm(base, op_ring(dim), terms)
 
 
 def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
@@ -325,19 +192,18 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     Components A^(k) are produced for k <= fiber_deg + 1, which makes the
     curvature vanish through fiber degree fiber_deg.  Raises TorsionError
     when an obstruction is not delta-closed, which happens exactly when
-    a0 has torsion.  Fiber polynomials are kept below degree fiber_deg + 4.
+    a0 has torsion.  Each A^(k) is homogeneous of fiber degree k + 1, so
+    every bracket is exact and nothing is cut.
 
     The obstruction sums [A^(i), A^(j)] once for each i < j, and the half
     square (1/2)[A^(i), A^(i)] for i == j; components are 1-forms.
     """
-    if not isinstance(a0.ring, FormalVectorField):
+    if not isinstance(a0.ring, DiffOp):
         raise SeriesError("expected a vector-field-valued form")
     dim = len(a0.base)
-    fiber_trunc = fiber_deg + 4
-    a0 = a0.map_values(
-        lambda v: FormalVectorField(dim, v.comps, fiber_trunc)
-    )
-    comps = {-1: tautological_shift_form(a0.base, dim, fiber_trunc), 0: a0}
+    if a0.ring.dim != dim:
+        raise SeriesError(f"fields in {a0.ring.dim} variables on a {dim}-dimensional chart")
+    comps = {-1: tautological_shift_form(a0.base, dim), 0: a0}
     torsion = comps[-1].exterior_d() + comps[-1].bracket(comps[0])
     if not torsion.is_zero():
         raise TorsionError("degree -1 obstruction nonzero: the connection has torsion")
@@ -359,7 +225,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
             )
         if not nxt.is_zero():
             comps[k + 1] = nxt
-    return AssembledConnection(a0.base, dim, fiber_trunc, comps)
+    return AssembledConnection(a0.base, dim, comps)
 
 
 # -- lifting and conjugation ----------------------------------------------------
@@ -377,7 +243,7 @@ def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int = 
     """Apply the Weyl-ordered realization valuewise and add the central
     half-trace 1-form.  When ``a`` is flat through fiber degree K, the
     curvature of the lift is central through degree K."""
-    if not isinstance(a.ring, FormalVectorField):
+    if not isinstance(a.ring, DiffOp):
         raise SeriesError("expected a vector-field-valued form")
     return a.map_values(lambda v: i_map(v, t_trunc=t_trunc)) + half_trace
 
@@ -463,14 +329,15 @@ def _per_monomial(matrix, dim: int) -> dict[tuple, list]:
     return out
 
 
-def matrix_form_to_vf(mform: dict, base, dim: int, fiber_trunc: int) -> LieValuedForm:
-    """{widx: matrix of base Polys} -> gl-valued (linear fields) form."""
+def matrix_form_to_vf(mform: dict, base, dim: int, fiber_trunc=None) -> LieValuedForm:
+    """{widx: matrix of base Polys} -> gl-valued (linear fields) form.
+    ``fiber_trunc`` is not read: the fields are exact."""
     terms = {
-        (widx, bexp): gl_to_vf(const_matrix, dim, fiber_trunc)
+        (widx, bexp): gl_to_vf(const_matrix, dim)
         for widx, matrix in mform.items()
         for bexp, const_matrix in _per_monomial(matrix, dim).items()
     }
-    return LieValuedForm(base, FormalVectorField.zero(dim, fiber_trunc), terms)
+    return LieValuedForm(base, op_ring(dim), terms)
 
 
 def extend_base(form: LieValuedForm, new_base) -> LieValuedForm:

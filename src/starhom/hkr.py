@@ -60,12 +60,13 @@ class DForm:
     ``terms`` maps (wedge index I, base exponent b) to a nonzero value v in
     the coefficient ring whose zero is ``ring``, as ``series.TSeries``
     names its ring: ``series.Q_ZERO`` for the scalar forms that
-    ``hkr_map`` and ``de_rham`` build, a ``fedosov.FormalVectorField`` zero
-    for vector-field-valued forms and a ``weyl.WeylElement`` zero for
-    Lie-valued ones.  A value adds, negates, takes ``* q`` for a rational q
-    and is false exactly when it is zero.  Base coordinates commute with
-    values.  Wedge indices are 0-based positions into ``base``, strictly
-    increasing within a term; mixed degrees are allowed as formal sums.
+    ``hkr_map`` and ``de_rham`` build, ``rees.op_ring(d)`` for the
+    vector-field-valued forms of ``fedosov`` (first-order operators) and a
+    ``weyl.WeylElement`` zero for Lie-valued ones.  A value adds, negates,
+    takes ``* q`` for a rational q and is false exactly when it is zero.
+    Base coordinates commute with values.  Wedge indices are 0-based
+    positions into ``base``, strictly increasing within a term; mixed
+    degrees are allowed as formal sums.
 
     Results are built through ``DForm._raw`` on the operand's own class,
     so a subclass form stays one under every operation.

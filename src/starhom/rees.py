@@ -45,7 +45,10 @@ class DiffOp(Poly):
     x^a d^b.  A term's key is one exponent tuple, the x-part then the
     d-part.  Sums, scalars, keys and equality are Poly's own, and their
     results are again operators; the product is ``diffop_mul``, and Poly's
-    commutative ``mul_truncated`` and ``substitute`` do not apply.
+    commutative ``mul_truncated`` and ``substitute`` do not apply.  The
+    operators whose terms each carry exactly one D are the formal vector
+    fields sum_j P_j(x) d/dx_j, the values of ``fedosov``'s connection
+    forms; ``bracket`` is their Lie bracket.
     """
 
     __slots__ = ()
@@ -90,6 +93,12 @@ class DiffOp(Poly):
         return super().__mul__(other)
 
     __rmul__ = __mul__
+
+    def bracket(self, other: DiffOp) -> DiffOp:
+        """The commutator self * other - other * self.  On vector fields,
+        whose terms each carry one D, the order-2 parts cancel and the
+        result is again a vector field."""
+        return diffop_mul(self, other) - diffop_mul(other, self)
 
 
 def diffop_mul(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -7,9 +7,10 @@ characteristic classes, differential operators) is built on two types:
   of generator names, with ``fractions.Fraction`` coefficients.  Exact, no
   floating point anywhere.  Its subclass ``rees.DiffOp`` is the
   normal-ordered differential operators, a Poly over x_1..x_d, D_1..D_d
-  with the operator product.  Sums, negation and scalars are built
-  through ``Poly._raw`` on the operand's own class, so an operator stays
-  one.
+  with the operator product; the formal vector fields of ``fedosov`` are
+  its first-order operators.  Sums, negation, scalars, partials and
+  degree cuts are built through ``Poly._raw`` on the operand's own class,
+  so an operator stays one.
 * ``TSeries``: a sparse Laurent polynomial in a central variable ``t``
   over a coefficient ring, with an optional validity window
   ``[lower, trunc)``; binary operations intersect windows so that a
@@ -191,11 +192,11 @@ class Poly:
         return [(q, 0, exp) for exp, q in self.terms.items()]
 
     def homogeneous_part(self, k: int) -> Poly:
-        return Poly._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
+        return self._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
 
     def truncate_degree(self, max_deg: int) -> Poly:
         """Drop all terms of total degree above ``max_deg``."""
-        return Poly._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) <= max_deg})
+        return self._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) <= max_deg})
 
     def key(self):
         """Canonical hashable form (sorted term list)."""
@@ -293,7 +294,7 @@ class Poly:
             new = list(exp)
             new[i] -= 1
             out[tuple(new)] = q * exp[i]
-        return Poly._raw(self.gens, out)
+        return self._raw(self.gens, out)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> Poly:
         """Ring map sending each generator to the given image polynomial.

@@ -361,7 +361,7 @@ class ChartConnection:
 
     @functools.cached_property
     def assembled(self) -> fedosov.LieValuedForm:
-        vf = fedosov.matrix_form_to_vf(self.a0, self.base, self.dim, self.k + 4)
+        vf = fedosov.matrix_form_to_vf(self.a0, self.base, self.dim)
         return fedosov.kazhdan_assemble(vf, self.k).total()
 
     @functools.cached_property

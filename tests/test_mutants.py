@@ -75,10 +75,21 @@ MUTANTS = [
         None,
     ),
     (
+        # the connection brackets are operator commutators and make no Poly
+        # product; the characteristic-class series do
         "poly-product-right-denominator-dropped",
         "series.py",
         "den = lden * rden",
         "den = lden",
+        "check_rr_identity",
+        None,
+    ),
+    (
+        # the vector-field bracket of the flatness recursion becomes zero
+        "diffop-bracket-operands-swapped",
+        "rees.py",
+        "diffop_mul(self, other) - diffop_mul(other, self)",
+        "diffop_mul(self, other) - diffop_mul(self, other)",
         "check_fedosov_curvature",
         "kazhdan-flatness",
     ),
@@ -101,6 +112,15 @@ MUTANTS = [
         "_merge_sign(widx, (i,))",
         "check_fedosov_curvature",
         "frozen-value",
+    ),
+    (
+        # the flatness check reads one fiber degree the recursion never made
+        "field-cut-one-degree-high",
+        "fedosov.py",
+        "lambda m: m <= k + 1",
+        "lambda m: m <= k + 2",
+        "check_fedosov_curvature",
+        "kazhdan-flatness",
     ),
     (
         "half-square-skips-next-term",

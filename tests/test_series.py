@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starhom.fedosov import FormalVectorField, fiber_z_names
 from starhom.hkr import DForm
 from starhom.rees import DiffOp, OpSeries
 from starhom.series import (
@@ -225,10 +224,6 @@ RING_VALUES = {
     "LieElement": [
         LieElement(WeylElement.zero(W1, 4)),
         LieElement(WeylElement.from_poly(Poly.gen(W1, "x1"), 4, t_exp=-1)),
-    ],
-    "FormalVectorField": [
-        FormalVectorField(2, [Poly.zero(fiber_z_names(2))] * 2, 4),
-        FormalVectorField.d_zh(2, 2, 4),
     ],
 }
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .series import Poly, SeriesError, accumulate
@@ -154,18 +153,19 @@ def _is_symmetric(p: Poly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ChernClassExpr:
     """Polynomial in c_1..c_d with weighted degree deg c_i = i, truncated."""
 
-    dim: int
-    trunc: int
-    poly: Poly
+    __slots__ = ("dim", "trunc", "poly")
 
-    def __post_init__(self):
-        if self.poly.gens != chern_names(self.dim):
+    def __init__(self, dim: int, trunc: int, poly: Poly):
+        if poly.gens != chern_names(dim):
             raise SeriesError("expected generators c1..cd")
-        object.__setattr__(self, "poly", _truncate_weighted(self.poly, self.trunc))
+        self.dim, self.trunc, self.poly = dim, trunc, _truncate_weighted(poly, trunc)
+
+    def __eq__(self, other):
+        same = isinstance(other, ChernClassExpr) and self.trunc == other.trunc
+        return same and self.poly == other.poly  # equal gens: equal dims
 
     @classmethod
     def half_c1(cls, d: int, trunc: int) -> ChernClassExpr:
@@ -324,14 +324,13 @@ def _times_elementary(s: dict, k: int, d: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """Degree-by-degree comparison of two symmetric series."""
 
-    equal: bool
-    dim: int
-    trunc: int
-    mismatches: list = field(default_factory=list)
+    __slots__ = ("equal", "dim", "trunc", "mismatches")
+
+    def __init__(self, equal: bool, dim: int, trunc: int, mismatches: list):
+        self.equal, self.dim, self.trunc, self.mismatches = equal, dim, trunc, mismatches
 
     def to_json_dict(self) -> dict:
         return {

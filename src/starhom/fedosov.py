@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,8 +66,15 @@ def i_map(v: DiffOp, t_trunc: int = 8) -> WeylElement:
     correction; in general it is a morphism of Lie algebras into (1/t)W.
     """
     d = v.dim
+    _check_field(v)
     terms = [(e[:d], e[d:], -1, q) for e, q in v.terms.items()]
     return LieElement(weyl_ordered(terms, d, -1, t_trunc, fiber_weyl_names(d)))
+
+
+def _check_field(v: DiffOp) -> None:
+    """SeriesError unless each term of ``v`` carries exactly one D."""
+    if any(sum(e[v.dim :]) != 1 for e in v.terms):
+        raise SeriesError(f"{v!r} is not a vector field: a term has D-order other than 1")
 
 
 def _x_filter(v: DiffOp, keep) -> DiffOp:
@@ -165,13 +171,13 @@ def _delta_inv(form: LieValuedForm) -> LieValuedForm:
     return out
 
 
-@dataclass(frozen=True)
 class AssembledConnection:
     """Result of the flatness recursion: graded pieces A^(-1), A^(0), ..."""
 
-    base: tuple
-    dim: int
-    components: dict
+    __slots__ = ("components",)
+
+    def __init__(self, components: dict):
+        self.components = components
 
     def total(self) -> LieValuedForm:
         return functools.reduce(operator.add, self.components.values())
@@ -203,6 +209,8 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
     dim = len(a0.base)
     if a0.ring.dim != dim:
         raise SeriesError(f"fields in {a0.ring.dim} variables on a {dim}-dimensional chart")
+    for val in a0.terms.values():
+        _check_field(val)
     comps = {-1: tautological_shift_form(a0.base, dim), 0: a0}
     torsion = comps[-1].exterior_d() + comps[-1].bracket(comps[0])
     if not torsion.is_zero():
@@ -225,7 +233,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
             )
         if not nxt.is_zero():
             comps[k + 1] = nxt
-    return AssembledConnection(a0.base, dim, comps)
+    return AssembledConnection(comps)
 
 
 # -- lifting and conjugation ----------------------------------------------------

@@ -63,10 +63,8 @@ this chain's slots and by ``key()`` into its classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable
 
 from .series import Q_ZERO, Poly, SeriesError, TSeries, as_fraction
 from .rees import DiffOp, OpSeries
@@ -77,7 +75,6 @@ class ChainError(SeriesError):
     """Contract violation in chain-level operations."""
 
 
-@dataclass(frozen=True)
 class AlgebraHandle:
     """The coefficient algebra of a chain complex, as data.
 
@@ -85,9 +82,10 @@ class AlgebraHandle:
     for the exact poly and rees scalars.
     """
 
-    kind: str
-    unit: Any
-    trunc: int | None = None
+    __slots__ = ("kind", "unit", "trunc")
+
+    def __init__(self, kind: str, unit, trunc: int | None = None):
+        self.kind, self.unit, self.trunc = kind, unit, trunc
 
     def coerce_coeff(self, c) -> TSeries:
         """A word coefficient: a series over Q, or a Fraction / int / 'p/q'
@@ -246,7 +244,7 @@ class HochschildChain:
         ]
         words = self.terms.values()
         cden = lcm(*[q.denominator for coeff, _ in words for q in coeff.coeffs.values()])
-        table: dict[Any, list] = {}
+        table: dict[object, list] = {}
         for coeff, word in words:
             c = [(e, q.numerator * (cden // q.denominator)) for e, q in coeff.coeffs.items()]
             trunc = coeff.trunc
@@ -360,7 +358,7 @@ class _SlotTable:
         self.slots: list = []
         self.keys: list = []
         self.classes: list[int] = []
-        self._by_key: dict[Any, list[int]] = {}
+        self._by_key: dict[object, list[int]] = {}
         for a in values:
             self.add(a, a.key())
 
@@ -562,13 +560,13 @@ def phi_A(dim: int) -> HochschildChain:
     return alt_chain(h, h.unit, xs + xis)
 
 
-@dataclass(frozen=True)
 class AlgebraMorphism:
     """A unital algebra map; scalars move by ``target.coeff_into``."""
 
-    source: AlgebraHandle
-    target: AlgebraHandle
-    element_map: Callable[[Any], Any]
+    __slots__ = ("source", "target", "element_map")
+
+    def __init__(self, source: AlgebraHandle, target: AlgebraHandle, element_map):
+        self.source, self.target, self.element_map = source, target, element_map
 
 
 def induced_chain_map(h: AlgebraMorphism, c: HochschildChain) -> HochschildChain:
@@ -583,7 +581,7 @@ def induced_chain_map(h: AlgebraMorphism, c: HochschildChain) -> HochschildChain
     call.  Each ordered pair of slot indices is checked once: a repeat
     would give the same exact answer.
     """
-    images: dict[Any, Any] = {}
+    images: dict = {}
 
     def image(a):
         hit = images.get(a)

@@ -45,7 +45,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping
 
 
 class SeriesError(ValueError):
@@ -92,7 +91,7 @@ def accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def _numerators(*terms: Mapping) -> tuple[int, list]:
+def _numerators(*terms: dict) -> tuple[int, list]:
     """One common denominator D for the Fraction values of all the ``terms``
     dicts, and each dict's items as [(key, integer numerator q * D), ...]."""
     den = lcm(*[q.denominator for t in terms for q in t.values()])
@@ -112,7 +111,7 @@ class Poly:
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: Iterable[str], terms: Mapping[tuple, object] | None = None):
+    def __init__(self, gens, terms: dict[tuple, object] | None = None):
         gens = tuple(gens)
         clean: dict[tuple, Fraction] = {}
         if terms:
@@ -296,7 +295,7 @@ class Poly:
             out[tuple(new)] = q * exp[i]
         return self._raw(self.gens, out)
 
-    def substitute(self, images: Mapping[str, "Poly"]) -> Poly:
+    def substitute(self, images: dict[str, Poly]) -> Poly:
         """Ring map sending each generator to the given image polynomial.
 
         All image polynomials must share one target generator tuple;
@@ -381,7 +380,7 @@ class TSeries:
 
     __slots__ = ("ring", "coeffs", "lower", "trunc")
 
-    def __init__(self, ring, coeffs: Mapping | None = None,
+    def __init__(self, ring, coeffs: dict | None = None,
                  lower: int | None = None, trunc: int | None = None):
         if (lower is None) != (trunc is None) or (trunc is not None and trunc <= lower):
             raise EmptyWindow(f"window [{lower}, {trunc}) is empty or half open")

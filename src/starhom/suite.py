@@ -31,7 +31,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import charclass, fedosov, hkr
@@ -65,13 +64,12 @@ VIOLATED = "violated"
 ERROR = "error"
 
 
-@dataclass
 class CheckResult:
-    id: str
-    name: str
-    status: str
-    details: list = field(default_factory=list)
-    precision: dict = field(default_factory=dict)
+    __slots__ = ("id", "name", "status", "details", "precision")
+
+    def __init__(self, id: str, name: str, status: str, details: list, precision: dict):
+        self.id, self.name, self.status = id, name, status
+        self.details, self.precision = details, precision
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,12 +81,11 @@ class CheckResult:
         }
 
 
-@dataclass
 class Report:
-    status: str
-    seed: int
-    scale: str
-    checks: list
+    __slots__ = ("status", "seed", "scale", "checks")
+
+    def __init__(self, status: str, seed: int, scale: str, checks: list):
+        self.status, self.seed, self.scale, self.checks = status, seed, scale, checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,13 +101,7 @@ class Report:
 
 def result(cid, name, failures, precision) -> CheckResult:
     """A criterion's result: verified exactly when it has no failures."""
-    return CheckResult(
-        id=cid,
-        name=name,
-        status=VERIFIED if not failures else VIOLATED,
-        details=failures,
-        precision=precision,
-    )
+    return CheckResult(cid, name, VERIFIED if not failures else VIOLATED, failures, precision)
 
 
 def report(seed: int, scale: str, checks: list) -> Report:
@@ -491,12 +482,8 @@ def _guarded(cid: str, fn, *args, **kwargs) -> CheckResult:
     try:
         return fn(*args, **kwargs)
     except Exception as exc:
-        return CheckResult(
-            id=cid,
-            name=fn.__name__,
-            status=ERROR,
-            details=[{"exception": type(exc).__name__, "message": str(exc)}],
-        )
+        failure = {"exception": type(exc).__name__, "message": str(exc)}
+        return CheckResult(cid, fn.__name__, ERROR, [failure], {})
 
 
 def _run_battery(seed: int, scale: str) -> list[CheckResult]:

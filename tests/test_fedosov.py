@@ -162,6 +162,14 @@ class TestIMap:
         want = WeylElement.from_poly(Poly.gen(gens, "xih1"), 8, t_exp=-1)
         assert (got - want).is_zero()
 
+    @pytest.mark.parametrize(
+        "value", [DiffOp.one(1), DiffOp.d(1, 1) * DiffOp.d(1, 1)], ids=["order-0", "order-2"]
+    )
+    def test_rejects_values_that_are_not_fields(self, value):
+        # 1 and D1^2 would be realized as 1/t and xih1^2/t
+        with pytest.raises(SeriesError):
+            i_map(value)
+
     def test_lie_morphism_on_random_fields(self):
         rng = random.Random("imorph")
         for _ in range(12):
@@ -340,6 +348,19 @@ class TestConnectionFormsAreDForms:
         with pytest.raises(SeriesError):
             psi_conjugate(extend_base(vf_form, BASE2 + ("xi1", "xi2")), 2, 2)
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_fiber_truncate_keeps_x_degree_k_plus_one(self, k):
+        # x^a D_j has fiber degree |a| - 1: the cut at k keeps the terms of
+        # x-degree up to k + 1 and drops those of x-degree k + 2
+        z1 = Poly.gen(BASE2, "z1")
+
+        def form(top):
+            fields = (field(2, [{(m, 0): 1}, {(0, m): m + 1}]) for m in range(top + 1))
+            value = sum(fields, DiffOp(2, {}))
+            return from_entries(BASE2, VF2, [((0,), z1, value), ((0, 1), z1, value)])
+
+        assert form(k + 2).fiber_truncate(k) == form(k + 1)
+
     def test_central_scalar_form_is_the_form_times_the_unit(self):
         z1 = Poly.gen(BASE2, "z1")
         form = DForm.scalar(BASE2, {(0,): z1 * 3 - 1, (0, 1): z1})
@@ -395,6 +416,12 @@ class TestKazhdan:
     def test_fields_must_match_the_chart(self):
         with pytest.raises(SeriesError):
             kazhdan_assemble(LieValuedForm(BASE2, op_ring(3), {}), 2)
+
+    def test_rejects_values_that_are_not_fields(self):
+        # z1 dz1 (x) 1: an order-0 value
+        bad = from_entries(BASE2, VF2, [((0,), Poly.gen(BASE2, "z1"), DiffOp.one(2))])
+        with pytest.raises(SeriesError):
+            kazhdan_assemble(bad, 2)
 
     def test_torsion_is_detected(self):
         bad = from_entries(

@@ -5,11 +5,11 @@ code, ``CALLERS``: ``src/starhom`` other than ``__init__.py``, and
 ``perfbench/``.  Tests and the package's exports do not count.
 
 - **Parameters.**  A parameter with a default value, of a module-level
-  function, a method or a dataclass field in ``src/starhom``, must be
-  passed by some call in ``CALLERS``, by keyword or in its position.
-  Calls are matched by function or attribute name, and a class name
-  matches its ``__init__`` (or its dataclass fields).  A parameter that
-  only tests set is a test-only hook in a production signature.
+  function or a method in ``src/starhom``, must be passed by some call in
+  ``CALLERS``, by keyword or in its position.  Calls are matched by
+  function or attribute name, and a class name matches its ``__init__``.
+  A parameter that only tests set is a test-only hook in a production
+  signature.
 - **Definitions.**  Every module-level function and class, and every
   method whose name is not a dunder, in ``src/starhom`` must be referenced
   by name (a bare name or an attribute) somewhere in ``CALLERS`` outside
@@ -60,14 +60,6 @@ def _caller_trees() -> list[ast.Module]:
     return [ast.parse(path.read_text()) for path in CALLERS]
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        fn = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(fn, "id", None) == "dataclass" or getattr(fn, "attr", None) == "dataclass":
-            return True
-    return False
-
-
 def _signature(fn: ast.FunctionDef, method: bool) -> tuple[list, list]:
     """(positional parameter names as a call sees them, defaulted names)."""
     args = fn.args
@@ -90,13 +82,6 @@ def defaulted_parameters() -> list[tuple[str, str, list, list]]:
                 out.append((f"{path.stem}.{node.name}", node.name, *_signature(node, False)))
             elif isinstance(node, ast.ClassDef):
                 where = f"{path.stem}.{node.name}"
-                if _is_dataclass(node):
-                    fields = [
-                        s for s in node.body
-                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                    ]
-                    names = [s.target.id for s in fields]
-                    out.append((where, node.name, names, [s.target.id for s in fields if s.value]))
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef):
                         called = node.name if fn.name == "__init__" else fn.name

@@ -36,6 +36,7 @@ from .hkr import DForm, de_rham, hkr_map
 from .charclass import (
     ChernClassExpr,
     ChernRootSeries,
+    ClassSeries,
     a_hat,
     exp_class,
     rr_identity_check,

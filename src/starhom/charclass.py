@@ -1,9 +1,10 @@
 """Characteristic-class series: A-hat, Todd, exponentials, and the
 multiplicative identity A-hat * e^(c1/2) = Td.
 
-Series are exact symmetric polynomials in d Chern roots, truncated at a
-total algebraic degree D (cohomological degree 2D).  The c-basis side uses
-elementary symmetric polynomials c_1..c_d with algebraic degree deg c_i = i.
+A class is one ``ClassSeries`` in either basis: an exact polynomial in the
+d Chern roots, each of weight 1, or in the elementary symmetric classes
+c_1..c_d, c_i of weight i, cut at a weighted degree D (cohomological
+degree 2D).
 
 Single-root generating functions, expanded by exact series inversion:
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .series import Poly, SeriesError, accumulate
 
@@ -69,75 +71,110 @@ def todd_root_series(order: int) -> list[Fraction]:
     return invert_unit_series(denom, order)
 
 
-# -- symmetric series in the root basis ---------------------------------------
+# -- class series in either basis ---------------------------------------------
 
 
-class ChernRootSeries:
-    """Symmetric polynomial in d Chern roots, exact below total degree trunc.
+class ClassSeries:
+    """A characteristic class, exact through weighted degree ``trunc``.
 
-    Root degree is counted algebraically (each root has degree 1); the
-    cohomological degree of a degree-k piece is 2k.  Symmetry is checked
-    in one place, by ``to_chern_basis``.
+    The class is a polynomial in generators of positive weight: 1 for each
+    Chern root r_i, and i for the elementary class c_i.  The cohomological
+    degree of a weight-k piece is 2k.  A term's weight is never below its
+    total degree, so a product capped at total degree ``trunc`` builds
+    every term of weight up to ``trunc``, and ``*`` is exact in both bases.
+    Symmetry of a root-basis class is checked in one place, by
+    ``to_chern_basis``.
     """
 
-    __slots__ = ("roots", "trunc", "poly")
+    __slots__ = ("weights", "trunc", "poly")
 
-    def __init__(self, roots, trunc: int, poly: Poly):
-        roots = tuple(roots)
-        if poly.gens != roots:
-            raise SeriesError("polynomial generators do not match the roots")
-        poly = poly.truncate_degree(trunc)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "trunc", int(trunc))
-        object.__setattr__(self, "poly", poly)
+    def __init__(self, weights, trunc: int, poly: Poly):
+        weights = tuple(weights)
+        if len(weights) != len(poly.gens):
+            raise SeriesError("one weight per generator expected")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "poly", _weighted_part(poly, weights, trunc.__ge__))
 
     def __setattr__(self, *_):
-        raise AttributeError("ChernRootSeries is immutable")
-
-    @classmethod
-    def from_root_function(cls, coeffs: list[Fraction], d: int, trunc: int) -> ChernRootSeries:
-        """Product over the d roots of a single-variable series."""
-        roots = root_names(d)
-        out = Poly.const(roots, 1)
-        for i in range(d):
-            factor = Poly.zero(roots)
-            for k, q in enumerate(coeffs[: trunc + 1]):
-                if q:
-                    exp = [0] * d
-                    exp[i] = k
-                    factor = factor + Poly.monomial(roots, exp, q)
-            out = out.mul_truncated(factor, trunc)
-        return cls(roots, trunc, out)
+        raise AttributeError("ClassSeries is immutable")
 
     @property
     def dim(self) -> int:
-        return len(self.roots)
+        return len(self.weights)
 
     def degree_part(self, k: int) -> Poly:
-        return self.poly.homogeneous_part(k)
+        """The terms of weighted degree k."""
+        return _weighted_part(self.poly, self.weights, k.__eq__)
 
-    def __mul__(self, other: ChernRootSeries) -> ChernRootSeries:
-        if self.roots != other.roots:
-            raise SeriesError("root mismatch")
+    def __mul__(self, other: ClassSeries) -> ClassSeries:
+        if self.weights != other.weights:
+            raise SeriesError("weight mismatch")
         trunc = min(self.trunc, other.trunc)
-        return ChernRootSeries(self.roots, trunc, self.poly.mul_truncated(other.poly, trunc))
-
-    def __sub__(self, other: ChernRootSeries) -> ChernRootSeries:
-        if self.roots != other.roots:
-            raise SeriesError("root mismatch")
-        trunc = min(self.trunc, other.trunc)
-        return ChernRootSeries(self.roots, trunc, self.poly - other.poly)
+        return ClassSeries(self.weights, trunc, self.poly.mul_truncated(other.poly, trunc))
 
     def __eq__(self, other):
         return (
-            isinstance(other, ChernRootSeries)
-            and self.roots == other.roots
+            isinstance(other, ClassSeries)
+            and self.weights == other.weights
             and self.trunc == other.trunc
             and self.poly == other.poly
         )
 
     def __repr__(self):
-        return f"ChernRootSeries({self.poly!r}; deg < {self.trunc + 1})"
+        return f"ClassSeries({self.poly!r}; weight <= {self.trunc})"
+
+
+def _weighted_part(p: Poly, weights: tuple, keep) -> Poly:
+    """The terms of ``p`` whose weighted degree passes ``keep``."""
+    return Poly._raw(
+        p.gens, {e: q for e, q in p.terms.items() if keep(sum(map(mul, e, weights)))}
+    )
+
+
+def ChernRootSeries(roots, trunc: int, poly: Poly) -> ClassSeries:
+    """A class in the Chern roots, each of weight 1: ``poly``, checked to
+    have the generators ``roots``, cut at total degree ``trunc``."""
+    roots = tuple(roots)
+    if poly.gens != roots:
+        raise SeriesError("polynomial generators do not match the roots")
+    return ClassSeries((1,) * len(roots), trunc, poly)
+
+
+def ChernClassExpr(dim: int, trunc: int, poly: Poly) -> ClassSeries:
+    """A class in c_1..c_d, with c_i of weight i: ``poly``, checked to have
+    the generators c1..cd, cut at weighted degree ``trunc``."""
+    if poly.gens != chern_names(dim):
+        raise SeriesError("expected generators c1..cd")
+    return ClassSeries(range(1, dim + 1), trunc, poly)
+
+
+def from_root_function(coeffs: list[Fraction], d: int, trunc: int) -> ClassSeries:
+    """Product over the d roots of a single-variable series."""
+    roots = root_names(d)
+    out = Poly.const(roots, 1)
+    for i in range(d):
+        factor = Poly.zero(roots)
+        for k, q in enumerate(coeffs[: trunc + 1]):
+            if q:
+                exp = [0] * d
+                exp[i] = k
+                factor = factor + Poly.monomial(roots, exp, q)
+        out = out.mul_truncated(factor, trunc)
+    return ChernRootSeries(roots, trunc, out)
+
+
+def half_c1(d: int, trunc: int) -> ClassSeries:
+    gens = chern_names(d)
+    return ChernClassExpr(d, trunc, Poly.gen(gens, "c1") * Fraction(1, 2))
+
+
+def to_roots(e: ClassSeries, trunc: int) -> ClassSeries:
+    """Expand a Chern-basis class in the roots, c_i as the elementary
+    symmetric polynomial e_i(roots), cut at total degree ``trunc``."""
+    d = e.dim
+    images = {f"c{i}": elementary_symmetric(d, i) for i in range(1, d + 1)}
+    return ChernRootSeries(root_names(d), trunc, e.poly.substitute(images))
 
 
 def _is_symmetric(p: Poly) -> bool:
@@ -151,57 +188,6 @@ def _is_symmetric(p: Poly) -> bool:
         if swapped != p.terms:
             return False
     return True
-
-
-class ChernClassExpr:
-    """Polynomial in c_1..c_d with weighted degree deg c_i = i, truncated."""
-
-    __slots__ = ("dim", "trunc", "poly")
-
-    def __init__(self, dim: int, trunc: int, poly: Poly):
-        if poly.gens != chern_names(dim):
-            raise SeriesError("expected generators c1..cd")
-        self.dim, self.trunc, self.poly = dim, trunc, _truncate_weighted(poly, trunc)
-
-    def __eq__(self, other):
-        same = isinstance(other, ChernClassExpr) and self.trunc == other.trunc
-        return same and self.poly == other.poly  # equal gens: equal dims
-
-    @classmethod
-    def half_c1(cls, d: int, trunc: int) -> ChernClassExpr:
-        gens = chern_names(d)
-        return cls(d, trunc, Poly.gen(gens, "c1") * Fraction(1, 2))
-
-    def weighted_degrees(self) -> list[int]:
-        w = list(range(1, self.dim + 1))
-        return sorted({sum(e * wi for e, wi in zip(exp, w)) for exp in self.poly.terms})
-
-    def min_weighted_degree(self) -> int:
-        degs = self.weighted_degrees()
-        return degs[0] if degs else -1
-
-    def to_roots(self, trunc: int | None = None) -> ChernRootSeries:
-        """Expand c_i as the elementary symmetric polynomial e_i(roots)."""
-        trunc = self.trunc if trunc is None else trunc
-        d = self.dim
-        roots = root_names(d)
-        images = {
-            f"c{i}": elementary_symmetric(d, i) for i in range(1, d + 1)
-        }
-        expanded = self.poly.substitute(images).truncate_degree(trunc)
-        return ChernRootSeries(roots, trunc, expanded)
-
-
-def _truncate_weighted(p: Poly, trunc: int) -> Poly:
-    w = list(range(1, len(p.gens) + 1))
-    return Poly(
-        p.gens,
-        {
-            exp: q
-            for exp, q in p.terms.items()
-            if sum(e * wi for e, wi in zip(exp, w)) <= trunc
-        },
-    )
 
 
 def elementary_symmetric(d: int, i: int) -> Poly:
@@ -218,22 +204,23 @@ def elementary_symmetric(d: int, i: int) -> Poly:
 # -- the four main operations --------------------------------------------------
 
 
-def a_hat(d: int, trunc: int) -> ChernRootSeries:
+def a_hat(d: int, trunc: int) -> ClassSeries:
     """Product over the d roots of x / (e^(x/2) - e^(-x/2))."""
-    return ChernRootSeries.from_root_function(a_hat_root_series(trunc), d, trunc)
+    return from_root_function(a_hat_root_series(trunc), d, trunc)
 
 
-def todd(d: int, trunc: int) -> ChernRootSeries:
+def todd(d: int, trunc: int) -> ClassSeries:
     """Product over the d roots of x / (1 - e^(-x))."""
-    return ChernRootSeries.from_root_function(todd_root_series(trunc), d, trunc)
+    return from_root_function(todd_root_series(trunc), d, trunc)
 
 
-def exp_class(theta: ChernClassExpr, trunc: int | None = None) -> ChernRootSeries:
-    """exp of a class with positive-degree terms, in the root basis."""
-    trunc = theta.trunc if trunc is None else trunc
-    if not theta.poly.is_zero() and theta.min_weighted_degree() < 1:
+def exp_class(theta: ClassSeries, trunc: int) -> ClassSeries:
+    """exp of a Chern-basis class with no constant term, in the root basis.
+    Every weight is at least 1, so the constant term is the only term of
+    weight 0."""
+    if theta.poly.constant_term():
         raise SeriesError("exponential requires positive-degree terms only")
-    base = theta.to_roots(trunc).poly
+    base = to_roots(theta, trunc).poly
     out = Poly.const(base.gens, 1)
     power = Poly.const(base.gens, 1)
     for k in range(1, trunc + 1):
@@ -244,7 +231,7 @@ def exp_class(theta: ChernClassExpr, trunc: int | None = None) -> ChernRootSerie
     return ChernRootSeries(root_names(theta.dim), trunc, out)
 
 
-def to_chern_basis(s: ChernRootSeries) -> ChernClassExpr:
+def to_chern_basis(s: ClassSeries) -> ClassSeries:
     """Rewrite a symmetric root polynomial in the elementary basis.
 
     Classical leading-term subtraction: peel the lex-greatest monomial
@@ -325,26 +312,13 @@ def _times_elementary(s: dict, k: int, d: int) -> dict:
 
 
 class IdentityReport:
-    """Degree-by-degree comparison of two symmetric series."""
+    """Degree-by-degree comparison of two symmetric series: ``mismatches``
+    holds one dict per differing cohomological degree."""
 
-    __slots__ = ("equal", "dim", "trunc", "mismatches")
+    __slots__ = ("equal", "mismatches")
 
-    def __init__(self, equal: bool, dim: int, trunc: int, mismatches: list):
-        self.equal, self.dim, self.trunc, self.mismatches = equal, dim, trunc, mismatches
-
-    def to_json_dict(self) -> dict:
-        return {
-            "equal": self.equal,
-            "dim": self.dim,
-            "max_algebraic_degree": self.trunc,
-            "mismatches": [
-                {
-                    "cohomological_degree": 2 * k,
-                    "left_minus_right": repr(diff),
-                }
-                for k, diff in self.mismatches
-            ],
-        }
+    def __init__(self, equal: bool, mismatches: list):
+        self.equal, self.mismatches = equal, mismatches
 
 
 def rr_identity_check(d: int, trunc: int) -> IdentityReport:
@@ -353,11 +327,11 @@ def rr_identity_check(d: int, trunc: int) -> IdentityReport:
     c1/2 is the curvature class of the cotangent-bundle quantization; any
     discrepant homogeneous piece is reported rather than raised.
     """
-    lhs = a_hat(d, trunc) * exp_class(ChernClassExpr.half_c1(d, trunc), trunc)
-    rhs = todd(d, trunc)
+    lhs = a_hat(d, trunc) * exp_class(half_c1(d, trunc), trunc)
+    diff = ClassSeries(lhs.weights, trunc, lhs.poly - todd(d, trunc).poly)
     mismatches = []
     for k in range(trunc + 1):
-        diff = lhs.degree_part(k) - rhs.degree_part(k)
-        if not diff.is_zero():
-            mismatches.append((k, diff))
-    return IdentityReport(equal=not mismatches, dim=d, trunc=trunc, mismatches=mismatches)
+        part = diff.degree_part(k)
+        if part:
+            mismatches.append({"cohomological_degree": 2 * k, "left_minus_right": repr(part)})
+    return IdentityReport(not mismatches, mismatches)

@@ -128,7 +128,7 @@ def cmd_charclass(args) -> int:
         check = suite.result(
             "RR",
             "a-hat * exp(c1/2) = todd",
-            rep.to_json_dict()["mismatches"],
+            rep.mismatches,
             {"dim": d, "max_cohomological_degree": 2 * deg},
         )
         return _single_check_report(args, check)
@@ -139,16 +139,15 @@ def cmd_charclass(args) -> int:
     else:
         doc = _read_json(args.json) if args.json else None
         if doc is None:
-            theta = charclass.ChernClassExpr.half_c1(d, deg)
+            theta = charclass.half_c1(d, deg)
         else:
             poly = serialize.poly_from_json(doc, charclass.chern_names(d))
             theta = charclass.ChernClassExpr(d, deg, poly)
         series = charclass.exp_class(theta, deg)
     if args.basis == "chern":
-        out = serialize.chern_expr_to_json(charclass.to_chern_basis(series))
-    else:
-        out = serialize.root_series_to_json(series)
-    _emit(out, f"{args.klass}(dim {d}) to cohomological degree {2 * deg}")
+        series = charclass.to_chern_basis(series)
+    doc = serialize.class_series_to_json(series, args.basis)
+    _emit(doc, f"{args.klass}(dim {d}) to cohomological degree {2 * deg}")
     return EXIT_OK
 
 

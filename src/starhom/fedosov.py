@@ -59,7 +59,7 @@ def gl_to_vf(matrix, dim: int) -> DiffOp:
     return DiffOp(dim, {unit[i] + unit[j]: rows[i][j] for i in range(dim) for j in range(dim)})
 
 
-def i_map(v: DiffOp, t_trunc: int = 8) -> WeylElement:
+def i_map(v: DiffOp, t_trunc: int) -> WeylElement:
     """Weyl-ordered realization: x^a D_j -> zh^a * (xih_j / t).
 
     On linear fields this is the gl embedding with its central -tr/2
@@ -239,7 +239,7 @@ def kazhdan_assemble(a0: LieValuedForm, fiber_deg: int) -> AssembledConnection:
 # -- lifting and conjugation ----------------------------------------------------
 
 
-def central_scalar_form(form: DForm, dim: int, t_trunc: int = 8) -> LieValuedForm:
+def central_scalar_form(form: DForm, dim: int, t_trunc: int) -> LieValuedForm:
     """A scalar form times the fiber unit: a form with central Lie values."""
     gens = fiber_weyl_names(dim)
     unit = WeylElement.const(gens, 1, t_trunc)
@@ -247,7 +247,7 @@ def central_scalar_form(form: DForm, dim: int, t_trunc: int = 8) -> LieValuedFor
     return LieValuedForm(form.base, WeylElement.zero(gens, t_trunc), terms)
 
 
-def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int = 8) -> LieValuedForm:
+def lift_connection(a: LieValuedForm, half_trace: LieValuedForm, t_trunc: int) -> LieValuedForm:
     """Apply the Weyl-ordered realization valuewise and add the central
     half-trace 1-form.  When ``a`` is flat through fiber degree K, the
     curvature of the lift is central through degree K."""
@@ -264,13 +264,13 @@ def trace_form(mform: dict, base, dim: int) -> DForm:
     )
 
 
-def half_trace_form(a0_matrix_form: dict, base, dim: int, t_trunc: int = 8) -> LieValuedForm:
+def half_trace_form(a0_matrix_form: dict, base, dim: int, t_trunc: int) -> LieValuedForm:
     """(1/2) tr of a gl-valued matrix 1-form {widx: matrix of Polys}, central."""
     half_trace = trace_form(a0_matrix_form, base, dim) * Fraction(1, 2)
     return central_scalar_form(half_trace, dim, t_trunc=t_trunc)
 
 
-def shift_conjugator(base, dim: int, t_trunc: int = 10) -> LieValuedForm:
+def shift_conjugator(base, dim: int, t_trunc: int) -> LieValuedForm:
     """H = - sum_i xi_i zh_i / t on the cotangent chart (z_1..z_d, xi_1..xi_d)."""
     base = tuple(base)
     if len(base) != 2 * dim:
@@ -302,7 +302,7 @@ def _ad_series(h: LieValuedForm, form: LieValuedForm, weights) -> LieValuedForm:
     return out
 
 
-def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int = 10) -> LieValuedForm:
+def psi_conjugate(a: LieValuedForm, fiber_deg: int, dim: int, t_trunc: int) -> LieValuedForm:
     """Gauge transform by Psi = exp(ad H), H = -sum_i xi_i zh_i / t:
 
         A  ->  Psi(A) + Psi d(Psi^-1),

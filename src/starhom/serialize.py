@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .charclass import ChernClassExpr, ChernRootSeries
+from .charclass import ClassSeries
 from .hkr import DForm
 from .hochschild import (
     AlgebraHandle,
@@ -122,14 +122,12 @@ def poly_to_json(p: Poly) -> dict:
     }
 
 
-def poly_from_json(doc: dict, gens=None) -> Poly:
+def poly_from_json(doc: dict, gens) -> Poly:
     doc = _object(doc, "a polynomial")
-    got = _names_from(doc["gens"]) if "gens" in doc else None
-    gens = got if gens is None else tuple(gens)
-    if got is not None and got != gens:
+    gens = tuple(gens)
+    got = _names_from(doc["gens"]) if "gens" in doc else gens
+    if got != gens:
         raise DecodeError(f"generator mismatch: {got} vs {gens}")
-    if gens is None:
-        raise DecodeError("no generators given")
     terms = {}
     for item in _need_objects(doc, "terms"):
         exp = _ints_from(_need(item, "exp"), "exponent")
@@ -151,15 +149,11 @@ def tseries_to_json(s: WeylElement) -> dict:
     }
 
 
-def tseries_from_json(doc: dict, gens=None) -> WeylElement:
-    coeffs_doc = _need_mapping(doc, "coeffs")
+def tseries_from_json(doc: dict, gens) -> WeylElement:
     coeffs = {}
-    for e_str, p_doc in coeffs_doc.items():
+    for e_str, p_doc in _need_mapping(doc, "coeffs").items():
         p = poly_from_json(p_doc, gens)
-        gens = p.gens
         coeffs[_int_key(e_str, "t-exponent key")] = p
-    if gens is None:
-        raise DecodeError("empty series requires explicit generators")
     lower = _int_from(_need(doc, "lower"), "lower bound")
     trunc = _int_from(_need(doc, "trunc"), "truncation")
     try:
@@ -172,13 +166,11 @@ def weyl_to_json(w: WeylElement) -> dict:
     return {"dim": w.dim, "trunc": w.trunc, "value": tseries_to_json(w)}
 
 
-def weyl_from_json(doc: dict, dim: int | None = None, trunc: int = 8) -> WeylElement:
+def weyl_from_json(doc: dict, dim: int, trunc: int) -> WeylElement:
     """A Weyl value: a windowed series, or a polynomial placed in the window
     [0, trunc).  The document's own "trunc" is that window, in place of the
     one passed in, and must be a windowed value's own."""
     dim = _dim_from(_object(doc, "a Weyl element"), dim)
-    if dim is None:
-        raise DecodeError("dimension required")
     gens = weyl_gens(dim)
     declared = "trunc" in doc
     if declared:
@@ -206,10 +198,8 @@ def diffop_to_json(op: DiffOp) -> dict:
     }
 
 
-def diffop_from_json(doc: dict, dim: int | None = None) -> DiffOp:
+def diffop_from_json(doc: dict, dim: int) -> DiffOp:
     dim = _dim_from(_object(doc, "an operator"), dim)
-    if dim is None:
-        raise DecodeError("dimension required for operators")
     terms = {}
     for item in _need_objects(doc, "terms"):
         xe = _ints_from(_need(item, "x"), "x multi-index")
@@ -231,7 +221,7 @@ def opseries_to_json(s: OpSeries) -> dict:
     }
 
 
-def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
+def opseries_from_json(doc: dict, dim: int) -> OpSeries:
     dim = _dim_from(_object(doc, "an operator series"), dim)
     if "lower" in doc or "trunc" in doc:
         raise DecodeError("an operator series is exact and takes no window")
@@ -240,8 +230,6 @@ def opseries_from_json(doc: dict, dim: int | None = None) -> OpSeries:
         op = diffop_from_json(op_doc, dim)
         dim = op.dim
         comps[_int_key(p_str, "grade key")] = op
-    if dim is None:
-        raise DecodeError("dimension required for operators")
     return OpSeries(dim, comps)
 
 
@@ -347,6 +335,11 @@ def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
         wrong = [a.dim for a in word if algebra != "poly" and a.dim != dim]
         if wrong:
             raise DecodeError(f"a slot of dimension {wrong[0]} in a chain of dimension {dim}")
+        # a narrower slot window would cut terms that the chain's own
+        # window keeps, and the zero test reads only the coefficient windows
+        narrow = [a.trunc - a.lower for a in word if algebra in ("weyl", "weyl-loc")]
+        if narrow and min(narrow) < trunc:
+            raise DecodeError(f"a slot window of width {min(narrow)} in a chain of trunc {trunc}")
         if len(word) != degree + 1:
             raise DecodeError(
                 f"word length {len(word)} does not match degree {degree}"
@@ -412,30 +405,17 @@ def dform_to_json(f: DForm) -> dict:
     }
 
 
-def root_series_to_json(s: ChernRootSeries) -> dict:
+def class_series_to_json(s: ClassSeries, basis: str) -> dict:
+    """One polynomial per nonzero cohomological degree 2k.  The basis label
+    is passed in: at d = 1 both bases have the weights (1,)."""
     parts = {}
     for k in range(s.trunc + 1):
         piece = s.degree_part(k)
         if not piece.is_zero():
             parts[str(2 * k)] = poly_to_json(piece)
     return {
-        "basis": "roots",
+        "basis": basis,
         "dim": s.dim,
         "max_cohomological_degree": 2 * s.trunc,
-        "components": parts,
-    }
-
-
-def chern_expr_to_json(e: ChernClassExpr) -> dict:
-    weights = list(range(1, e.dim + 1))
-    parts: dict[str, dict] = {}
-    for exp, q in sorted(e.poly.terms.items()):
-        deg = 2 * sum(a * w for a, w in zip(exp, weights))
-        entry = parts.setdefault(str(deg), {"gens": list(e.poly.gens), "terms": []})
-        entry["terms"].append({"exp": list(exp), "coef": format_fraction(q)})
-    return {
-        "basis": "chern",
-        "dim": e.dim,
-        "max_cohomological_degree": 2 * e.trunc,
         "components": parts,
     }

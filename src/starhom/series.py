@@ -190,9 +190,6 @@ class Poly:
         """The terms as (q, t-power, basis key) triples."""
         return [(q, 0, exp) for exp, q in self.terms.items()]
 
-    def homogeneous_part(self, k: int) -> Poly:
-        return self._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) == k})
-
     def truncate_degree(self, max_deg: int) -> Poly:
         """Drop all terms of total degree above ``max_deg``."""
         return self._raw(self.gens, {e: q for e, q in self.terms.items() if sum(e) <= max_deg})

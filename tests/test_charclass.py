@@ -10,19 +10,22 @@ import pytest
 from starhom.charclass import (
     ChernClassExpr,
     ChernRootSeries,
+    ClassSeries,
     SymmetryError,
     a_hat,
     a_hat_root_series,
     chern_names,
     elementary_symmetric,
     exp_class,
+    half_c1,
     root_names,
     rr_identity_check,
     to_chern_basis,
+    to_roots,
     todd,
     todd_root_series,
 )
-from starhom.series import Poly
+from starhom.series import Poly, SeriesError
 
 
 class TestRootSeriesOracles:
@@ -50,8 +53,8 @@ class TestAHat:
         for d in (1, 2, 3):
             assert a_hat(d, 4).degree_part(0) == Poly.const(root_names(d), 1)
             assert todd(d, 4).degree_part(0) == Poly.const(root_names(d), 1)
-            theta = ChernClassExpr.half_c1(d, 4)
-            assert exp_class(theta).degree_part(0) == Poly.const(root_names(d), 1)
+            theta = half_c1(d, 4)
+            assert exp_class(theta, 4).degree_part(0) == Poly.const(root_names(d), 1)
 
     def test_d1_to_degree_two(self):
         r = root_names(1)
@@ -97,40 +100,31 @@ class TestTodd:
 
     def test_degree_three_term(self):
         cn = chern_names(3)
-        td = to_chern_basis(todd(3, 3)).poly
-        weights = (1, 2, 3)
-        deg3 = Poly(
-            cn,
-            {
-                e: q
-                for e, q in td.terms.items()
-                if sum(a * w for a, w in zip(e, weights)) == 3
-            },
-        )
+        deg3 = to_chern_basis(todd(3, 3)).degree_part(3)
         assert deg3 == Poly.gen(cn, "c1") * Poly.gen(cn, "c2") * Fraction(1, 24)
 
 
 class TestExpClass:
     def test_zero_class(self):
-        got = exp_class(ChernClassExpr(2, 4, Poly.zero(chern_names(2))))
+        got = exp_class(ChernClassExpr(2, 4, Poly.zero(chern_names(2))), 4)
         assert got.poly == Poly.const(root_names(2), 1)
 
     def test_half_c1(self):
         cn = chern_names(2)
         c1 = Poly.gen(cn, "c1")
-        got = to_chern_basis(exp_class(ChernClassExpr.half_c1(2, 2))).poly
+        got = to_chern_basis(exp_class(half_c1(2, 2), 2)).poly
         want = Poly.const(cn, 1) + c1 * Fraction(1, 2) + c1 * c1 * Fraction(1, 8)
         assert got == want
 
     def test_inverse(self):
-        theta = ChernClassExpr.half_c1(2, 4)
+        theta = half_c1(2, 4)
         minus = ChernClassExpr(2, 4, -theta.poly)
-        assert (exp_class(theta) * exp_class(minus)).poly == Poly.const(root_names(2), 1)
+        assert (exp_class(theta, 4) * exp_class(minus, 4)).poly == Poly.const(root_names(2), 1)
 
     def test_rejects_degree_zero_component(self):
         cn = chern_names(1)
-        with pytest.raises(Exception):
-            exp_class(ChernClassExpr(1, 3, Poly.const(cn, 1)))
+        with pytest.raises(SeriesError):
+            exp_class(ChernClassExpr(1, 3, Poly.const(cn, 1)), 3)
 
 
 class TestChernBasis:
@@ -163,7 +157,7 @@ class TestChernBasis:
                 for perm in set(itertools.permutations(exp)):
                     p = p + Poly.monomial(roots, perm, q)
             s = ChernRootSeries(roots, 6, p)
-            assert to_chern_basis(s).to_roots(6).poly == s.poly
+            assert to_roots(to_chern_basis(s), 6).poly == s.poly
 
     def test_rejects_asymmetric_input(self):
         # the constructor holds any root polynomial; the basis change checks
@@ -189,7 +183,7 @@ class TestChernBasis:
         converted = to_chern_basis(todd58)
         images = {f"c{i}": elementary_symmetric(5, i) for i in range(1, 6)}
         assert converted.poly.substitute(images).truncate_degree(8) == todd58.poly
-        assert converted.to_roots(8) == todd58
+        assert to_roots(converted, 8) == todd58
 
     def test_todd_d6_degree8_round_trip(self):
         todd68 = todd(6, 8)
@@ -198,22 +192,66 @@ class TestChernBasis:
         assert back == todd68.poly
 
 
-def leading_term_reference(s: ChernRootSeries) -> ChernClassExpr:
+class TestClassSeries:
+    """One class-series type holds both bases; only the weights differ."""
+
+    @pytest.mark.parametrize("d,trunc", [(1, 6), (2, 6), (3, 5), (4, 6)])
+    def test_chern_basis_product_matches_root_product(self, d, trunc):
+        # a product cut at weighted degree trunc in c1..cd equals the same
+        # product taken in the roots and brought back
+        left, right = todd(d, trunc), a_hat(d, trunc - 1) * exp_class(half_c1(d, trunc), trunc)
+        got = to_chern_basis(left) * to_chern_basis(right)
+        assert got == to_chern_basis(left * right)
+        assert got.trunc == trunc - 1
+
+    def test_cut_and_parts_follow_the_weights(self):
+        cn = chern_names(3)
+        c1, c2, c3 = (Poly.gen(cn, g) for g in cn)
+        e = ChernClassExpr(3, 3, c1 + c2 + c3 + c1 * c2 + c3 * c1 + c2 ** 2)
+        assert e.weights == (1, 2, 3)
+        assert e.poly == c1 + c2 + c3 + c1 * c2
+        assert [e.degree_part(k) for k in range(4)] == [Poly.zero(cn), c1, c2, c3 + c1 * c2]
+        r = root_names(3)
+        s = ChernRootSeries(r, 1, Poly.gen(r, "r1") + Poly.gen(r, "r2") ** 2)
+        assert s.weights == (1, 1, 1) and s.poly == Poly.gen(r, "r1")
+
+    def test_dimension_one_bases_share_weights(self):
+        # which is why the JSON encoder takes the basis label as an argument
+        assert todd(1, 3).weights == to_chern_basis(todd(1, 3)).weights == (1,)
+
+    def test_checked_constructors_reject_other_generators(self):
+        with pytest.raises(SeriesError):
+            ChernRootSeries(root_names(2), 3, Poly.zero(chern_names(2)))
+        with pytest.raises(SeriesError):
+            ChernClassExpr(2, 3, Poly.zero(root_names(2)))
+        with pytest.raises(SeriesError):
+            ClassSeries((1,), 3, Poly.zero(root_names(2)))
+
+    def test_product_rejects_mixed_bases(self):
+        with pytest.raises(SeriesError):
+            todd(2, 3) * half_c1(2, 3)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            todd(1, 2).trunc = 5
+
+
+def leading_term_reference(s: ClassSeries) -> ClassSeries:
     """Leading-term subtraction over the whole root polynomial, with full
     Poly products of the powers e_i^k: an independent reference for
     to_chern_basis, which holds only the coefficients on partitions."""
     d = s.dim
-    cgens = chern_names(d)
+    roots, cgens = root_names(d), chern_names(d)
     remainder = s.poly
     out = Poly.zero(cgens)
-    powers = [[Poly.const(s.roots, 1), elementary_symmetric(d, i)] for i in range(1, d + 1)]
+    powers = [[Poly.const(roots, 1), elementary_symmetric(d, i)] for i in range(1, d + 1)]
     while not remainder.is_zero():
         lam = max(remainder.terms)
         q = remainder.terms[lam]
         if any(lam[i] < lam[i + 1] for i in range(d - 1)):
             raise SymmetryError(f"leading exponent {lam} is not a partition")
         cexp = [0] * d
-        prod = Poly.const(s.roots, q)
+        prod = Poly.const(roots, q)
         for i in range(d):
             power = lam[i] - (lam[i + 1] if i + 1 < d else 0)
             cexp[i] = power
@@ -241,7 +279,7 @@ def random_symmetric(rng, d, trunc):
 
 
 class TestAgainstLeadingTermReference:
-    """Same ChernClassExpr as the reference, term order included."""
+    """Same Chern-basis class as the reference, term order included."""
 
     @staticmethod
     def assert_same(s):
@@ -258,7 +296,7 @@ class TestAgainstLeadingTermReference:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_exp_half_c1(self, d):
         for trunc in range(9):
-            self.assert_same(exp_class(ChernClassExpr.half_c1(d, trunc)))
+            self.assert_same(exp_class(half_c1(d, trunc), trunc))
 
     def test_random_symmetric(self):
         rng = random.Random("partitions")
@@ -304,7 +342,7 @@ class TestIdentity:
                 })
             return out
 
-        base = theta.to_roots(trunc).poly
+        base = to_roots(theta, trunc).poly
         exp_full = Poly.zero(roots)
         for k in range(trunc + 1):
             exp_full = exp_full + base ** k * Fraction(1, math.factorial(k))
@@ -312,7 +350,7 @@ class TestIdentity:
         rhs = root_product(todd_root_series(trunc)).truncate_degree(trunc)
         want = []
         for k in range(trunc + 1):
-            diff = lhs.homogeneous_part(k) - rhs.homogeneous_part(k)
+            diff = Poly(roots, {e: q for e, q in (lhs - rhs).terms.items() if sum(e) == k})
             if not diff.is_zero():
                 want.append((k, diff))
         got_lhs = a_hat(d, trunc) * exp_class(theta, trunc)
@@ -325,5 +363,5 @@ class TestIdentity:
         assert want and got == want
 
     def test_report_shape(self):
-        doc = rr_identity_check(2, 3).to_json_dict()
-        assert doc["equal"] is True and doc["mismatches"] == []
+        report = rr_identity_check(2, 3)
+        assert report.equal is True and report.mismatches == []

@@ -579,9 +579,9 @@ def _op_series(coeffs):
 
 
 class TestPinnedStdout:
-    """Recorded stdout bytes of five one-check commands and of the
-    negative controls, which ``suite.report`` builds, and of ``hb``,
-    ``hkr`` and ``star`` on fixed documents."""
+    """Recorded stdout bytes of six one-check commands and of the
+    negative controls, which ``suite.report`` builds, of ``charclass`` in
+    both bases, and of ``hb``, ``hkr`` and ``star`` on fixed documents."""
 
     @pytest.mark.parametrize(
         "argv,md5",
@@ -593,6 +593,12 @@ class TestPinnedStdout:
             ("fedosov --check lift-curvature --dim 2 --fiber-trunc 4",
              "9d51caaa9de74e4ca83633edfa748278"),
             ("fedosov --check psi --dim 1 --fiber-trunc 3", "c4983bbca781dee4591856d52306d6ec"),
+            ("charclass --class todd --dim 2 --max-deg 5", "a22e8014a7e72a56ba44f7e54a7321a0"),
+            ("charclass --class a-hat --dim 3 --max-deg 6 --basis roots",
+             "177728869eb6c0b88f8d5d285dc70ad1"),
+            ("charclass --class exp --dim 2 --max-deg 4 --basis chern",
+             "69cb91c5a17c4b10b1cb2f0f889153ab"),
+            ("charclass --class rr-check --dim 2 --max-deg 6", "cef8d9022ae5a99f31e0ac647ec75c6b"),
         ],
     )
     def test_stdout_md5(self, capsys, argv, md5):
@@ -798,6 +804,39 @@ class TestWeylDocumentWindow:
         code, out, _ = run_cli(capsys, "star", "--trunc-t", "6", "--json", "-")
         assert code == EXIT_OK
         assert json.loads(out)["trunc"] == 3
+
+    @pytest.mark.parametrize("width,code", [(1, EXIT_MALFORMED), (7, EXIT_MALFORMED), (8, 1)])
+    @pytest.mark.parametrize("command", ["verify-cycle", "hb", "hB"])
+    def test_chain_slot_narrower_than_the_chain_exits_2(self, capsys, monkeypatch, command,
+                                                        width, code):
+        # b(x (x) xi) = -t: a slot window of width 1 would cut that term and
+        # fake a cycle; a slot as wide as the chain's window is read
+        doc = _chain("weyl", {"dim": 1, "trunc": width, "value": _poly((1, 0, "1/1"))},
+                     {"dim": 1, "trunc": width, "value": _poly((0, 1, "1/1"))})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        got, out, err = run_cli(capsys, command, "--dim", "1", "--trunc-t", "8", "--json", "-")
+        if code == EXIT_MALFORMED:
+            assert got == EXIT_MALFORMED and out == "" and err.startswith("input error:")
+        else:
+            assert got == (1 if command == "verify-cycle" else EXIT_OK), err
+
+    @pytest.mark.parametrize("command", ["hb", "hB"])
+    def test_weyl_loc_output_round_trips(self, capsys, monkeypatch, command):
+        doc = {"algebra": "weyl-loc", "degree": 1, "dim": 1, "terms": [{
+            "coef": _t_series(-1, 5, {-1: _poly((0, 0, "2/1"))}),
+            "word": [
+                _poly((1, 0, "1/1")),
+                {"dim": 1, "trunc": 8, "value": _t_series(-1, 8, {-1: _poly((0, 1, "1/1"))})},
+            ],
+        }]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, command, "--json", "-")
+        assert code == EXIT_OK and json.loads(out)["terms"], err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, again, err = run_cli(capsys, command, "--json", "-")
+        assert code == EXIT_OK, err
+        # b b = 0 and B B = 0 on the decoded image
+        assert json.loads(again)["terms"] == []
 
 
 WEYL_SLOT = {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}

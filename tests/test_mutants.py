@@ -156,6 +156,15 @@ MUTANTS = [
         None,
     ),
     (
+        # unit weights: c_i counts as degree 1 in the cut and the parts
+        "class-series-unit-weights",
+        "charclass.py",
+        "sum(map(mul, e, weights))",
+        "sum(e)",
+        "check_rr_identity",
+        None,
+    ),
+    (
         "hkr-laplace-sign-flipped",
         "hkr.py",
         "det = det - term if k % 2 else det + term",

@@ -18,13 +18,13 @@ class TestValueRoundTrips:
         rng = random.Random("ser-poly")
         for _ in range(20):
             p = random_poly(rng, ("x", "y"), max_degree=4, terms=3)
-            assert serialize.poly_from_json(serialize.poly_to_json(p)) == p
+            assert serialize.poly_from_json(serialize.poly_to_json(p), ("x", "y")) == p
 
     def test_rationals_survive_exactly(self):
         p = Poly(("x",), {(3,): Fraction(-22, 7)})
         doc = serialize.poly_to_json(p)
         assert doc["terms"][0]["coef"] == "-22/7"
-        assert serialize.poly_from_json(doc) == p
+        assert serialize.poly_from_json(doc, ("x",)) == p
 
     def test_tseries(self):
         rng = random.Random("ser-ts")
@@ -37,16 +37,16 @@ class TestValueRoundTrips:
         w = WeylElement.from_poly(Poly.gen(weyl_gens(2), "xi2"), 5, t_exp=-1)
         doc = serialize.weyl_to_json(w)
         assert doc["trunc"] == 5
-        assert serialize.weyl_from_json(doc) == w
+        assert serialize.weyl_from_json(doc, 2, 8) == w
 
     def test_diffop_and_opseries(self):
         rng = random.Random("ser-op")
         for _ in range(20):
             op = random_diffop(rng, 2)
-            assert serialize.diffop_from_json(serialize.diffop_to_json(op)) == op
+            assert serialize.diffop_from_json(serialize.diffop_to_json(op), 2) == op
             series = random_rees(rng, 2).shift(-1)
             doc = serialize.opseries_to_json(series)
-            assert serialize.opseries_from_json(doc) == series
+            assert serialize.opseries_from_json(doc, 2) == series
 
 
 class TestChainRoundTrips:
@@ -73,10 +73,16 @@ class TestChainRoundTrips:
         c = maker(2)
         doc = serialize.chain_to_json(c)
         assert "dim" not in doc
-        back = serialize.chain_from_json(doc)
+        # the slots keep the window of t-width 3 that the cycles are built in
+        back = serialize.chain_from_json(doc, trunc=3)
         assert back == c
         assert back.handle.unit.dim == 2
         assert all(a.dim == 2 for _, word in back.items() for a in word)
+
+    def test_slots_narrower_than_the_chain_rejected(self):
+        doc = serialize.chain_to_json(phi_A(2))
+        with pytest.raises(DecodeError, match="slot window"):
+            serialize.chain_from_json(doc, trunc=4)
 
     def test_slots_of_two_dimensions_rejected(self):
         doc = serialize.chain_to_json(phi_E(1))
@@ -116,12 +122,12 @@ class TestMalformed:
     def test_bad_fraction(self):
         with pytest.raises(DecodeError):
             serialize.poly_from_json(
-                {"gens": ["x"], "terms": [{"exp": [1], "coef": "1/0"}]}
+                {"gens": ["x"], "terms": [{"exp": [1], "coef": "1/0"}]}, ("x",)
             )
 
     def test_missing_field(self):
         with pytest.raises(DecodeError):
-            serialize.poly_from_json({"gens": ["x"]})
+            serialize.poly_from_json({"gens": ["x"]}, ("x",))
 
     def test_unknown_algebra(self):
         with pytest.raises(DecodeError):

@@ -144,31 +144,22 @@ def _delta(form: LieValuedForm) -> LieValuedForm:
     return form._raw(form.base, form.ring, out)
 
 
-def _delta_star(form: LieValuedForm) -> LieValuedForm:
-    """sum_i x_i iota(d/dz_i), the homotopy partner of delta."""
-    dim = len(form.base)
-    out: dict = {}
-    for (widx, bexp), val in form.terms.items():
-        for pos, i in enumerate(widx):
-            new_widx = widx[:pos] + widx[pos + 1 :]
-            accumulate(out, (new_widx, bexp), DiffOp.x(dim, i + 1) * val * (-1) ** pos)
-    return form._raw(form.base, form.ring, out)
-
-
 def _delta_inv(form: LieValuedForm) -> LieValuedForm:
-    """delta^* scaled by 1/(m+q) on each (fiber degree m, form degree q)
-    piece; the unique delta-exact preimage when the input is delta-closed."""
-    out = LieValuedForm(form.base, form.ring, {})
+    """delta^* = sum_i x_i iota(d/dz_i), the homotopy partner of delta, scaled
+    by 1/(m+q) on each (fiber degree m, form degree q) piece; the unique
+    delta-exact preimage when the input is delta-closed."""
     dim = len(form.base)
+    xs = [DiffOp.x(dim, i + 1) for i in range(dim)]
+    out: dict = {}
     for (widx, bexp), val in form.terms.items():
         q_deg = len(widx)
         for m in {sum(e[:dim]) for e in val.terms}:
-            if m + q_deg == 0:
-                continue
             piece = _x_filter(val, lambda n, m=m: n == m)
-            single = form._raw(form.base, form.ring, {(widx, bexp): piece})
-            out = out + _delta_star(single) * Fraction(1, m + q_deg)
-    return out
+            # m + q_deg > 0 here: a 0-form has no wedge index to remove
+            for pos, i in enumerate(widx):
+                scaled = xs[i] * piece * Fraction((-1) ** pos, m + q_deg)
+                accumulate(out, (widx[:pos] + widx[pos + 1 :], bexp), scaled)
+    return form._raw(form.base, form.ring, out)
 
 
 class AssembledConnection:

@@ -90,14 +90,14 @@ def _names_from(value) -> tuple:
 
 
 def _dim_from(doc: dict, dim: int | None) -> int | None:
-    """The document's own nonzero "dim", else the one passed in."""
+    """The document's own "dim", at least 1, else the one passed in."""
     value = doc.get("dim")
     if value is None:
         return dim
     value = _int_from(value, "dimension")
-    if value < 0:
+    if value < 1:
         raise DecodeError(f"bad dimension {value}")
-    return value or dim
+    return value
 
 
 def _fraction_from(text) -> Fraction:
@@ -107,6 +107,36 @@ def _fraction_from(text) -> Fraction:
         return as_fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DecodeError(f"bad rational {text!r}: {exc}") from None
+
+
+def _built(make, *args):
+    """``make(*args)``, with a constructor's SeriesError read as malformed input."""
+    try:
+        return make(*args)
+    except SeriesError as exc:
+        raise DecodeError(str(exc)) from None
+
+
+def _terms_from(doc: dict, key_of) -> dict:
+    """{key_of(item): summed "coef"} over the "terms" list; a zero sum stays
+    for the constructor to check its key."""
+    terms = {}
+    for item in _need_objects(doc, "terms"):
+        key = key_of(item)
+        terms[key] = terms.get(key, 0) + _fraction_from(_need(item, "coef"))
+    return terms
+
+
+def _coeffs_from(doc: dict, what: str, read) -> dict:
+    """The "coeffs" map of ``doc`` as {integer key: read(value)}."""
+    items = [(key, read(value)) for key, value in _need_mapping(doc, "coeffs").items()]
+    return {_int_key(key, what): value for key, value in items}
+
+
+def _at_dim(value, dim: int, what: str, where: str):
+    if value.dim != dim:
+        raise DecodeError(f"{what} of dimension {value.dim} in {where} of dimension {dim}")
+    return value
 
 
 # -- Poly ----------------------------------------------------------------------
@@ -128,14 +158,8 @@ def poly_from_json(doc: dict, gens) -> Poly:
     got = _names_from(doc["gens"]) if "gens" in doc else gens
     if got != gens:
         raise DecodeError(f"generator mismatch: {got} vs {gens}")
-    terms = {}
-    for item in _need_objects(doc, "terms"):
-        exp = _ints_from(_need(item, "exp"), "exponent")
-        terms[exp] = terms.get(exp, Fraction(0)) + _fraction_from(_need(item, "coef"))
-    try:
-        return Poly(gens, terms)
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
+    terms = _terms_from(doc, lambda item: _ints_from(_need(item, "exp"), "exponent"))
+    return _built(Poly, gens, terms)
 
 
 # -- WeylElement ---------------------------------------------------------------
@@ -150,16 +174,10 @@ def tseries_to_json(s: WeylElement) -> dict:
 
 
 def tseries_from_json(doc: dict, gens) -> WeylElement:
-    coeffs = {}
-    for e_str, p_doc in _need_mapping(doc, "coeffs").items():
-        p = poly_from_json(p_doc, gens)
-        coeffs[_int_key(e_str, "t-exponent key")] = p
+    coeffs = _coeffs_from(doc, "t-exponent key", lambda p: poly_from_json(p, gens))
     lower = _int_from(_need(doc, "lower"), "lower bound")
     trunc = _int_from(_need(doc, "trunc"), "truncation")
-    try:
-        return WeylElement(Poly.zero(gens), coeffs, lower, trunc)
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
+    return _built(WeylElement, Poly.zero(gens), coeffs, lower, trunc)
 
 
 def weyl_to_json(w: WeylElement) -> dict:
@@ -200,18 +218,15 @@ def diffop_to_json(op: DiffOp) -> dict:
 
 def diffop_from_json(doc: dict, dim: int) -> DiffOp:
     dim = _dim_from(_object(doc, "an operator"), dim)
-    terms = {}
-    for item in _need_objects(doc, "terms"):
+
+    def key_of(item):
         xe = _ints_from(_need(item, "x"), "x multi-index")
         de = _ints_from(_need(item, "d"), "d multi-index")
         if len(xe) != dim or len(de) != dim:
             raise DecodeError(f"multi-index length mismatch for dim {dim}")
-        key = xe + de
-        terms[key] = terms.get(key, Fraction(0)) + _fraction_from(_need(item, "coef"))
-    try:
-        return DiffOp(dim, terms)
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
+        return xe + de
+
+    return _built(DiffOp, dim, _terms_from(doc, key_of))
 
 
 def opseries_to_json(s: OpSeries) -> dict:
@@ -225,65 +240,18 @@ def opseries_from_json(doc: dict, dim: int) -> OpSeries:
     dim = _dim_from(_object(doc, "an operator series"), dim)
     if "lower" in doc or "trunc" in doc:
         raise DecodeError("an operator series is exact and takes no window")
-    comps = {}
-    for p_str, op_doc in _need_mapping(doc, "coeffs").items():
-        op = diffop_from_json(op_doc, dim)
-        dim = op.dim
-        comps[_int_key(p_str, "grade key")] = op
-    return OpSeries(dim, comps)
+    read = lambda op: _at_dim(diffop_from_json(op, dim), dim, "an operator", "a series")
+    return _built(OpSeries, dim, _coeffs_from(doc, "grade key", read))
 
 
 # -- chains ----------------------------------------------------------------------
 
 
-def handle_for(algebra: str, dim: int = 1, trunc: int = 8, gens=None) -> AlgebraHandle:
-    if algebra == "poly":
-        return poly_handle(gens if gens is not None else weyl_gens(dim))
-    if algebra == "weyl":
-        return weyl_handle(dim, trunc=trunc)
-    if algebra == "weyl-loc":
-        return weyl_handle(dim, trunc=trunc, localized=True)
-    if algebra == "rees":
-        return rees_handle(dim)
-    raise DecodeError(f"unknown algebra {algebra!r}")
-
-
-def _element_to_json(algebra: str, elem) -> dict:
-    if algebra == "poly":
-        return poly_to_json(elem)
-    if algebra in ("weyl", "weyl-loc"):
-        return weyl_to_json(elem)
-    return opseries_to_json(elem)
-
-
-def _element_from_json(algebra: str, doc: dict, handle: AlgebraHandle, dim: int, trunc: int):
-    if algebra == "poly":
-        return poly_from_json(doc, handle.unit.gens)
-    if algebra in ("weyl", "weyl-loc"):
-        return weyl_from_json(doc, dim=dim, trunc=trunc)
-    return opseries_from_json(doc, dim)
-
-
-def _coeff_to_json(handle: AlgebraHandle, coeff: TSeries) -> object:
-    if handle.kind == "poly":
-        return format_fraction(coeff.coefficient(0))
-    if handle.kind == "rees":
-        dim = handle.unit.dim
-        return opseries_to_json(
-            OpSeries(dim, {e: DiffOp.one(dim) * q for e, q in coeff.coeffs.items()})
-        )
-    gens = handle.unit.gens
-    consts = {e: Poly.const(gens, q) for e, q in coeff.coeffs.items()}
-    return tseries_to_json(WeylElement(Poly.zero(gens), consts, coeff.lower, coeff.trunc))
-
-
-def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> TSeries:
+def _coeff_from_json(doc, handle: AlgebraHandle, series_from) -> TSeries:
+    """A "p/q" string, or a series of constants that ``series_from`` reads."""
     if isinstance(doc, str):
         return handle.coerce_coeff(_fraction_from(doc))
-    if handle.kind == "rees":
-        series = opseries_from_json(doc, dim)
-    else:
-        series = tseries_from_json(doc, handle.unit.gens)
+    series = series_from(doc)
     if not all(v.is_constant() for v in series.coeffs.values()):
         raise DecodeError("a chain coefficient must be constant in x, xi and d")
     consts = {e: v.constant_term() for e, v in series.coeffs.items()}
@@ -291,64 +259,70 @@ def _coeff_from_json(doc, handle: AlgebraHandle, dim: int) -> TSeries:
 
 
 def chain_to_json(c: HochschildChain) -> dict:
-    algebra = c.handle.kind
-    return {
-        "algebra": algebra,
-        "degree": c.degree,
-        "terms": [
-            {
-                "coef": _coeff_to_json(c.handle, coeff),
-                "word": [_element_to_json(algebra, a) for a in word],
-            }
-            for coeff, word in c.items()
-        ],
-    }
+    """A chain document.  Outside poly, a coefficient sum_e q_e t^e is
+    written as the series sum_e (q_e * 1) t^e over the slots' ring."""
+    kind, unit = c.handle.kind, c.handle.unit
+    if kind == "poly":
+        slot_to_json, coef_to_json = poly_to_json, lambda s: format_fraction(s.coefficient(0))
+    else:
+        slot_to_json = opseries_to_json if kind == "rees" else weyl_to_json
+        series_to_json = opseries_to_json if kind == "rees" else tseries_to_json
+        coef_to_json = lambda s: series_to_json(type(unit)._raw(
+            unit.ring, {e: unit.coeffs[0] * q for e, q in s.coeffs.items()}, s.lower, s.trunc
+        ))
+    terms = [{"coef": coef_to_json(k), "word": list(map(slot_to_json, w))} for k, w in c.items()]
+    return {"algebra": kind, "degree": c.degree, "terms": terms}
 
 
 def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
     """The chain of a document.  Its dimension is the document's "dim", else
     the one its weyl or rees slots state, which must agree, else ``dim``; a
-    slot of another dimension is malformed input."""
+    slot of another dimension is malformed input, and so is a weyl slot
+    whose window is narrower than ``trunc``: it would cut terms that the
+    chain's window keeps, and the zero test reads only the coefficient
+    windows."""
     algebra = _need(doc, "algebra")
     items = _need_objects(doc, "terms")
     words = [_need_objects(item, "word") for item in items]
     if "dim" in doc:
         dim = _int_from(doc["dim"], "dimension")
     elif algebra != "poly":
-        stated = {_dim_from(_object(e, "a chain slot"), None) for w in words for e in w}
-        stated.discard(None)
+        stated = {_dim_from(_object(e, "a chain slot"), None) for w in words for e in w} - {None}
         if len(stated) > 1:
             raise DecodeError(f"chain slots of dimensions {sorted(stated)}")
         dim = next(iter(stated), dim)
     if dim < 1:
         raise DecodeError(f"bad dimension {dim}")
-    gens = None
+
+    def weyl_slot(e):
+        a = _at_dim(weyl_from_json(e, dim, trunc), dim, "a slot", "a chain")
+        width = a.trunc - a.lower
+        if width < trunc:
+            raise DecodeError(f"a slot window of width {width} in a chain of trunc {trunc}")
+        return a
+
+    coef_from = lambda e: tseries_from_json(e, handle.unit.gens)
     if algebra == "poly":
         # polynomial chains carry their own generator tuple
         gens = next((_names_from(e["gens"]) for w in words for e in w if "gens" in e), None)
-    handle = handle_for(algebra, dim=dim, trunc=trunc, gens=gens)
+        handle = poly_handle(weyl_gens(dim) if gens is None else gens)
+        slot_from = lambda e: poly_from_json(e, handle.unit.gens)
+    elif algebra in ("weyl", "weyl-loc"):
+        handle, slot_from = weyl_handle(dim, trunc, algebra == "weyl-loc"), weyl_slot
+    elif algebra == "rees":
+        handle, coef_from = rees_handle(dim), lambda e: opseries_from_json(e, dim)
+        slot_from = lambda e: _at_dim(coef_from(e), dim, "a slot", "a chain")
+    else:
+        raise DecodeError(f"unknown algebra {algebra!r}")
     degree = _int_from(_need(doc, "degree"), "degree")
     terms = []
     for item, slots in zip(items, words):
-        coeff = _coeff_from_json(_need(item, "coef"), handle, dim)
-        word = tuple(_element_from_json(algebra, e, handle, dim, trunc) for e in slots)
-        wrong = [a.dim for a in word if algebra != "poly" and a.dim != dim]
-        if wrong:
-            raise DecodeError(f"a slot of dimension {wrong[0]} in a chain of dimension {dim}")
-        # a narrower slot window would cut terms that the chain's own
-        # window keeps, and the zero test reads only the coefficient windows
-        narrow = [a.trunc - a.lower for a in word if algebra in ("weyl", "weyl-loc")]
-        if narrow and min(narrow) < trunc:
-            raise DecodeError(f"a slot window of width {min(narrow)} in a chain of trunc {trunc}")
+        coeff = _coeff_from_json(_need(item, "coef"), handle, coef_from)
+        word = tuple(map(slot_from, slots))
         if len(word) != degree + 1:
-            raise DecodeError(
-                f"word length {len(word)} does not match degree {degree}"
-            )
+            raise DecodeError(f"word length {len(word)} does not match degree {degree}")
         terms.append((coeff, word))
-    try:
-        return HochschildChain(handle, degree, terms)
-    except SeriesError as exc:
-        raise DecodeError(str(exc)) from None
+    return _built(HochschildChain, handle, degree, terms)
 
 
 # -- chart data of the fedosov checks ----------------------------------------------

@@ -581,7 +581,8 @@ def _op_series(coeffs):
 class TestPinnedStdout:
     """Recorded stdout bytes of six one-check commands and of the
     negative controls, which ``suite.report`` builds, of ``charclass`` in
-    both bases, and of ``hb``, ``hkr`` and ``star`` on fixed documents."""
+    both bases, and of ``hb`` (over every algebra), ``hB``, ``hkr`` and
+    ``star`` on fixed documents."""
 
     @pytest.mark.parametrize(
         "argv,md5",
@@ -678,14 +679,56 @@ class TestPinnedStdout:
                 }]},
                 "ab31982f20c3f30c7f5f386ec5e02b44",
             ),
+            # two words of polynomial slots with rational coefficients
+            (
+                {"algebra": "poly", "degree": 2, "terms": [
+                    {"coef": "2/3", "word": [
+                        _xyz((1, 0, 0, "1/1")),
+                        _xyz((0, 1, 0, "1/1"), (0, 0, 2, "-1/2")),
+                        _xyz((1, 1, 0, "3/1")),
+                    ]},
+                    {"coef": "-1/1", "word": [
+                        _xyz((0, 0, 1, "1/1")), _xyz((1, 0, 0, "1/1")), _xyz((0, 1, 1, "1/1")),
+                    ]},
+                ]},
+                "a1d0181e3384fad9a798721525cd0dd4",
+            ),
+            # a windowed coefficient at t^0 and t^2, over weyl
+            (
+                {"algebra": "weyl", "degree": 2, "dim": 1, "terms": [{
+                    "coef": _t_series(0, 6, {0: _poly((0, 0, "1/2")), 2: _poly((0, 0, "-1/1"))}),
+                    "word": [
+                        _poly((1, 0, "1/1")),
+                        {"dim": 1, "trunc": 8, "value": _t_series(
+                            0, 8, {0: _poly((0, 1, "1/1")), 1: _poly((1, 1, "1/3"))}
+                        )},
+                        _poly((1, 1, "1/1")),
+                    ],
+                }]},
+                "1c6fa65fea8a6c62e6614b844255f46f",
+            ),
         ],
-        ids=["rees", "weyl-loc"],
+        ids=["rees", "weyl-loc", "poly", "weyl"],
     )
     def test_hb_stdout_md5(self, capsys, monkeypatch, doc, md5):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         code, out, _ = run_cli(capsys, "hb", "--json", "-")
         assert code == EXIT_OK and out
         assert hashlib.md5(out.encode()).hexdigest() == md5
+
+    def test_hB_stdout_md5(self, capsys, monkeypatch):
+        """An operator-series coefficient at t^1 over rees, through B."""
+        doc = {"algebra": "rees", "degree": 1, "dim": 1, "terms": [{
+            "coef": _op_series({1: _op((0, 0, "1/1"))}),
+            "word": [
+                _op_series({0: _op((1, 0, "1/1"))}),
+                _op_series({1: _op((0, 1, "1/1"), (2, 0, "1/2"))}),
+            ],
+        }]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run_cli(capsys, "hB", "--json", "-")
+        assert code == EXIT_OK and out
+        assert hashlib.md5(out.encode()).hexdigest() == "f46cfa0e8c33ff565e328b323040c894"
 
     def test_star_stdout_md5(self, capsys, monkeypatch):
         """The Weyl JSON format: a windowed value with a t^-1 term times a
@@ -837,6 +880,27 @@ class TestWeylDocumentWindow:
         assert code == EXIT_OK, err
         # b b = 0 and B B = 0 on the decoded image
         assert json.loads(again)["terms"] == []
+
+
+class TestDocumentDimension:
+    """A "dim" stated in a document is at least 1, like a chain's own."""
+
+    def test_star_operand_of_dimension_0_exits_2(self, capsys, monkeypatch):
+        doc = {"f": {"dim": 0, "trunc": 4, "value": _t_series(0, 4, {0: _poly((1, 0, "1/1"))})},
+               "g": _poly((0, 1, "1/1"))}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "star", "--dim", "1", "--json", "-")
+        assert code == EXIT_MALFORMED and out == "" and "bad dimension 0" in err
+
+    @pytest.mark.parametrize("chain_dim", [True, False], ids=["chain-dim", "no-chain-dim"])
+    def test_chain_slot_of_dimension_0_exits_2(self, capsys, monkeypatch, chain_dim):
+        doc = _chain("weyl", {"dim": 0, "trunc": 8, "value": _poly((1, 0, "1/1"))},
+                     _poly((0, 1, "1/1")))
+        if not chain_dim:
+            del doc["dim"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "hb", "--json", "-")
+        assert code == EXIT_MALFORMED and out == "" and "bad dimension 0" in err
 
 
 WEYL_SLOT = {"gens": ["x1", "xi1"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from starhom import serialize
-from starhom.corpus import random_diffop, random_poly, random_rees, random_weyl
-from starhom.hochschild import HochschildChain, phi_A, phi_E, poly_handle, weyl_handle
+from starhom.corpus import random_chain, random_diffop, random_poly, random_rees, random_weyl
+from starhom.hochschild import HochschildChain, phi_A, phi_E, poly_handle, rees_handle, weyl_handle
 from starhom.serialize import DecodeError
 from starhom.series import Poly
 from starhom.weyl import WeylElement, weyl_gens
@@ -101,6 +101,27 @@ class TestChainRoundTrips:
         doc = serialize.chain_to_json(c)
         assert serialize.chain_from_json(doc, dim=1, trunc=6) == c
 
+    @pytest.mark.parametrize(
+        "algebra,tpow", [("poly", 0), ("weyl", 2), ("weyl-loc", -1), ("rees", -1), ("rees", 2)]
+    )
+    def test_scaled_corpus_chain_round_trips(self, algebra, tpow):
+        """A corpus chain times q t^m is read back as itself: the writer
+        lifts each coefficient into the slots' ring, and the reader takes
+        it back out."""
+        rng = random.Random(f"ser-chain-{algebra}-{tpow}")
+        if algebra == "poly":
+            handle = poly_handle(("x", "y"))
+            make = lambda r: random_poly(r, ("x", "y"), max_degree=3, terms=2)
+        elif algebra == "rees":
+            handle, make = rees_handle(2), lambda r: random_rees(r, 2)
+        else:
+            handle = weyl_handle(2, trunc=6, localized=algebra == "weyl-loc")
+            min_t = -1 if algebra == "weyl-loc" else 0
+            make = lambda r: random_weyl(r, 2, 6, max_t=2, min_t=min_t)
+        c = random_chain(rng, handle, 2, make, words=3).scale(Fraction(-5, 3), tpow=tpow)
+        assert not c.is_zero()
+        assert serialize.chain_from_json(serialize.chain_to_json(c), dim=2, trunc=6) == c
+
     def test_degree_mismatch_rejected(self):
         doc = {
             "algebra": "poly",
@@ -137,3 +158,34 @@ class TestMalformed:
         doc = {"lower": 3, "trunc": 3, "coeffs": {}}
         with pytest.raises(DecodeError):
             serialize.tseries_from_json(doc, ("x",))
+
+
+class TestDimensions:
+    """A document's "dim" is at least 1, and an operator series reads every
+    operator at its own dimension."""
+
+    OP_2 = {"dim": 2, "terms": [{"x": [1, 0], "d": [0, 0], "coef": "1/1"}]}
+    OP_1 = {"dim": 1, "terms": [{"x": [1], "d": [0], "coef": "1/1"}]}
+
+    def test_operator_of_another_dimension_rejected(self):
+        with pytest.raises(DecodeError, match="dimension 2 in a series of dimension 1"):
+            serialize.opseries_from_json({"dim": 1, "coeffs": {"0": self.OP_2}}, 1)
+
+    def test_operators_of_two_dimensions_rejected(self):
+        doc = {"dim": 2, "coeffs": {"0": self.OP_2, "1": self.OP_1}}
+        with pytest.raises(DecodeError, match="dimension 1 in a series of dimension 2"):
+            serialize.opseries_from_json(doc, 2)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(DecodeError, match=f"bad dimension {dim}"):
+            serialize.weyl_from_json({"dim": dim, "value": {"gens": [], "terms": []}}, 1, 4)
+        with pytest.raises(DecodeError, match=f"bad dimension {dim}"):
+            serialize.diffop_from_json({"dim": dim, "terms": []}, 1)
+
+    def test_zero_coefficient_term_still_checked(self):
+        """A term whose coefficient is 0 still has its exponent checked."""
+        with pytest.raises(DecodeError, match="negative exponent"):
+            serialize.poly_from_json({"terms": [{"exp": [-1], "coef": "0/1"}]}, ("x",))
+        with pytest.raises(DecodeError, match="negative exponent"):
+            serialize.diffop_from_json({"terms": [{"x": [-1], "d": [0], "coef": "0/1"}]}, 1)

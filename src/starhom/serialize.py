@@ -310,8 +310,9 @@ def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
     elif algebra in ("weyl", "weyl-loc"):
         handle, slot_from = weyl_handle(dim, trunc, algebra == "weyl-loc"), weyl_slot
     elif algebra == "rees":
-        handle, coef_from = rees_handle(dim), lambda e: opseries_from_json(e, dim)
-        slot_from = lambda e: _at_dim(coef_from(e), dim, "a slot", "a chain")
+        handle = rees_handle(dim)
+        coef_from = lambda e: _at_dim(opseries_from_json(e, dim), dim, "a coefficient", "a chain")
+        slot_from = lambda e: _at_dim(opseries_from_json(e, dim), dim, "a slot", "a chain")
     else:
         raise DecodeError(f"unknown algebra {algebra!r}")
     degree = _int_from(_need(doc, "degree"), "degree")

@@ -176,6 +176,17 @@ class TestDimensions:
         with pytest.raises(DecodeError, match="dimension 1 in a series of dimension 2"):
             serialize.opseries_from_json(doc, 2)
 
+    def test_rees_coefficient_of_another_dimension_rejected(self):
+        """A constant operator series of dimension 2 as the coefficient of a
+        dimension-1 chain; its constant terms alone would read as t^1."""
+        slot = {"dim": 1, "coeffs": {"0": self.OP_1}}
+        one = {"dim": 2, "terms": [{"x": [0, 0], "d": [0, 0], "coef": "1/1"}]}
+        doc = {"algebra": "rees", "degree": 1, "dim": 1, "terms": [
+            {"coef": {"dim": 2, "coeffs": {"1": one}}, "word": [slot, slot]},
+        ]}
+        with pytest.raises(DecodeError, match="coefficient of dimension 2 in a chain of dim"):
+            serialize.chain_from_json(doc)
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dimension_below_one_rejected(self, dim):
         with pytest.raises(DecodeError, match=f"bad dimension {dim}"):

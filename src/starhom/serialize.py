@@ -277,10 +277,10 @@ def chain_to_json(c: HochschildChain) -> dict:
 def chain_from_json(doc: dict, dim: int = 1, trunc: int = 8) -> HochschildChain:
     """The chain of a document.  Its dimension is the document's "dim", else
     the one its weyl or rees slots state, which must agree, else ``dim``; a
-    slot of another dimension is malformed input, and so is a weyl slot
-    whose window is narrower than ``trunc``: it would cut terms that the
-    chain's window keeps, and the zero test reads only the coefficient
-    windows."""
+    slot or rees coefficient of another dimension is malformed input, and
+    so is a weyl slot whose window is narrower than ``trunc``: it would cut
+    terms that the chain's window keeps, and the zero test reads only the
+    coefficient windows."""
     algebra = _need(doc, "algebra")
     items = _need_objects(doc, "terms")
     words = [_need_objects(item, "word") for item in items]

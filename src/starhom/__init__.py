@@ -12,7 +12,6 @@ from .series import Poly, TSeries
 from .weyl import (
     LieElement,
     WeylElement,
-    gl_embed,
     lie_bracket,
     moyal_star,
     star_commutator,

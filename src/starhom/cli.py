@@ -48,15 +48,26 @@ def _read_json(path: str | None):
         ) from None
 
 
+def _write(text: str) -> None:
+    """``text`` to stdout.  A reader that closed the pipe has stopped
+    reading, which changes no verdict: stdout then points at os.devnull, as
+    Python's ``signal`` docs advise, so the flush at exit does not raise."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(doc, summary: str) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(summary, file=sys.stderr)
 
 
 def _report_exit(report: Report) -> int:
-    sys.stdout.write(report.to_json_bytes().decode())
-    sys.stdout.write("\n")
+    _write(report.to_json_bytes().decode() + "\n")
     for c in sorted(report.checks, key=lambda c: c.id):
         print(f"{c.id} {c.name}: {c.status}", file=sys.stderr)
     print(f"overall: {report.status}", file=sys.stderr)
@@ -136,14 +147,11 @@ def cmd_charclass(args) -> int:
         series = charclass.a_hat(d, deg)
     elif args.klass == "todd":
         series = charclass.todd(d, deg)
+    elif args.json is None:
+        series = charclass.exp_class(charclass.half_c1(d, deg), deg)
     else:
-        doc = _read_json(args.json) if args.json else None
-        if doc is None:
-            theta = charclass.half_c1(d, deg)
-        else:
-            poly = serialize.poly_from_json(doc, charclass.chern_names(d))
-            theta = charclass.ChernClassExpr(d, deg, poly)
-        series = charclass.exp_class(theta, deg)
+        poly = serialize.poly_from_json(_read_json(args.json), charclass.chern_names(d))
+        series = charclass.exp_class(charclass.ChernClassExpr(d, deg, poly), deg)
     if args.basis == "chern":
         series = charclass.to_chern_basis(series)
     doc = serialize.class_series_to_json(series, args.basis)
@@ -154,7 +162,7 @@ def cmd_charclass(args) -> int:
 def cmd_fedosov(args) -> int:
     d, k = args.dim, args.fiber_trunc
     base = tuple(f"z{i}" for i in range(1, d + 1))
-    a0 = serialize.chart_from_json(_read_json(args.json), base) if args.json else None
+    a0 = None if args.json is None else serialize.chart_from_json(_read_json(args.json), base)
     if a0 is not None:
         chart = (base, a0)
     elif args.check == "psi" and d > 1:

@@ -36,9 +36,9 @@ import operator
 from fractions import Fraction
 from itertools import combinations
 
-from .hkr import DForm, _merge_sign
+from .hkr import DForm
 from .rees import DiffOp, op_ring
-from .series import Poly, SeriesError, accumulate, as_fraction
+from .series import Poly, SeriesError, _merge_sign, accumulate, as_fraction
 from .weyl import LieElement, WeylElement, weyl_gens, weyl_ordered
 
 
@@ -60,11 +60,10 @@ def gl_to_vf(matrix, dim: int) -> DiffOp:
 
 
 def i_map(v: DiffOp, t_trunc: int) -> WeylElement:
-    """Weyl-ordered realization: x^a D_j -> zh^a * (xih_j / t).
-
-    On linear fields this is the gl embedding with its central -tr/2
-    correction; in general it is a morphism of Lie algebras into (1/t)W.
-    """
+    """Weyl-ordered realization x^a D_j -> zh^a * (xih_j / t), a morphism of
+    Lie algebras into (1/t)W.  On the linear fields of ``gl_to_vf`` it embeds
+    gl(d) with a central -tr/2 correction from Weyl ordering: (a_ij) maps to
+    the quadratic sum_ij a_ij zh_i xih_j / t minus the scalar tr(a)/2."""
     d = v.dim
     _check_field(v)
     terms = [(e[:d], e[d:], -1, q) for e, q in v.terms.items()]

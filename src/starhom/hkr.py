@@ -29,29 +29,11 @@ from fractions import Fraction
 from operator import add, mul
 
 from .hochschild import ChainError, HochschildChain
-from .series import Q_ZERO, Poly, SeriesError, _check_ring, accumulate, as_fraction
+from .series import Q_ZERO, Poly, SeriesError, _check_ring, _merge_sign, accumulate, as_fraction
 
 
 class FormError(SeriesError):
     """Contract violation in exterior-algebra operations."""
-
-
-def _merge_sign(left: tuple, right: tuple) -> tuple[int, tuple] | None:
-    """Sort the concatenation of two strictly increasing index tuples.
-
-    Returns (sign, merged) or None when an index repeats.
-    """
-    merged = list(left)
-    sign = 1
-    for idx in right:
-        pos = len(merged)
-        while pos > 0 and merged[pos - 1] > idx:
-            pos -= 1
-        if pos > 0 and merged[pos - 1] == idx:
-            return None
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, idx)
-    return sign, tuple(merged)
 
 
 class DForm:

@@ -66,7 +66,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .series import Q_ZERO, Poly, SeriesError, TSeries, as_fraction
+from .series import Q_ZERO, Poly, SeriesError, TSeries, _merge_sign, as_fraction
 from .rees import DiffOp, OpSeries
 from .weyl import WeylElement, weyl_gens
 
@@ -510,27 +510,9 @@ def alt_chain(handle: AlgebraHandle, prefix, slots) -> HochschildChain:
     n = len(slots)
     raw = []
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
         word = (prefix,) + tuple(slots[i] for i in perm)
-        raw.append((sign, word))
+        raw.append((_merge_sign((), perm)[0], word))
     return HochschildChain(handle, n, raw)
-
-
-def _perm_sign(perm: tuple) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def phi_E(dim: int) -> HochschildChain:

@@ -100,6 +100,26 @@ def _numerators(*terms: dict) -> tuple[int, list]:
     ]
 
 
+def _merge_sign(left: tuple, right: tuple) -> tuple[int, tuple] | None:
+    """Sort the concatenation of a strictly increasing index tuple ``left``
+    and the indices of ``right``, in any order, inserted one at a time.
+
+    Returns (sign of the sorting permutation, merged), or None when an index
+    repeats.  ``_merge_sign((), perm)[0]`` is the sign of a permutation.
+    """
+    merged = list(left)
+    sign = 1
+    for idx in right:
+        pos = len(merged)
+        while pos > 0 and merged[pos - 1] > idx:
+            pos -= 1
+        if pos > 0 and merged[pos - 1] == idx:
+            return None
+        sign *= (-1) ** (len(merged) - pos)
+        merged.insert(pos, idx)
+    return sign, tuple(merged)
+
+
 class Poly:
     """Multivariate polynomial with exact rational coefficients.
 

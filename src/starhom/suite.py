@@ -52,7 +52,6 @@ from .series import Poly
 from .weyl import (
     WeylElement,
     _kernel,
-    gl_embed,
     lie_bracket,
     moyal_star,
     star_commutator,
@@ -292,8 +291,13 @@ def check_gl_embedding(seed: int, scale: str) -> CheckResult:
     rng = _rng(seed, cid)
     pairs = 50 if scale == "small" else 150
     failures = []
-    gens = weyl_gens(1)
-    got = gl_embed([[1]], 1, trunc=6)
+
+    def gl(a, d, trunc):
+        """(a_ij) in (1/t)W through the lift's own map, i_map on linear fields."""
+        return fedosov.i_map(fedosov.gl_to_vf(a, d), trunc)
+
+    gens = fedosov.fiber_weyl_names(1)
+    got = gl([[1]], 1, 6)
     want = WeylElement(
         Poly.zero(gens),
         {-1: Poly.monomial(gens, (1, 1), 1), 0: Poly.const(gens, Fraction(-1, 2))},
@@ -315,8 +319,8 @@ def check_gl_embedding(seed: int, scale: str) -> CheckResult:
             ]
             for i in range(2)
         ]
-        lhs = lie_bracket(gl_embed(a, 2, trunc=6), gl_embed(b, 2, trunc=6))
-        rhs = gl_embed(ab_minus_ba, 2, trunc=5)
+        lhs = lie_bracket(gl(a, 2, 6), gl(b, 2, 6))
+        rhs = gl(ab_minus_ba, 2, 5)
         if not (lhs - rhs).is_zero():
             failures.append({"case": n, "a": a, "b": b})
     return result(cid, name, failures, {"pairs": pairs, "trunc_t": 6})

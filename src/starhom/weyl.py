@@ -1,4 +1,4 @@
-"""Moyal star product, star commutators, and quadratic Lie embeddings.
+"""Moyal star product, star commutators, and the Weyl-ordered realization.
 
 The product on polynomials in Darboux coordinates x_1..x_d, xi_1..xi_d is
 
@@ -27,8 +27,7 @@ A value of W is a ``WeylElement``: the ``series.TSeries`` over the
 Darboux polynomials, with the star product as its product.
 
 Lie-algebra side: (1/t)W is a central extension of the derivations of W,
-with bracket the star commutator computed in the localized algebra; gl(d)
-embeds with a central -tr/2 correction coming from Weyl ordering.  Its
+with bracket the star commutator computed in the localized algebra.  Its
 values are ``WeylElement``s too, and ``LieElement`` is the checked
 constructor that keeps the t-exponents at -1 or above.
 """
@@ -44,7 +43,6 @@ from .series import (
     TSeries,
     _numerators,
     accumulate,
-    as_fraction,
 )
 
 
@@ -218,16 +216,11 @@ def lie_bracket(a: WeylElement, b: WeylElement) -> WeylElement:
     commutator, of order 0, and is never built; the result lives back in
     (1/t)W.
     """
-    c = star_commutator(a, b)
-    m = c.min_exponent()
-    if m is not None and m < -1:
-        raise SeriesError(
-            f"bracket escaped (1/t)W: leading t-exponent {m} did not cancel"
-        )
+    c = LieElement(star_commutator(a, b))
     return c.with_lower(max(c.lower, -1))
 
 
-# -- quadratic embeddings ------------------------------------------------------
+# -- the Weyl-ordered realization ----------------------------------------------
 
 
 def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElement:
@@ -256,20 +249,3 @@ def weyl_ordered(terms, dim: int, lower: int, trunc: int, gens=None) -> WeylElem
         word = moyal_star(x_part, xi_part).shift(m)
         acc = acc + word.with_lower(lower)
     return acc
-
-
-def gl_embed(a_matrix, dim: int, trunc: int = 8) -> WeylElement:
-    """gl(d) into (1/t)W via Weyl-ordered products.
-
-    (a_ij) maps to sum_ij a_ij x_i * (xi_j / t), which expands to the
-    standard quadratic embedding minus the central scalar tr(a)/2.
-    """
-    rows = [[as_fraction(e) for e in row] for row in a_matrix]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise SeriesError(f"expected a {dim}x{dim} matrix")
-    unit = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-    terms = [
-        (unit[i], unit[j], -1, rows[i][j]) for i in range(dim) for j in range(dim) if rows[i][j]
-    ]
-    return LieElement(weyl_ordered(terms, dim, -1, trunc))
-

@@ -423,6 +423,56 @@ class TestInternalError:
         assert lines[0].startswith("internal error: RuntimeError: boom")
 
 
+class TestClosedStdout:
+    """A reader that closed the pipe before the command wrote stopped
+    reading; the command still exits with its own verdict."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["charclass", "--class", "todd", "--dim", "2", "--max-deg", "4"],
+            ["verify-cycle", "--chain", "phi_E", "--dim", "1"],
+        ],
+        ids=["value", "one-check-report"],
+    )
+    def test_exit_code_is_the_verdict(self, argv):
+        src = str(Path(starhom.__file__).resolve().parent.parent)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "starhom.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_OK, err
+        assert "internal error" not in err and "BrokenPipeError" not in err
+
+
+class TestJsonIsRead:
+    """``--json`` is read whenever it is given, even when it names nothing
+    or holds a JSON null."""
+
+    def test_null_document_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("null"))
+        code, out, err = run_cli(capsys, "charclass", "--class", "exp", "--json", "-")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "argv", [("charclass", "--class", "exp"), ("fedosov", "--check", "flat")]
+    )
+    def test_empty_path_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--json", "")
+        assert code == EXIT_MALFORMED, err
+        assert out == "" and err.startswith("input error: cannot read ''")
+
+
 class TestCriterionErrors:
     def test_raising_criterion_is_reported_and_exits_3(self, capsys, monkeypatch):
         def boom(seed, scale):

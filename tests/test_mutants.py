@@ -43,6 +43,15 @@ MUTANTS = [
         "E11",
     ),
     (
+        # every gl(d) value of C08 is i_map's, so its frozen E11 sees the t-power
+        "realization-t-power-dropped",
+        "fedosov.py",
+        "(e[:d], e[d:], -1, q)",
+        "(e[:d], e[d:], 0, q)",
+        "check_gl_embedding",
+        "E11",
+    ),
+    (
         "moyal-order-two-dropped",
         "weyl.py",
         "row[exp] = row.get(exp, 0) + (w << (top - k))",

@@ -10,7 +10,6 @@ from starhom.series import Poly, SeriesError, TSeries
 from starhom.weyl import (
     LieElement,
     WeylElement,
-    gl_embed,
     lie_bracket,
     moyal_star,
     star_commutator,
@@ -234,44 +233,3 @@ class TestEmbeddings:
                 for i in range(n)
             ]
             assert ad_matrix(lie_bracket(ea, eb), d) == commutator
-
-    def test_gl_embed_displays_trace_correction(self):
-        got = gl_embed([[1]], 1)
-        want = TSeries(Poly.zero(G1), {-1: x * xi, 0: Poly.const(G1, Fraction(-1, 2))}, -1, 8)
-        assert got == want
-
-    def test_gl_embed_zero(self):
-        assert gl_embed([[0, 0], [0, 0]], 2).is_zero()
-
-    def test_gl_embed_is_a_lie_morphism(self):
-        rng = random.Random(23)
-        for _ in range(10):
-            a = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-            b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-            comm = [
-                [
-                    sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(2))
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-            lhs = lie_bracket(gl_embed(a, 2), gl_embed(b, 2))
-            rhs = gl_embed(comm, 2, trunc=7)
-            assert (lhs - rhs).is_zero()
-
-    def test_gl_vs_quadratic_embedding_differ_by_center(self):
-        g2 = weyl_gens(2)
-        a = [[1, 2], [0, 3]]
-        quad = Poly.zero(g2)
-        for i in range(2):
-            for j in range(2):
-                if a[i][j]:
-                    exp = [0] * 4
-                    exp[i] += 1
-                    exp[2 + j] += 1
-                    quad = quad + Poly.monomial(g2, exp, a[i][j])
-        std = WeylElement.from_poly(quad, 8, t_exp=-1)
-        diff = gl_embed(a, 2) - std
-        for e, p in diff.coeffs.items():
-            assert p.is_constant()
-

@@ -1,7 +1,8 @@
 """The one Weyl-ordered realization against the three loops it replaced.
 
-``localized_to_weyl``, ``gl_embed`` and ``i_map`` all build their values
-through ``weyl.weyl_ordered``.  The reference implementations below are the
+``localized_to_weyl`` and ``i_map`` build their values through
+``weyl.weyl_ordered``, and the gl(d) embedding is ``i_map`` on the linear
+fields of ``gl_to_vf``.  The reference implementations below are the
 former per-monomial and per-entry loops, kept here to pin values, windows
 and exceptions on random inputs, negative grades included.
 
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from starhom.corpus import random_diffop, random_fraction, random_rees
-from starhom.fedosov import fiber_weyl_names, i_map
+from starhom.fedosov import fiber_weyl_names, gl_to_vf, i_map
 from starhom.rees import (
     DiffOp,
     FiltrationError,
@@ -26,7 +27,7 @@ from starhom.rees import (
     localized_to_weyl,
 )
 from starhom.series import EmptyWindow, Poly, SeriesError, accumulate
-from starhom.weyl import LieElement, WeylElement, gl_embed, moyal_star, weyl_gens
+from starhom.weyl import LieElement, WeylElement, moyal_star, weyl_gens
 
 
 def split(op, e):
@@ -74,7 +75,7 @@ def reference_localized_to_weyl(s, trunc=None, gens=None):
 
 
 def reference_gl_embed(rows, dim, trunc=8):
-    gens = weyl_gens(dim)
+    gens = fiber_weyl_names(dim)
     acc = WeylElement.zero(gens, trunc, lower=-1)
     for i in range(dim):
         lift_x = WeylElement.from_poly(Poly.gen(gens, gens[i]), trunc + 1)
@@ -169,7 +170,7 @@ def test_gl_embed_matches_reference(dim):
         for _ in range(10):
             rows = [[random_fraction(rng) for _ in range(dim)] for _ in range(dim)]
             want = outcome(reference_gl_embed, rows, dim, trunc)
-            assert outcome(gl_embed, rows, dim, trunc) == want
+            assert outcome(i_map, gl_to_vf(rows, dim), trunc) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from starhom.corpus import random_poly
+from starhom.fedosov import fiber_weyl_names, gl_to_vf, i_map
 from starhom.series import Poly, SeriesError, TSeries
 from starhom.weyl import (
     LieElement,
@@ -233,3 +234,49 @@ class TestEmbeddings:
                 for i in range(n)
             ]
             assert ad_matrix(lie_bracket(ea, eb), d) == commutator
+
+    # gl(d) lives in (1/t)W as i_map of the linear fields gl_to_vf(a, d)
+    def test_gl_embed_displays_trace_correction(self):
+        f1 = fiber_weyl_names(1)
+        got = i_map(gl_to_vf([[1]], 1), 8)
+        # zh1 * (xih1 / t) = zh1 xih1 / t - 1/2
+        want = TSeries(
+            Poly.zero(f1), {-1: Poly.monomial(f1, (1, 1), 1), 0: Poly.const(f1, Fraction(-1, 2))}, -1, 8
+        )
+        assert got == want
+
+    def test_gl_embed_zero(self):
+        assert i_map(gl_to_vf([[0, 0], [0, 0]], 2), 8).is_zero()
+
+    def test_gl_embed_is_a_lie_morphism(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            a = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+            b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+            comm = [
+                [
+                    sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(2))
+                    for j in range(2)
+                ]
+                for i in range(2)
+            ]
+            lhs = lie_bracket(i_map(gl_to_vf(a, 2), 8), i_map(gl_to_vf(b, 2), 8))
+            rhs = i_map(gl_to_vf(comm, 2), 7)
+            assert (lhs - rhs).is_zero()
+
+    def test_gl_vs_quadratic_embedding_differ_by_center(self):
+        f2 = fiber_weyl_names(2)
+        a = [[1, 2], [0, 3]]
+        quad = Poly.zero(f2)
+        for i in range(2):
+            for j in range(2):
+                if a[i][j]:
+                    exp = [0] * 4
+                    exp[i] += 1
+                    exp[2 + j] += 1
+                    quad = quad + Poly.monomial(f2, exp, a[i][j])
+        std = WeylElement.from_poly(quad, 8, t_exp=-1)
+        diff = i_map(gl_to_vf(a, 2), 8) - std
+        assert not diff.is_zero()
+        for p in diff.coeffs.values():
+            assert p.is_constant()

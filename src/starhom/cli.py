@@ -76,8 +76,8 @@ def _report_exit(report: Report) -> int:
     return EXIT_OK if report.status == VERIFIED else EXIT_VIOLATED
 
 
-def _single_check_report(args, check: CheckResult) -> int:
-    return _report_exit(suite.report(args.seed, "small", [check]))
+def _single_check_report(seed: int, check: CheckResult) -> int:
+    return _report_exit(Report(seed, "small", [check]))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -95,8 +95,7 @@ def cmd_star(args) -> int:
 
 
 def _load_chain(args):
-    doc = _read_json(args.json)
-    return serialize.chain_from_json(doc, dim=args.dim, trunc=args.trunc_t)
+    return serialize.chain_from_json(_read_json(args.json), dim=args.dim, trunc=args.trunc_t)
 
 
 def cmd_hb(args) -> int:
@@ -122,11 +121,11 @@ def cmd_verify_cycle(args) -> int:
         label = "input chain"
     failures = suite.cycle_failures(chain)
     check = suite.result("CYCLE", f"b({label}) = 0", failures, {"degree": chain.degree})
-    return _single_check_report(args, check)
+    return _single_check_report(0, check)
 
 
 def cmd_hkr(args) -> int:
-    chain = _load_chain(args)
+    chain = serialize.chain_from_json(_read_json(args.json), dim=args.dim)
     doc = serialize.dform_to_json(hkr_map(chain))
     _emit(doc, f"form with {len(doc['terms'])} term(s)")
     return EXIT_OK
@@ -134,7 +133,11 @@ def cmd_hkr(args) -> int:
 
 def cmd_charclass(args) -> int:
     d, deg = args.dim, args.max_deg
+    if args.json is not None and args.klass != "exp":
+        raise DecodeError(f"--json is read by --class exp only, not by --class {args.klass}")
     if args.klass == "rr-check":
+        if args.basis != "roots":
+            raise DecodeError("--class rr-check compares the two sides in the root basis only")
         rep = charclass.rr_identity_check(d, deg)
         check = suite.result(
             "RR",
@@ -142,7 +145,7 @@ def cmd_charclass(args) -> int:
             rep.mismatches,
             {"dim": d, "max_cohomological_degree": 2 * deg},
         )
-        return _single_check_report(args, check)
+        return _single_check_report(0, check)
     if args.klass == "a-hat":
         series = charclass.a_hat(d, deg)
     elif args.klass == "todd":
@@ -179,7 +182,7 @@ def cmd_fedosov(args) -> int:
     }[args.check]
     failures = identity(suite.ChartConnection(chart, k, args.trunc_t))
     precision = {"fiber_trunc": k, "trunc_t": args.trunc_t, "dim": d}
-    return _single_check_report(args, suite.result("FEDOSOV", name, failures, precision))
+    return _single_check_report(0, suite.result("FEDOSOV", name, failures, precision))
 
 
 # the rows of suite.REES_IDENTITIES that each ``rees --check`` mode runs
@@ -192,16 +195,17 @@ REES_ROWS = {
 
 def cmd_rees(args) -> int:
     if args.check == "phi-compat":
-        return _single_check_report(args, suite.check_chain_map_compatibility(args.seed, "small"))
-    failures = suite.rees_failures(args.seed, "cli-rees", 50, REES_ROWS[args.check])
-    check = suite.result("REES", f"rees-{args.check}", failures, {"pairs": 50})
-    return _single_check_report(args, check)
+        check = suite.check_chain_map_compatibility(args.seed, "small")
+    else:
+        failures = suite.rees_failures(args.seed, "cli-rees", 50, REES_ROWS[args.check])
+        check = suite.result("REES", f"rees-{args.check}", failures, {"pairs": 50})
+    return _single_check_report(args.seed, check)
 
 
 def cmd_suite(args) -> int:
     if args.mutate_moyal_sign:
         checks = suite.mutated_controls(args.seed, args.scale)
-        return _report_exit(suite.report(args.seed, args.scale, checks))
+        return _report_exit(Report(args.seed, args.scale, checks))
     return _report_exit(suite.run_suite(seed=args.seed, scale=args.scale))
 
 
@@ -253,20 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
     command("hb", cmd_hb, "Hochschild boundary of a chain", *element)
     command("hB", cmd_hB, "cyclic differential of a chain", *element)
 
-    p = command("verify-cycle", cmd_verify_cycle, "check that b(chain) = 0", *element, "--seed")
-    p.add_argument("--chain", default=None, choices=("phi_E", "phi_A"),
-                   help="built-in cycle, used instead of --json")
+    p = command("verify-cycle", cmd_verify_cycle, "check that b(chain) = 0", "--dim", "--trunc-t")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--json", **options["--json"])
+    source.add_argument("--chain", choices=("phi_E", "phi_A"), help="built-in cycle")
 
-    command("hkr", cmd_hkr, "chains-to-forms map over polynomials", *element)
+    command("hkr", cmd_hkr, "chains-to-forms map over polynomials", "--json", "--dim")
 
     p = command("charclass", cmd_charclass, "characteristic-class series",
-                "--dim", "--max-deg", "--json", "--seed")
+                "--dim", "--max-deg", "--json")
     p.add_argument("--class", dest="klass", required=True,
                    choices=("a-hat", "todd", "exp", "rr-check"))
     p.add_argument("--basis", default="roots", choices=("roots", "chern"))
 
     p = command("fedosov", cmd_fedosov, "connection and curvature checks",
-                "--dim", "--fiber-trunc", "--trunc-t", "--json", "--seed")
+                "--dim", "--fiber-trunc", "--trunc-t", "--json")
     p.add_argument("--check", required=True,
                    choices=("flat", "lift-curvature", "psi"))
 

@@ -199,21 +199,21 @@ def rees_sigma(r: OpSeries) -> Poly:
     return out
 
 
-def localized_to_weyl(s: OpSeries, trunc: int | None = None) -> WeylElement:
-    """Algebra map x_i -> x_i, t d_i -> xi_i, t -> t on the localized model.
+def localized_to_weyl(s: OpSeries, trunc: int) -> WeylElement:
+    """Algebra map x_i -> x_i, t d_i -> xi_i, t -> t on the localized model,
+    into the window below t^trunc.
 
     A normal monomial x^a d^b in grade p is read as x^a (t d)^b t^(p-|b|)
     and sent to t^(p-|b|) x^a * xi^b, the star product taken in the written
-    order.  The default window is wide enough that nothing real is cut.
+    order.
     """
     terms = []
-    top = lower = 0
+    lower = 0
     d = s.dim
     for p, op in s.coeffs.items():
         for e, q in op.terms.items():
             xe, de = e[:d], e[d:]
             m = p - sum(de)
             terms.append((xe, de, m, q))
-            top = max(top, m + min(sum(xe), sum(de)))
             lower = min(lower, m)
-    return weyl_ordered(terms, s.dim, lower, top + 1 if trunc is None else trunc)
+    return weyl_ordered(terms, d, lower, trunc)

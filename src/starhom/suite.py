@@ -20,7 +20,7 @@ the exception's type and message, and the report status is "error".
 The command-line checks call the identities defined here (the connection
 identities on a ``ChartConnection`` and the rows of ``REES_IDENTITIES``),
 so each check has one definition.  Every check result comes from
-``result`` and every report status from ``report``.
+``result`` and every report, with its status, from ``Report``.
 """
 
 from __future__ import annotations
@@ -81,10 +81,15 @@ class CheckResult:
 
 
 class Report:
+    """The report of ``checks``: error if any check errored, else violated
+    if any was violated, else verified."""
+
     __slots__ = ("status", "seed", "scale", "checks")
 
-    def __init__(self, status: str, seed: int, scale: str, checks: list):
-        self.status, self.seed, self.scale, self.checks = status, seed, scale, checks
+    def __init__(self, seed: int, scale: str, checks: list):
+        statuses = {c.status for c in checks}
+        self.status = ERROR if ERROR in statuses else VIOLATED if VIOLATED in statuses else VERIFIED
+        self.seed, self.scale, self.checks = seed, scale, checks
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,14 +106,6 @@ class Report:
 def result(cid, name, failures, precision) -> CheckResult:
     """A criterion's result: verified exactly when it has no failures."""
     return CheckResult(cid, name, VERIFIED if not failures else VIOLATED, failures, precision)
-
-
-def report(seed: int, scale: str, checks: list) -> Report:
-    """The report of ``checks``: error if any check errored, else violated
-    if any was violated, else verified."""
-    statuses = {c.status for c in checks}
-    status = ERROR if ERROR in statuses else VIOLATED if VIOLATED in statuses else VERIFIED
-    return Report(status=status, seed=seed, scale=scale, checks=checks)
 
 
 def _rng(seed: int, cid: str) -> random.Random:
@@ -487,7 +484,7 @@ def _run_battery(seed: int, scale: str) -> list[CheckResult]:
 
 
 def _battery_bytes(seed: int, scale: str, checks: list) -> bytes:
-    return Report("n/a", seed, scale, checks).to_json_bytes()
+    return Report(seed, scale, checks).to_json_bytes()
 
 
 def _print_battery(seed: int, scale: str) -> None:
@@ -590,4 +587,4 @@ def run_suite(seed: int = 0, scale: str = "small") -> Report:
             child.wait()
             child.stdout.close()
             child.stderr.close()
-    return report(seed, scale, checks)
+    return Report(seed, scale, checks)

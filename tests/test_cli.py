@@ -165,8 +165,8 @@ class TestSuiteCommand:
         assert statuses["C02"] == "violated"
 
     def test_repeat_runs_are_byte_identical(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify-cycle", "--chain", "phi_A", "--dim", "2", "--seed", "3")
-        _, out2, _ = run_cli(capsys, "verify-cycle", "--chain", "phi_A", "--dim", "2", "--seed", "3")
+        _, out1, _ = run_cli(capsys, "verify-cycle", "--chain", "phi_A", "--dim", "2")
+        _, out2, _ = run_cli(capsys, "verify-cycle", "--chain", "phi_A", "--dim", "2")
         assert out1 == out2
 
 
@@ -267,6 +267,11 @@ UNREAD_OPTIONS = [
     ("charclass", "--trunc-t"),
     ("charclass", "--fiber-trunc"),
     ("fedosov", "--max-deg"),
+    # no corpus is drawn, and polynomial chains carry no window
+    ("verify-cycle", "--seed"),
+    ("charclass", "--seed"),
+    ("fedosov", "--seed"),
+    ("hkr", "--trunc-t"),
     *(("rees", option) for option in ("--dim", "--trunc-t", "--max-deg", "--fiber-trunc", "--json")),
     *(("suite", option) for option in ("--dim", "--trunc-t", "--max-deg", "--fiber-trunc", "--json")),
 ]
@@ -297,6 +302,33 @@ class TestOptionsPerCommand:
         assert exc.value.code == EXIT_MALFORMED
         err = capsys.readouterr().err
         assert "--chain" in err and "Traceback" not in err
+
+
+class TestRefusedCombinations:
+    """An option that a mode would not read is refused (exit 2), not
+    ignored: ``verify-cycle`` takes one of ``--json`` and ``--chain``,
+    ``charclass`` reads ``--json`` for ``exp`` only, and ``rr-check``
+    compares the two sides in the root basis."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("charclass", "--class", "todd", "--dim", "1", "--json", "X"),
+            ("charclass", "--class", "rr-check", "--dim", "1", "--json", "X"),
+            ("verify-cycle", "--chain", "phi_E", "--dim", "1", "--json", "X"),
+            ("charclass", "--class", "rr-check", "--dim", "1", "--basis", "chern"),
+            ("verify-cycle", "--dim", "1"),
+        ],
+        ids=["todd-json", "rr-check-json", "chain-and-json", "rr-check-chern", "no-chain"],
+    )
+    def test_exits_2(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == EXIT_MALFORMED, captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 def _violated(*_):
@@ -399,9 +431,33 @@ def _readme_commands():
     return [line for line in lines if line.startswith("starhom ") and "--json" not in line]
 
 
+def _readme_option_table():
+    """(subcommands, options) per row of README's one-off option table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## One-off commands", 1)[1].split("```sh", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return [
+        (
+            {c.strip("` ") for c in names.strip("| ").split(",")},
+            {o.strip("` ").split()[0] for o in options.strip("| ").split(",")},
+        )
+        for names, options in rows
+    ]
+
+
 class TestReadmeExamples:
     def test_block_is_found(self):
         assert len(_readme_commands()) >= 9
+
+    def test_option_table_matches_the_parser(self):
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        table = _readme_option_table()
+        assert sorted(c for names, _ in table for c in names) == sorted(commands.choices)
+        for names, options in table:
+            for name in names:
+                parser = commands.choices[name]
+                taken = {a.option_strings[0] for a in parser._actions if a.option_strings}
+                assert taken - {"-h"} == options, name
 
     @pytest.mark.parametrize("line", _readme_commands())
     def test_example_exits_0(self, capsys, line):
@@ -471,6 +527,22 @@ class TestJsonIsRead:
         code, out, err = run_cli(capsys, *argv, "--json", "")
         assert code == EXIT_MALFORMED, err
         assert out == "" and err.startswith("input error: cannot read ''")
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "statuses,status",
+        [
+            ((), "verified"),
+            (("verified", "verified"), "verified"),
+            (("verified", "violated"), "violated"),
+            (("violated", "error", "verified"), "error"),
+        ],
+        ids=["empty", "verified", "violated", "error"],
+    )
+    def test_error_over_violated_over_verified(self, statuses, status):
+        checks = [suite.CheckResult(f"C{n}", "c", s, [], {}) for n, s in enumerate(statuses)]
+        assert suite.Report(0, "small", checks).status == status
 
 
 class TestCriterionErrors:
@@ -630,7 +702,7 @@ def _op_series(coeffs):
 
 class TestPinnedStdout:
     """Recorded stdout bytes of six one-check commands and of the
-    negative controls, which ``suite.report`` builds, of ``charclass`` in
+    negative controls, each a ``suite.Report``, of ``charclass`` in
     both bases, and of ``hb`` (over every algebra), ``hB``, ``hkr`` and
     ``star`` on fixed documents."""
 

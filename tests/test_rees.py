@@ -119,7 +119,7 @@ class TestIota:
 class TestWeylImage:
     def test_generator_assignment(self):
         # the grade-1 class of d/dx is t*d/dx, whose image xi sits at t^0
-        got = localized_to_weyl(ReesElement(1, {1: D}))
+        got = localized_to_weyl(ReesElement(1, {1: D}), trunc=1)
         assert got.coefficient(0) == Poly.gen(G1, "xi1")
         assert got.min_exponent() == 0
 
@@ -164,7 +164,7 @@ class TestWeylImage:
         for _ in range(30):
             d = rng.choice((1, 2))
             a = random_rees(rng, d)
-            assert localized_to_weyl(a).set_t_zero() == rees_sigma(a)
+            assert localized_to_weyl(a, trunc=1).set_t_zero() == rees_sigma(a)
 
     def test_localized_image_allows_negative_powers(self):
         s = OpSeries.from_op(D)  # the bare derivative, grade 0

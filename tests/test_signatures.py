@@ -1,8 +1,9 @@
 """Every definition and option of ``starhom`` has a production reader.
 
-Three ``ast`` audits of the source, each against the same production
+Two ``ast`` audits of the source, each against the same production
 code, ``CALLERS``: ``src/starhom`` other than ``__init__.py``, and
-``perfbench/``.  Tests and the package's exports do not count.
+``perfbench/``.  Tests and the package's exports do not count.  A third
+audit runs the command line.
 
 - **Parameters.**  A parameter with a default value, of a module-level
   function or a method in ``src/starhom``, must be passed by some call in
@@ -14,20 +15,33 @@ code, ``CALLERS``: ``src/starhom`` other than ``__init__.py``, and
   method whose name is not a dunder, in ``src/starhom`` must be referenced
   by name (a bare name or an attribute) somewhere in ``CALLERS`` outside
   its own body.  A definition that only tests reach is dead code.
-- **CLI options.**  Every option of every ``starhom`` subcommand must be
-  read as ``args.<dest>`` by the subcommand's handler, or by a ``cli.py``
-  function that the handler (or such a function) passes ``args`` to.  An
-  option that nothing reads is accepted and silently ignored.
+- **CLI options.**  A *mode* is a subcommand, or one value of its
+  ``--class``, ``--check`` or ``--chain``, or ``suite`` with or without
+  ``--mutate-moyal-sign``.  Each mode runs in-process once per option it
+  accepts, on its own command line plus that option, parsed into a
+  namespace that records the attributes read from it; the handler must
+  read the option.  A handler that reads an option and then refuses it
+  (exit 2) reads it.  Options that the mode's mutually exclusive group
+  forbids are not run.  An option that nothing reads is accepted and
+  silently ignored.
 
 Each audit has a ``KEEP_*`` table of its exceptions, each with the reason
 it stays, and a second test that fails when an exception no longer is one.
 """
 
+import argparse
 import ast
+import contextlib
+import io
+import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from starhom import cli
+from starhom.serialize import DecodeError
+from starhom.series import SeriesError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starhom"
@@ -176,48 +190,128 @@ def test_keep_list_names_only_unreferenced_definitions():
 
 # -- CLI options -------------------------------------------------------------------
 
+# a star document and a one-word polynomial chain, for the modes that read one
+POLY = {"gens": ["x", "y"], "terms": [{"exp": [1, 0], "coef": "1/1"}]}
+DOCS = {
+    "STAR": {"f": POLY, "g": POLY},
+    "CHAIN": {"algebra": "poly", "degree": 1, "terms": [{"coef": "1/1", "word": [POLY, POLY]}]},
+}
 
-def _reads(functions: dict[str, ast.FunctionDef], name: str, param: str, seen: set) -> set[str]:
-    """The ``param.<attr>`` names that ``name`` reads, itself or through a
-    ``cli.py`` function it passes ``param`` to."""
-    if (name, param) in seen:
-        return set()
-    seen.add((name, param))
-    out = set()
-    for node in ast.walk(functions[name]):
-        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == param:
-            out.add(node.attr)
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
-            callee = functions[node.func.id]
-            params = [a.arg for a in callee.args.args]
-            for pos, arg in enumerate(node.args[: len(params)]):
-                if getattr(arg, "id", None) == param:
-                    out |= _reads(functions, callee.name, params[pos], seen)
-    return out
+# the options that pick a mode: each value of them is a mode of its own
+SELECTORS = ("--class", "--check", "--chain", "--mutate-moyal-sign")
+
+# the command line of each mode; STAR and CHAIN stand for a document's path
+MODES = [
+    ("star", "--json", "STAR"),
+    *((command, "--json", "CHAIN") for command in ("hb", "hB", "hkr", "verify-cycle")),
+    *(("verify-cycle", "--chain", c) for c in ("phi_E", "phi_A")),
+    *(("charclass", "--class", c) for c in ("a-hat", "todd", "exp", "rr-check")),
+    *(("fedosov", "--check", c) for c in ("flat", "lift-curvature", "psi")),
+    *(("rees", "--check", c) for c in ("sigma", "iota", "to-weyl", "phi-compat")),
+    ("suite",),
+    ("suite", "--mutate-moyal-sign"),
+]
+
+# (mode prefix, option): reason the option stays although those modes never read it
+KEEP_OPTIONS = {
+    (("verify-cycle", "--chain"), "--trunc-t"): (
+        "the built-in cycles carry their own windows, and refusing --trunc-t there "
+        "would need a second default for an option that five commands share"
+    ),
+}
 
 
-def unread_options() -> set[tuple[str, str]]:
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+class Reads(argparse.Namespace):
+    """A namespace that records each attribute read from it once ``seen``
+    is a set."""
+
+    seen = None
+
+    def __getattribute__(self, name):
+        seen = object.__getattribute__(self, "seen")
+        if seen is not None:
+            seen.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (commands,) = [
         a for a in cli.build_parser()._actions if a.choices and a.dest == "command"
     ]
-    out = set()
-    for command, parser in commands.choices.items():
-        handler = functions[parser.get_default("fn").__name__]
-        reads = _reads(functions, handler.name, handler.args.args[0].arg, set())
-        out |= {
-            (command, action.dest)
-            for action in parser._actions
-            if action.option_strings and action.dest != "help" and action.dest not in reads
+    return commands.choices
+
+
+def _read(argv: list[str]) -> set[str]:
+    """The attributes that the handler reads when it runs on ``argv``."""
+    args = cli.build_parser().parse_args(argv, namespace=Reads())
+    args.seen = seen = set()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args.fn(args)
+        except (DecodeError, SeriesError):
+            pass  # an option that is read and then refused (exit 2) is read
+    return seen
+
+
+def unread_options(tmp: Path) -> set[tuple[tuple, str]]:
+    """(mode, option) per option that the mode accepts and its handler never
+    reads.  Each run is the mode's command line plus that one option, at its
+    default value, or at a path that names no file for ``--json``."""
+    paths = {name: tmp / f"{name}.json" for name in DOCS}
+    for name, path in paths.items():
+        path.write_text(json.dumps(DOCS[name]))
+    missing = str(tmp / "missing.json")
+    subcommands, out = _subcommands(), set()
+    for mode in MODES:
+        argv = [str(paths[a]) if a in paths else a for a in mode]
+        parser = subcommands[mode[0]]
+        forbidden = {
+            flag
+            for group in parser._mutually_exclusive_groups
+            if any(set(a.option_strings) & set(mode) for a in group._group_actions)
+            for a in group._group_actions
+            for flag in a.option_strings
         }
+        for action in parser._actions:
+            flags = action.option_strings
+            if not flags or action.dest == "help" or set(flags) & {*mode, *SELECTORS, *forbidden}:
+                continue
+            value = missing if action.default is None else str(action.default)
+            if action.dest not in _read([*argv, flags[0], value]):
+                out.add((mode, flags[0]))
     return out
 
 
-def test_every_cli_option_is_read_by_its_handler():
-    assert sorted(unread_options() - KEEP_OPTIONS.keys()) == []
+def _kept(mode: tuple, option: str) -> bool:
+    return any(mode[: len(prefix)] == prefix and option == kept for prefix, kept in KEEP_OPTIONS)
 
 
-def test_keep_list_names_only_unread_options():
-    assert sorted(KEEP_OPTIONS.keys() - unread_options()) == []
+@pytest.fixture(scope="module")
+def unread(tmp_path_factory) -> set[tuple[tuple, str]]:
+    return unread_options(tmp_path_factory.mktemp("modes"))
 
+
+def test_mode_table_covers_every_subcommand_and_choice():
+    want = set()
+    for command, parser in _subcommands().items():
+        picks = [a for a in parser._actions if set(a.option_strings) & set(SELECTORS)]
+        for action in picks:
+            flag = action.option_strings[0]
+            want |= {(command, flag, c) for c in action.choices or ()}
+            if not action.choices:
+                want.add((command, flag))
+        if not any(a.required for a in picks):
+            want.add((command,))
+    got = [m if len(m) > 1 and m[1] in SELECTORS else m[:1] for m in MODES]
+    assert len(set(got)) == len(got)
+    assert set(got) == want
+
+
+def test_every_cli_option_is_read_by_its_handler(unread):
+    assert sorted(pair for pair in unread if not _kept(*pair)) == []
+
+
+def test_keep_list_names_only_unread_options(unread):
+    for prefix, option in KEEP_OPTIONS:
+        modes = [m for m in MODES if m[: len(prefix)] == prefix]
+        assert modes and all((m, option) in unread for m in modes), (prefix, option)

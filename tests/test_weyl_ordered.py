@@ -6,8 +6,7 @@ fields of ``gl_to_vf``.  The reference implementations below are the
 former per-monomial and per-entry loops, kept here to pin values, windows
 and exceptions on random inputs, negative grades included.
 
-With an explicit ``trunc`` the realization departs from its reference in two
-ways.  A term whose t-power p - |b| is at or above ``trunc`` is dropped, where
+The realization departs from its reference in two ways.  A term whose t-power p - |b| is at or above ``trunc`` is dropped, where
 the reference raises EmptyWindow.  The declared window is the requested one,
 where the reference cuts it short for grades p <= -2.
 """
@@ -35,26 +34,15 @@ def split(op, e):
     return e[:op.dim], e[op.dim:]
 
 
-def default_trunc(s):
-    top = 0
-    for p, op in s.coeffs.items():
-        for e in op.terms:
-            xe, de = split(op, e)
-            top = max(top, p - sum(de) + min(sum(xe), sum(de)))
-    return top + 1
-
-
 def truncated(s, trunc):
     """``s`` in the window [s.lower, min(s.trunc, trunc)), through the
     checked constructor, which drops exponents at or above the window."""
     return WeylElement(s.ring, s.coeffs, s.lower, min(s.trunc, trunc))
 
 
-def reference_localized_to_weyl(s, trunc=None, gens=None):
+def reference_localized_to_weyl(s, trunc):
     dim = s.dim
-    gens = weyl_gens(dim) if gens is None else tuple(gens)
-    if trunc is None:
-        trunc = default_trunc(s)
+    gens = weyl_gens(dim)
     lower = 0
     for p, op in s.coeffs.items():
         for e in op.terms:
@@ -127,30 +115,27 @@ def below_window(s, trunc):
     return OpSeries(s.dim, comps)
 
 
-@pytest.mark.parametrize("trunc", [None, 2, 5, 9])
+@pytest.mark.parametrize("trunc", [2, 5, 9])
 def test_localized_to_weyl_matches_reference(trunc):
     rng = random.Random(f"weyl-ordered:{trunc}")
     cut = shrunk = 0
     for _ in range(60):
         s = random_op_series(rng, rng.choice((1, 2)))
         got = outcome(localized_to_weyl, s, trunc=trunc)
-        want_trunc = default_trunc(s) if trunc is None else trunc
-        kept = below_window(s, want_trunc)
+        kept = below_window(s, trunc)
         if kept != s:
             cut += 1
             assert outcome(reference_localized_to_weyl, s, trunc=trunc)[0] is EmptyWindow
-        lower, top, coeffs = outcome(reference_localized_to_weyl, kept, trunc=want_trunc)
-        shrunk += top < want_trunc
-        assert got[:2] == (lower, want_trunc)
+        lower, top, coeffs = outcome(reference_localized_to_weyl, kept, trunc=trunc)
+        shrunk += top < trunc
+        assert got[:2] == (lower, trunc)
         assert {e: p for e, p in got[2].items() if e < top} == coeffs
         # a reference window wide enough for every grade agrees on all of [lower, trunc)
-        wide = reference_localized_to_weyl(kept, trunc=want_trunc + 9)
-        wide = truncated(wide, want_trunc)
+        wide = reference_localized_to_weyl(kept, trunc=trunc + 9)
+        wide = truncated(wide, trunc)
         assert got == (wide.lower, wide.trunc, wide.coeffs)
     assert shrunk > 0
-    # the default window never cuts a term; a window of 2 cuts some grades away
-    if trunc is None:
-        assert cut == 0
+    # a window of 2 cuts some grades away
     if trunc == 2:
         assert cut > 0
 

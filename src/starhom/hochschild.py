@@ -55,9 +55,13 @@ each ordered pair of slot indices once, ``diff_B`` appends the unit to
 the slot values and rotates int words, and ``is_zero`` expands each slot
 into integer monomials once, over one common denominator.
 ``induced_chain_map`` maps each distinct value once (keyed on the values
-themselves) and checks each ordered pair of slot indices once.  ``+``
-re-indexes the other chain once per distinct slot: by full value into
-this chain's slots and by ``key()`` into its classes.
+themselves) and checks each ordered pair of slot indices once.
+
+``_stored_terms`` is the one merge of chain words: the constructor,
+``diff_b``, ``diff_B``, ``induced_chain_map``, ``+``, ``-``, ``scale`` and
+``alt_chain`` (so the trace cycles) all reach stored form through it.
+``+`` and ``-`` hand it both sides' slots, concatenated, and the other
+side's words shifted past this chain's slots, negated for ``-``.
 """
 
 from __future__ import annotations
@@ -184,24 +188,19 @@ class HochschildChain:
         objects = {id(a): a for _, word in raw for a in word}
         index = {i: s for s, i in enumerate(objects)}
         raw = [(coeff, tuple(map(index.__getitem__, map(id, word)))) for coeff, word in raw]
-        slots, merged = _stored_terms(handle, list(objects.values()), raw)
-        _set(self, handle, degree, slots, merged)
+        _set(self, handle, degree, *_stored_terms(handle, list(objects.values()), raw))
 
     def __setattr__(self, *_):
         raise AttributeError("HochschildChain is immutable")
 
     @classmethod
-    def _raw(cls, handle: AlgebraHandle, degree: int, slots: tuple, terms: dict) -> HochschildChain:
-        """Trusted constructor: ``terms`` is already in stored form over ``slots``."""
-        chain = object.__new__(cls)
-        _set(chain, handle, degree, slots, terms)
-        return chain
-
-    @classmethod
     def _from_indexed(cls, handle: AlgebraHandle, degree: int, source, raw) -> HochschildChain:
-        """The chain sum(coeff * word) of int words ``raw`` into the list of
-        slot values ``source``, brought into stored form."""
-        return cls._raw(handle, degree, *_stored_terms(handle, source, raw))
+        """The chain sum(coeff * word) of int words ``raw`` into the sequence
+        of slot values ``source``, brought into stored form.  The
+        coefficients must already be coerced into ``handle``."""
+        chain = object.__new__(cls)
+        _set(chain, handle, degree, *_stored_terms(handle, source, raw))
+        return chain
 
     @classmethod
     def zero(cls, handle: AlgebraHandle, degree: int = 0) -> HochschildChain:
@@ -284,6 +283,17 @@ class HochschildChain:
         return len(self.terms)
 
     def __add__(self, other: HochschildChain) -> HochschildChain:
+        return self._plus(other, False)
+
+    def __neg__(self) -> HochschildChain:
+        return self.scale(-1)
+
+    def __sub__(self, other: HochschildChain) -> HochschildChain:
+        return self._plus(other, True)
+
+    def _plus(self, other: HochschildChain, negate: bool) -> HochschildChain:
+        """self + other, or self - other when ``negate``: both sides' words
+        over the concatenated slots, merged once."""
         if self.handle.algebra() != other.handle.algebra():
             raise ChainError(
                 f"mixed algebras: {self.handle.algebra()} vs {other.handle.algebra()}"
@@ -291,37 +301,21 @@ class HochschildChain:
         if self.degree != other.degree:
             # only a zero side may differ in degree; its words are dropped
             if self.is_zero():
-                return other
+                return -other if negate else other
             if other.is_zero():
                 return self
             raise ChainError(f"mixed degrees: {self.degree} vs {other.degree}")
-        # re-index the other chain once per distinct slot: by full value
-        # into this chain's slots, by key() into its merge classes
-        table = _SlotTable(self.slots)
-        remap = [table.add(a, a.key()) for a in other.slots]
-        classes = table.classes
-        merged = dict(self.terms)
+        n = len(self.slots)
+        raw = list(self.terms.values())
         for coeff, word in other.terms.values():
-            word = tuple(map(remap.__getitem__, word))
-            _merge_term(merged, tuple(map(classes.__getitem__, word)), coeff, word)
-        return HochschildChain._raw(self.handle, self.degree, *_compact(table, merged))
-
-    def __neg__(self) -> HochschildChain:
-        return self.scale(-1)
-
-    def __sub__(self, other: HochschildChain) -> HochschildChain:
-        return self + (-other)
+            raw.append((-coeff if negate else coeff, tuple(s + n for s in word)))
+        return HochschildChain._from_indexed(self.handle, self.degree, self.slots + other.slots, raw)
 
     def scale(self, q, tpow: int = 0) -> HochschildChain:
         q = as_fraction(q)
         h = self.handle
-        if not q:
-            return HochschildChain.zero(h, self.degree)
-        out = {
-            key: (h.scale_coeff(coeff, q, tpow), word)
-            for key, (coeff, word) in self.terms.items()
-        }
-        return HochschildChain._raw(h, self.degree, self.slots, out)
+        raw = [(h.scale_coeff(coeff, q, tpow), word) for coeff, word in self.terms.values()]
+        return HochschildChain._from_indexed(h, self.degree, self.slots, raw)
 
     def __eq__(self, other):
         return (
@@ -354,13 +348,11 @@ class _SlotTable:
 
     __slots__ = ("slots", "keys", "classes", "_by_key")
 
-    def __init__(self, values=()):
+    def __init__(self):
         self.slots: list = []
         self.keys: list = []
         self.classes: list[int] = []
         self._by_key: dict[object, list[int]] = {}
-        for a in values:
-            self.add(a, a.key())
 
     def add(self, a, key) -> int:
         """The index of the value ``a``, whose ``key()`` is ``key``."""
@@ -382,7 +374,8 @@ def _stored_terms(handle: AlgebraHandle, source: list, raw) -> tuple[tuple, dict
     Each (slot object, slot-0 flag) is normalized once, into a slot index
     and the scalar q * t^m moved out of it (None when q = 1 and m = 0), or
     into (None, None) when the word vanishes.  ``source`` holds the
-    objects, so no ``id`` is reused."""
+    objects, so no ``id`` is reused.  Words on one merge key sum into the
+    first one's slots, and a key whose sum is zero is dropped."""
     table = _SlotTable()
     normal: dict[tuple[int, bool], tuple] = {}
 
@@ -415,7 +408,14 @@ def _stored_terms(handle: AlgebraHandle, source: list, raw) -> tuple[tuple, dict
             coeff = handle.scale_coeff(coeff, *moved)
         for q, m in filter(None, map(tail_scale.__getitem__, rest)):
             coeff = handle.scale_coeff(coeff, q, m)
-        _merge_term(merged, tuple(map(classes.__getitem__, stored)), coeff, stored)
+        key = tuple(map(classes.__getitem__, stored))
+        hit = merged.get(key)
+        if hit is not None:
+            coeff, stored = hit[0] + coeff, hit[1]
+        if coeff.is_zero():
+            merged.pop(key, None)
+        else:
+            merged[key] = (coeff, stored)
     return _compact(table, merged)
 
 
@@ -448,16 +448,6 @@ def _normal_slot(handle: AlgebraHandle, a, first: bool):
     if q != 1 or m:
         a = a.mul_monomial(1 / q, -m) if m else a * (1 / q)
     return q, m, a, a.key()
-
-
-def _merge_term(table: dict, key, coeff: TSeries, word: tuple):
-    hit = table.get(key)
-    if hit is not None:
-        coeff, word = hit[0] + coeff, hit[1]
-    if coeff.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = (coeff, word)
 
 
 def diff_b(c: HochschildChain) -> HochschildChain:
@@ -506,13 +496,14 @@ def diff_B(c: HochschildChain) -> HochschildChain:
 def alt_chain(handle: AlgebraHandle, prefix, slots) -> HochschildChain:
     """Unnormalized antisymmetrization: the signed sum over all
     permutations of the slots, prefixed by the given element."""
-    slots = tuple(slots)
-    n = len(slots)
-    raw = []
-    for perm in itertools.permutations(range(n)):
-        word = (prefix,) + tuple(slots[i] for i in perm)
-        raw.append((_merge_sign((), perm)[0], word))
-    return HochschildChain(handle, n, raw)
+    source = [prefix, *slots]
+    n = len(source) - 1
+    signed = {1: handle.coerce_coeff(1), -1: handle.coerce_coeff(-1)}
+    raw = [
+        (signed[_merge_sign((), perm)[0]], (0, *perm))
+        for perm in itertools.permutations(range(1, n + 1))
+    ]
+    return HochschildChain._from_indexed(handle, n, source, raw)
 
 
 def phi_E(dim: int) -> HochschildChain:

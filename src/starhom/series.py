@@ -26,10 +26,11 @@ characteristic classes, differential operators) is built on two types:
 
 Values are immutable after construction and all operations are pure.
 
-Every sparse sum in the package goes through ``accumulate``: add a value
+Every sparse sum of ring values goes through ``accumulate``: add a value
 into a dict entry and drop the entry when the sum is zero.  Its zero test
 is truthiness, so each ring type here and downstream defines ``__bool__``
-as ``not is_zero()``, the convention ``Fraction`` already follows.
+as ``not is_zero()``, the convention ``Fraction`` already follows.  Chain
+words merge in ``hochschild._stored_terms``; the integer kernels sum ints.
 
 Products run on integers.  ``_numerators`` scales each operand to one
 common denominator; the product loop multiplies and sums int numerators
@@ -508,10 +509,7 @@ class TSeries:
 
     def shift(self, m: int) -> TSeries:
         """Exact multiplication by t^m; the window shifts with the data."""
-        coeffs = {e + m: c for e, c in self.coeffs.items()}
-        if self.trunc is None:
-            return self._raw(self.ring, coeffs, None, None)
-        return self._raw(self.ring, coeffs, self.lower + m, self.trunc + m)
+        return self.mul_monomial(1, m)
 
     def mul_monomial(self, q, m: int = 0) -> TSeries:
         """Exact multiplication by q * t^m, q a rational; a window shifts by m."""

@@ -483,14 +483,10 @@ def _run_battery(seed: int, scale: str) -> list[CheckResult]:
     return [_guarded(f"C{n:02d}", fn, seed, scale) for n, fn in enumerate(BATTERY, 1)]
 
 
-def _battery_bytes(seed: int, scale: str, checks: list) -> bytes:
-    return Report(seed, scale, checks).to_json_bytes()
-
-
 def _print_battery(seed: int, scale: str) -> None:
     """The whole work of the child interpreter: one battery pass, its bytes
     to stdout.  It never reaches C12, so it starts no process."""
-    sys.stdout.buffer.write(_battery_bytes(seed, scale, _run_battery(seed, scale)))
+    sys.stdout.buffer.write(Report(seed, scale, _run_battery(seed, scale)).to_json_bytes())
 
 
 def _start_second_pass(seed: int, scale: str):
@@ -560,7 +556,7 @@ def check_determinism_and_controls(
             f"second battery pass exited {second_pass.returncode}: {tail}"
         )
     failures = []
-    if _battery_bytes(seed, scale, first_pass) != out:
+    if Report(seed, scale, first_pass).to_json_bytes() != out:
         failures.append({"case": "byte-reproducibility"})
     if controls_vacuous:
         failures.append(

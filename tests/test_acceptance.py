@@ -61,4 +61,4 @@ def test_rerun_in_this_process_gives_the_same_bytes(report, capsysbinary, monkey
     monkeypatch.setattr(subprocess, "Popen", no_process)
     suite._print_battery(0, "small")
     first_pass = [c for c in report.checks if c.id != "C12"]
-    assert capsysbinary.readouterr().out == suite._battery_bytes(0, "small", first_pass)
+    assert capsysbinary.readouterr().out == suite.Report(0, "small", first_pass).to_json_bytes()

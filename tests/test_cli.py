@@ -212,6 +212,49 @@ class TestDimension:
         assert "--dim" in err and "Traceback" not in err
 
 
+
+def _bare_chain(*exps):
+    """A weyl chain of one word whose slots are bare polynomials in x1, xi1."""
+    word = [{"gens": ["x1", "xi1"], "terms": [{"exp": e, "coef": "1/1"}]} for e in exps]
+    return {"algebra": "weyl", "degree": len(exps) - 1, "terms": [{"coef": "1/1", "word": word}]}
+
+
+
+class TestStatedDimension:
+    """A document's own "dim" belongs to its value, as a windowed value's own
+    "trunc" does: ``--dim`` fills in only where a document states none."""
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("star", {side: {"dim": 1, **op} for side, op in json.loads(STAR_DOC).items()}),
+            ("hb", {"dim": 1, **_bare_chain([1, 0], [0, 1])}),
+            # x1 (x) x1 is a cycle
+            ("verify-cycle", {"dim": 1, **_bare_chain([1, 0], [1, 0])}),
+        ],
+    )
+    def test_stated_dim_is_read_over_the_option(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        outs = []
+        for dim in ("1", "3"):
+            code, out, _ = run_cli(capsys, command, "--dim", dim, "--json", str(path))
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "command,doc", [("star", json.loads(STAR_DOC)), ("hb", _bare_chain([1, 0], [0, 1]))]
+    )
+    def test_bare_gens_under_another_dim_exit_2(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, command, "--dim", "1", "--json", str(path))[0] == EXIT_OK
+        code, _, err = run_cli(capsys, command, "--dim", "2", "--json", str(path))
+        assert code == EXIT_MALFORMED
+        assert "generator mismatch" in err
+
+
 class TestOptionRanges:
     @pytest.mark.parametrize(
         "argv,option",
@@ -393,7 +436,7 @@ class TestOneDefinitionPerCheck:
         monkeypatch.setattr(suite, "_flipped_star", moyal_star)
         monkeypatch.setattr(suite, "_flipped_commutator", star_commutator)
         # a child that prints the first pass's bytes, so only the controls fail
-        same = suite._battery_bytes(0, "small", [])
+        same = suite.Report(0, "small", []).to_json_bytes()
         child = subprocess.Popen(
             [sys.executable, "-c", f"import sys; sys.stdout.buffer.write({same!r})"],
             stdout=subprocess.PIPE,

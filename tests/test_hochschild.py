@@ -1,6 +1,7 @@
 """Chains, differentials, trace cycles, and induced chain maps."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,7 @@ from starhom.hochschild import (
     weyl_handle,
 )
 from starhom.rees import DiffOp, OpSeries, ReesElement, rees_sigma
+from starhom.serialize import chain_to_json
 from starhom.series import Q_ZERO, Poly, SeriesError, TSeries, accumulate
 from starhom.suite import localization_morphism
 from starhom.weyl import WeylElement, weyl_gens
@@ -325,6 +327,32 @@ class TestItemsRoundTrip:
                 assert w1 == w2
 
 
+class TestSumAndScale:
+    """``+``, ``-`` and ``scale`` reach stored form through the one merge."""
+
+    @pytest.mark.parametrize("kind", ["weyl", "rees"])
+    def test_difference_is_the_sum_with_the_negative(self, kind):
+        h, slot = ROUNDTRIP_HANDLES[kind], _roundtrip_slot(kind)
+        rng = random.Random(f"difference:{kind}")
+        for _ in range(20):
+            degree = rng.randint(0, 3)
+            a = random_chain(rng, h, degree, slot, 3)
+            # b repeats a word of a, so a word of a - b merges
+            more = random_chain(rng, h, degree, slot, 3).items()
+            b = HochschildChain(h, degree, [*a.items()[:1], *more])
+            assert a - b == a + (-b)
+            assert (a - b).items() == (a + (-b)).items()
+
+    @pytest.mark.parametrize("kind", ["weyl", "rees"])
+    def test_scale_by_zero_keeps_the_degree(self, kind):
+        h, slot = ROUNDTRIP_HANDLES[kind], _roundtrip_slot(kind)
+        rng = random.Random(f"scale-0:{kind}")
+        for degree in range(4):
+            c = random_chain(rng, h, degree, slot, 3)
+            zero = c.scale(0)
+            assert zero.items() == [] and zero.degree == c.degree
+
+
 class TestAltChain:
     def test_two_permutations(self):
         c = alt_chain(PH, pone, (px, py))
@@ -372,6 +400,31 @@ class TestTraceCycles:
         ]
         plain = alt_chain(h, h.unit, xs + xis)
         assert phi_A(d) == plain.scale(1, tpow=-d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cycles_match_a_build_through_the_public_constructor(self, d):
+        # the same signed words, as values, through the validating
+        # constructor; the sign of a permutation is -1 to its inversions
+        def reference(h, slots):
+            words = []
+            for perm in itertools.permutations(range(len(slots))):
+                inversions = sum(i > j for i, j in itertools.combinations(perm, 2))
+                words.append(((-1) ** inversions, (h.unit, *(slots[i] for i in perm))))
+            return HochschildChain(h, len(slots), words)
+
+        gens = weyl_gens(d)
+        e_slots = [OpSeries.from_op(DiffOp.x(d, i)) for i in range(1, d + 1)]
+        e_slots += [OpSeries.from_op(DiffOp.d(d, i)) for i in range(1, d + 1)]
+        a_slots = [WeylElement.from_poly(Poly.gen(gens, g), 3) for g in gens[:d]]
+        a_slots += [WeylElement.from_poly(Poly.gen(gens, g), 3, t_exp=-1) for g in gens[d:]]
+        pairs = [
+            (phi_E(d), reference(rees_handle(d), e_slots)),
+            (phi_A(d), reference(weyl_handle(d, trunc=3, localized=True), a_slots)),
+        ]
+        for cycle, want in pairs:
+            assert cycle.items() == want.items()
+            got_doc, want_doc = chain_to_json(cycle), chain_to_json(want)
+            assert json.dumps(got_doc).encode() == json.dumps(want_doc).encode()
 
     def test_phi_A_darboux_invariance_linear_symplectic(self):
         # (x, xi) -> (xi, -x) is symplectic; the image stays a cycle
@@ -654,11 +707,13 @@ class TestIntegerZeroTestMatchesFractionExpansion:
 
     def test_exact_meeting_windowed_raises_in_both(self):
         # two words on one basis key, one exact and one windowed coefficient
+        # (unnormalized: the constructor would bring two_x into wx's class)
         two_x = wx * Fraction(2)
-        c = HochschildChain._raw(
-            WH, 1, (wx, two_x, wxi),
-            {(0, 2): (laurent({0: 1}), (0, 2)), (1, 2): (laurent({0: 1}, 0, 9), (1, 2))},
-        )
+        c = object.__new__(HochschildChain)
+        terms = {(0, 2): (laurent({0: 1}), (0, 2)), (1, 2): (laurent({0: 1}, 0, 9), (1, 2))}
+        for name, value in [("handle", WH), ("degree", 1), ("slots", (wx, two_x, wxi)),
+                            ("terms", terms)]:
+            object.__setattr__(c, name, value)
         for zero_test in (HochschildChain.is_zero, fraction_expansion_is_zero):
             with pytest.raises(SeriesError):
                 zero_test(c)

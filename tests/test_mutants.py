@@ -198,6 +198,24 @@ MUTANTS = [
         None,
     ),
     (
+        # only C05 subtracts chains: it compares phi_E's image with phi_A
+        # by ==; the other chain criteria add and test is_zero
+        "chain-difference-sign-dropped",
+        "hochschild.py",
+        "(-coeff if negate else coeff, ",
+        "(coeff, ",
+        "check_chain_map_compatibility",
+        None,
+    ),
+    (
+        "chain-merge-sum-dropped",
+        "hochschild.py",
+        "coeff, stored = hit[0] + coeff, hit[1]",
+        "coeff, stored = coeff, hit[1]",
+        "check_hochschild_identities",
+        None,
+    ),
+    (
         "cyclic-B-rotation-sign",
         "hochschild.py",
         "signed[(p * i) % 2]",

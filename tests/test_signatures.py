@@ -2,8 +2,8 @@
 
 Two ``ast`` audits of the source, each against the same production
 code, ``CALLERS``: ``src/starhom`` other than ``__init__.py``, and
-``perfbench/``.  Tests and the package's exports do not count.  A third
-audit runs the command line.
+``perfbench/``.  Tests and the package's exports do not count.  Two
+more audits run the production paths.
 
 - **Parameters.**  A parameter with a default value, of a module-level
   function or a method in ``src/starhom``, must be passed by some call in
@@ -11,10 +11,17 @@ audit runs the command line.
   function or attribute name, and a class name matches its ``__init__``.
   A parameter that only tests set is a test-only hook in a production
   signature.
-- **Definitions.**  Every module-level function and class, and every
-  method whose name is not a dunder, in ``src/starhom`` must be referenced
-  by name (a bare name or an attribute) somewhere in ``CALLERS`` outside
-  its own body.  A definition that only tests reach is dead code.
+- **Definitions.**  Every module-level function and class in
+  ``src/starhom`` must be referenced by name (a bare name or an
+  attribute) somewhere in ``CALLERS`` outside its own body.  A definition
+  that only tests reach is dead code.
+- **Methods.**  Every method whose name is not a dunder, of a
+  module-level class in ``src/starhom``, must be entered, as
+  ``sys.setprofile`` sees it, while the production paths run in-process:
+  each mode below (the ``suite`` mode is one battery pass at small), the
+  document commands on documents written by the package's own writers,
+  and the benchmark's in-process workloads.  Matching by name would pass
+  a method whenever any other method, or any attribute, shares its name.
 - **CLI options.**  A *mode* is a subcommand, or one value of its
   ``--class``, ``--check`` or ``--chain``, or ``suite`` with or without
   ``--mutate-moyal-sign``.  Each mode runs in-process once per option it
@@ -26,22 +33,29 @@ audit runs the command line.
   silently ignored.
 
 Each audit has a ``KEEP_*`` table of its exceptions, each with the reason
-it stays, and a second test that fails when an exception no longer is one.
+it stays, and a second test that fails when an exception no longer is one;
+definitions and methods share ``KEEP_DEFINITIONS``.
 """
 
 import argparse
 import ast
 import contextlib
+import importlib
 import io
 import json
+import random
+import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from starhom import cli
+from starhom import charclass, cli, serialize, suite
+from starhom.corpus import random_chain, random_rees, random_weyl
+from starhom.hochschild import HochschildChain, rees_handle, weyl_handle
 from starhom.serialize import DecodeError
-from starhom.series import SeriesError
+from starhom.series import Q_ZERO, Poly, SeriesError, TSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "starhom"
@@ -58,11 +72,15 @@ KEEP_PARAMETERS = {
     ("corpus.random_chain", "words"): "the corpus is shared with the tests, which set it",
 }
 
-# where: reason the definition stays although nothing in CALLERS refers to it
+# where: reason the definition stays although no production path reaches it
 KEEP_DEFINITIONS = {
     "series.TSeries.set_t_zero": (
         "the planned trace-cycle normalization criterion (C13 in ROADMAP.md) maps "
         "each slot to its t^0 coefficient"
+    ),
+    "hochschild.HochschildChain.scale": (
+        "unary minus calls it, which no production path does since a - b merges in "
+        "one pass; the planned C13 scales phi_A(d) by t^d"
     ),
 }
 
@@ -156,21 +174,13 @@ def _names(node: ast.AST) -> Counter:
 
 
 def definitions() -> list[tuple[str, str, ast.AST]]:
-    """(where, name, node) per module-level function and class and per
-    method whose name is not a dunder."""
-    out = []
-    for path in SOURCES:
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out.append((f"{path.stem}.{node.name}", node.name, node))
-            if isinstance(node, ast.ClassDef):
-                out += [
-                    (f"{path.stem}.{node.name}.{fn.name}", fn.name, fn)
-                    for fn in node.body
-                    if isinstance(fn, ast.FunctionDef)
-                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                ]
-    return out
+    """(where, name, node) per module-level function and class."""
+    return [
+        (f"{path.stem}.{node.name}", node.name, node)
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
 
 
 def unreferenced() -> set[str]:
@@ -182,10 +192,6 @@ def unreferenced() -> set[str]:
 
 def test_every_definition_is_referenced_outside_its_body():
     assert sorted(unreferenced() - KEEP_DEFINITIONS.keys()) == []
-
-
-def test_keep_list_names_only_unreferenced_definitions():
-    assert sorted(KEEP_DEFINITIONS.keys() - unreferenced()) == []
 
 
 # -- CLI options -------------------------------------------------------------------
@@ -315,3 +321,116 @@ def test_keep_list_names_only_unread_options(unread):
     for prefix, option in KEEP_OPTIONS:
         modes = [m for m in MODES if m[: len(prefix)] == prefix]
         assert modes and all((m, option) in unread for m in modes), (prefix, option)
+
+
+# -- methods -----------------------------------------------------------------------
+
+
+def methods() -> dict[str, object]:
+    """{where: code object} per method whose name is not a dunder, of each
+    module-level class; a classmethod, property or cached property gives
+    the code of the function it wraps."""
+    out = {}
+    for path in SOURCES:
+        module = importlib.import_module(f"starhom.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    member = vars(getattr(module, node.name))[fn.name]
+                    for attr in ("__func__", "fget", "func"):
+                        member = getattr(member, attr, member)
+                    out[f"{path.stem}.{node.name}.{fn.name}"] = member.__code__
+    return out
+
+
+def _written_docs() -> dict[str, object]:
+    """Documents for the commands that read one, written by the package's
+    own writers: two Weyl operands, a rees chain, a weyl chain with a
+    t-series coefficient, a fedosov connection form and a Chern polynomial."""
+    rng = random.Random("entered")
+    wh = weyl_handle(1, trunc=8)
+    a, b = (random_weyl(rng, 1, 8) for _ in range(2))
+    t_coeff = TSeries(Q_ZERO, {0: Fraction(1), 1: Fraction(-2, 3)}, 0, 8)
+    base, a0 = suite.default_chart(2)
+    chern = charclass.chern_names(2)
+    return {
+        "WEYL_STAR": {"f": serialize.weyl_to_json(a), "g": serialize.weyl_to_json(b)},
+        "REES_CHAIN": serialize.chain_to_json(
+            random_chain(rng, rees_handle(1), 2, lambda r: random_rees(r, 1), words=3)
+        ),
+        "WEYL_CHAIN": serialize.chain_to_json(
+            HochschildChain(wh, 1, [(t_coeff, (a, b)), (1, (b, a * b))])
+        ),
+        "A0": {"a0": {
+            ",".join(map(str, widx)): [[serialize.poly_to_json(e) for e in row] for row in mat]
+            for widx, mat in a0.items()
+        }},
+        "CHERN": serialize.poly_to_json(Poly.gen(chern, "c1") + Poly.gen(chern, "c2")),
+    }
+
+
+# the document commands: each must exit 0 or 1, so that it ran past its decoder
+DOCUMENT_RUNS = [
+    ("star", "--json", "WEYL_STAR"),
+    *((command, "--json", doc) for command in ("hb", "hB", "verify-cycle")
+      for doc in ("REES_CHAIN", "WEYL_CHAIN")),
+    ("fedosov", "--check", "flat", "--dim", "2", "--json", "A0"),
+    ("charclass", "--class", "exp", "--dim", "2", "--json", "CHERN"),
+]
+
+
+# the benchmark's in-process workloads; its suite-small is the suite mode's run
+BENCHMARK_WORKLOADS = ("cycles-d3", "geometry")
+
+
+def entered_codes(tmp: Path) -> set:
+    """The code objects that ``sys.setprofile`` sees entered while each mode
+    of ``MODES`` (``suite`` runs one battery pass at small) and each of
+    ``DOCUMENT_RUNS`` runs through ``cli.main``, and each of
+    ``BENCHMARK_WORKLOADS`` runs with its known-answer checks."""
+    docs = {**DOCS, **_written_docs()}
+    paths = {name: tmp / f"{name}.json" for name in docs}
+    for name, path in paths.items():
+        path.write_text(json.dumps(docs[name]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "perfbench"))
+        workloads = importlib.import_module("child").WORKLOADS
+    seen = set()
+    add = seen.add
+
+    def profile(frame, event, arg):
+        add(frame.f_code)
+
+    codes = {}
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in [*MODES, *DOCUMENT_RUNS]:
+                codes[argv] = cli.main([str(paths[a]) if a in paths else a for a in argv])
+            for name in BENCHMARK_WORKLOADS:
+                _, post = workloads[name](0)
+                if post is not None:
+                    post()
+    finally:
+        sys.setprofile(before)
+    assert {argv: codes[argv] for argv in DOCUMENT_RUNS if codes[argv] not in (0, 1)} == {}
+    return seen
+
+
+@pytest.fixture(scope="module")
+def unentered(tmp_path_factory) -> set[str]:
+    seen = entered_codes(tmp_path_factory.mktemp("entered"))
+    return {where for where, code in methods().items() if code not in seen}
+
+
+def test_every_method_is_entered_by_a_production_path(unentered):
+    assert sorted(unentered - KEEP_DEFINITIONS.keys()) == []
+
+
+def test_keep_list_names_only_unreferenced_definitions(unentered):
+    assert sorted(KEEP_DEFINITIONS.keys() - unreferenced() - unentered) == []

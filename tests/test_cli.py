@@ -212,12 +212,10 @@ class TestDimension:
         assert "--dim" in err and "Traceback" not in err
 
 
-
 def _bare_chain(*exps):
     """A weyl chain of one word whose slots are bare polynomials in x1, xi1."""
     word = [{"gens": ["x1", "xi1"], "terms": [{"exp": e, "coef": "1/1"}]} for e in exps]
     return {"algebra": "weyl", "degree": len(exps) - 1, "terms": [{"coef": "1/1", "word": word}]}
-
 
 
 class TestStatedDimension:

@@ -84,9 +84,6 @@ KEEP_DEFINITIONS = {
     ),
 }
 
-# (subcommand, dest): reason the option stays although its handler never reads it
-KEEP_OPTIONS: dict[tuple[str, str], str] = {}
-
 
 def _caller_trees() -> list[ast.Module]:
     return [ast.parse(path.read_text()) for path in CALLERS]

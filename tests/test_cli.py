@@ -230,6 +230,7 @@ class TestStatedDimension:
             # x1 (x) x1 is a cycle
             ("verify-cycle", {"dim": 1, **_bare_chain([1, 0], [1, 0])}),
         ],
+        ids=["star", "hb", "verify-cycle"],
     )
     def test_stated_dim_is_read_over_the_option(self, capsys, tmp_path, command, doc):
         path = tmp_path / "in.json"
@@ -242,7 +243,9 @@ class TestStatedDimension:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "command,doc", [("star", json.loads(STAR_DOC)), ("hb", _bare_chain([1, 0], [0, 1]))]
+        "command,doc",
+        [("star", json.loads(STAR_DOC)), ("hb", _bare_chain([1, 0], [0, 1]))],
+        ids=["star", "hb"],
     )
     def test_bare_gens_under_another_dim_exit_2(self, capsys, tmp_path, command, doc):
         path = tmp_path / "in.json"
